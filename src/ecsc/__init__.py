@@ -1,8 +1,8 @@
 """Bound states of the exponential-cosine-screened Coulomb potential.
 
 Closed-form perturbative energies and wavefunctions, a quadrature engine
-that cross-checks every closed form, an independent Numerov shooting
-solver, and a CLI that reproduces the bundled reference tables.
+that cross-checks every closed form, an independent tridiagonal
+eigensolver, and a CLI that reproduces the bundled reference tables.
 """
 
 from .core import (
@@ -67,12 +67,10 @@ from .quadrature import (
     superpotential_first_numeric,
 )
 from .radial import (
-    IterationLimitError,
     NoBoundStateError,
     RadialFunction,
     SolverConfig,
     default_solver_config,
-    energy_search_bracket,
     solve_bound_state,
 )
 from .tables import ComparisonRow, ScanResult, TableResult, TABLES, reproduce_table, scan_delta

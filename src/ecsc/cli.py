@@ -17,7 +17,6 @@ from .core import (
 from .perturbation import ground_wavefunction, moderated_validity_radius, total_energy
 from .potential import effective_potential
 from .radial import (
-    IterationLimitError,
     NoBoundStateError,
     SolverConfig,
     default_solver_config,
@@ -80,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--delta-end", type=float, required=True)
     p_scan.add_argument("--steps", type=int, required=True)
     p_scan.add_argument("--with-oracle", action="store_true",
-                        help="also solve each point with the shooting solver")
+                        help="also solve each point with the radial eigensolver")
     _add_output(p_scan)
 
     p_wf = sub.add_parser("wavefunction",
@@ -181,11 +180,8 @@ def _cmd_oracle(args) -> int:
     except NoBoundStateError as exc:
         print(f"no bound state: {exc}", file=sys.stderr)
         return 1
-    except IterationLimitError as exc:
-        print(f"did not converge: {exc} (bracket {exc.bracket})", file=sys.stderr)
-        return 1
     print(f"numeric energy  {rf.energy:+.10g}   nodes={rf.node_count} "
-          f"converged={rf.converged}")
+          f"converged={rf.converged} error_estimate={rf.error_estimate:.1e}")
     if spec.g == 1.0:
         analytic = total_energy(state, spec, units, SecondOrderVariant(args.variant)).total
         print(f"analytic total  {analytic:+.10g}   difference {rf.energy - analytic:+.3e}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from math import isfinite
 
 
 class ValidationError(ValueError):
@@ -41,9 +42,9 @@ class UnitSystem:
     label: str = "custom"
 
     def __post_init__(self) -> None:
-        if not self.hbar > 0.0 or not self.mass > 0.0:
+        if not all(isfinite(x) and x > 0.0 for x in (self.hbar, self.mass)):
             raise ValidationError(
-                f"hbar and mass must be positive, got ({self.hbar}, {self.mass})"
+                f"hbar and mass must be positive and finite, got ({self.hbar}, {self.mass})"
             )
 
 
@@ -130,6 +131,9 @@ class ScreeningSpec:
     g: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("delta", "strength", "g"):
+            if not isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.delta < 0.0:
             raise ValidationError(f"screening parameter must be >= 0, got {self.delta}")
         if not self.strength > 0.0:

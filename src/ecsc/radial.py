@@ -1,13 +1,20 @@
 """Numerical radial bound-state solver, independent of the perturbation theory.
 
-Solves chi'' = (2m/hbar^2) (V_eff(r) - E) chi on a uniform grid with Numerov
-propagation.  Eigenvalues are bracketed by node counting (oscillation
-theorem) and refined on the log-derivative mismatch of outward and inward
-sweeps matched at the outermost classical turning point.
+The radial equation -(hbar^2/2m) chi'' + V_eff(r) chi = E chi is discretised
+with the three-point Laplacian on a uniform grid, with chi = 0 at r = 0 and
+at r_max.  That gives a symmetric tridiagonal matrix with negative
+off-diagonals, whose (n+1)-th lowest eigenvector has exactly n sign changes
+(discrete oscillation theorem), so the level with n nodes is selected by its
+index.  LAPACK bisection with Sturm counts (dstebz; Barth, Martin &
+Wilkinson, Numer. Math. 9 (1967) 386) finds that one eigenvalue on the grids
+h, 2h and 4h.  One Richardson step on the O(h^2) discretisation error gives
+the energy, and the difference of the (h, 2h) and (2h, 4h) steps, plus the
+roundoff floor, its error estimate.
 
 The caller supplies the full effective potential including the centrifugal
-barrier (see :func:`ecsc.potential.effective_potential`); the solver only
-needs ell for the r^(ell+1) series start near the origin.
+barrier (see :func:`ecsc.potential.effective_potential`).  It is evaluated
+once, on the finest grid; the coarser grids take every second and fourth
+point of it.
 """
 
 from __future__ import annotations
@@ -16,8 +23,7 @@ from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.optimize import brentq
+from scipy.linalg import eigh_tridiagonal
 
 from .core import (
     DEFAULT_TOLERANCES,
@@ -27,47 +33,30 @@ from .core import (
     ValidationError,
 )
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - pure-python fallback, much slower
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+_EPS = np.finfo(float).eps
+# dstebz locates eigenvalues most accurately at twice the underflow threshold
+_BISECTION_TOL = 2.0 * np.finfo(float).tiny
 
 
 class NoBoundStateError(RuntimeError):
     """No level with the requested node count exists below the continuum."""
 
 
-class IterationLimitError(RuntimeError):
-    """Refinement hit the iteration cap; ``bracket`` holds the best interval."""
-
-    def __init__(self, message: str, bracket: tuple[float, float]):
-        super().__init__(message)
-        self.bracket = bracket
-
-
 @dataclass(frozen=True)
 class SolverConfig:
-    """Uniform grid spacing, outer cutoff and convergence targets."""
+    """Uniform grid spacing, outer cutoff and convergence target."""
 
     step: float
     r_max: float
     energy_abs_tol: float = DEFAULT_TOLERANCES.eigen_abs
-    max_iterations: int = 200
 
     def __post_init__(self) -> None:
-        if not self.step > 0.0 or not self.r_max > 0.0:
-            raise ValidationError("step and r_max must be positive")
+        if not (0.0 < self.step < np.inf and 0.0 < self.r_max < np.inf):
+            raise ValidationError("step and r_max must be positive and finite")
         if self.r_max / self.step < 16:
             raise ValidationError("grid must have a sensible number of points")
-        if not self.energy_abs_tol > 0.0 or self.max_iterations < 4:
-            raise ValidationError("bad convergence settings")
+        if not self.energy_abs_tol > 0.0:
+            raise ValidationError("energy_abs_tol must be positive")
 
 
 def default_solver_config(
@@ -80,13 +69,20 @@ def default_solver_config(
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """A solved bound state: normalized amplitude samples and metadata."""
+    """A solved bound state: normalized amplitude samples and metadata.
+
+    ``error_estimate`` estimates |energy - exact level| at the given cutoff
+    r_max: the spread of two Richardson steps plus the roundoff floor.
+    ``converged`` says whether it is within the config's energy_abs_tol;
+    ``error_estimate`` is nan when a caller builds the record without one.
+    """
 
     grid: np.ndarray
     values: np.ndarray
     node_count: int
     energy: float
     converged: bool
+    error_estimate: float = float("nan")
 
     def dump_two_column(self, destination) -> None:
         """Write plain two-column text (r, chi), one sample per line."""
@@ -98,209 +94,79 @@ class RadialFunction:
                 fh.writelines(lines)
 
 
-@njit(cache=True)
-def _nodes_outward(f, h, y0, y1):
-    # full outward Numerov pass; returns the interior sign-change count
-    h12 = h * h / 12.0
-    n = f.shape[0]
-    ym = y0
-    yc = y1
-    pm = 1.0 - h12 * f[0]
-    pc = 1.0 - h12 * f[1]
-    nodes = 0
-    for i in range(1, n - 1):
-        pn = 1.0 - h12 * f[i + 1]
-        yn = ((12.0 - 10.0 * pc) * yc - pm * ym) / pn
-        if (yn > 0.0 and yc < 0.0) or (yn < 0.0 and yc > 0.0):
-            nodes += 1
-        ym = yc
-        yc = yn
-        pm = pc
-        pc = pn
-        ay = abs(yc)
-        if ay > 1e250:  # deep trial energies grow ~exp(kappa r); keep finite
-            ym /= ay
-            yc /= ay
-    return nodes
-
-
-@njit(cache=True)
-def _sweep_outward(f, h, y0, y1, last, out):
-    # fill out[0..last] inclusive; the range stays numerically tame because
-    # the caller stops just past the outermost turning point
-    h12 = h * h / 12.0
-    out[0] = y0
-    out[1] = y1
-    pm = 1.0 - h12 * f[0]
-    pc = 1.0 - h12 * f[1]
-    for i in range(1, last):
-        pn = 1.0 - h12 * f[i + 1]
-        out[i + 1] = ((12.0 - 10.0 * pc) * out[i] - pm * out[i - 1]) / pn
-        pm = pc
-        pc = pn
-
-
-@njit(cache=True)
-def _sweep_inward(f, h, first, out):
-    # fill out[first..M-1] from a decaying tail seed at r_max
-    h12 = h * h / 12.0
-    m = f.shape[0]
-    out[m - 1] = 0.0
-    out[m - 2] = 1e-30
-    pp = 1.0 - h12 * f[m - 1]
-    pc = 1.0 - h12 * f[m - 2]
-    for i in range(m - 2, first, -1):
-        pm = 1.0 - h12 * f[i - 1]
-        out[i - 1] = ((12.0 - 10.0 * pc) * out[i] - pp * out[i + 1]) / pm
-        pp = pc
-        pc = pm
-        a = abs(out[i - 1])
-        if a > 1e250:
-            for j in range(i - 1, m):
-                out[j] /= a
-
-
-def _potential_on_grid(potential, r: np.ndarray) -> np.ndarray:
-    try:
-        v = np.asarray(potential(r), dtype=float)
-        if v.shape != r.shape:
-            raise ValueError
-        return v
-    except Exception:
-        return np.array([float(potential(x)) for x in r])
-
-
-class _Shooter:
-    """Shared state for one (potential, state, units, config) eigenproblem.
-
-    ``potential`` must already contain the centrifugal barrier; ell is only
-    used for the r^(ell+1) series start at the origin.
-    """
-
-    def __init__(self, potential, state: QuantumState, units: UnitSystem, config: SolverConfig):
-        self.state = state
-        self.config = config
-        h = config.step
-        m_pts = int(round(config.r_max / h))
-        self.h = h
-        self.r = h * np.arange(1, m_pts + 1)
-        v = _potential_on_grid(potential, self.r)
-        self.c = 2.0 * units.mass / units.hbar**2
-        ell = state.ell
-        self.base = self.c * v
-        self.v_eff_min = float(np.min(v))
-        # series start chi ~ r^(l+1) (1 + c1 r + c2 r^2): fit the Coulomb core
-        # -a/r + v0 of the barrier-stripped potential at the first grid points
-        r0, r1 = self.r[0], self.r[1]
-        barrier0 = units.hbar**2 * ell * (ell + 1) / (2.0 * units.mass * r0**2)
-        barrier1 = units.hbar**2 * ell * (ell + 1) / (2.0 * units.mass * r1**2)
-        v0c, v1c = v[0] - barrier0, v[1] - barrier1
-        self._a_core = (v1c - v0c) * r0 * r1 / (r1 - r0)
-        self._v_origin = v0c + self._a_core / r0
-        self._c1 = -self.c * self._a_core / (2.0 * (ell + 1))
-
-    def start_values(self, energy: float) -> tuple[float, float]:
-        ell = self.state.ell
-        c2 = (0.5 * (self.c * self._a_core) ** 2 / (ell + 1)
-              + self.c * (self._v_origin - energy)) / (4 * ell + 6)
-        r0, r1 = self.r[0], self.r[1]
-        y0 = r0 ** (ell + 1) * (1.0 + self._c1 * r0 + c2 * r0**2)
-        y1 = r1 ** (ell + 1) * (1.0 + self._c1 * r1 + c2 * r1**2)
-        return y0, y1
-
-    def f_of(self, energy: float) -> np.ndarray:
-        return self.base - self.c * energy
-
-    def count_nodes(self, energy: float) -> int:
-        y0, y1 = self.start_values(energy)
-        return int(_nodes_outward(self.f_of(energy), self.h, y0, y1))
-
-    def match_index(self, f: np.ndarray) -> int:
-        allowed = np.nonzero(f < 0.0)[0]
-        if allowed.size == 0:
-            return -1
-        return int(min(max(allowed[-1], 2), f.shape[0] - 3))
-
-    def mismatch(self, energy: float) -> float:
-        """Scaled Wronskian of outward and inward sweeps at the turning point."""
-        f = self.f_of(energy)
-        im = self.match_index(f)
-        if im < 0:
-            return np.nan
-        y0, y1 = self.start_values(energy)
-        yo = np.empty(im + 2)
-        _sweep_outward(f, self.h, y0, y1, im + 1, yo)
-        yi = np.empty(f.shape[0])
-        _sweep_inward(f, self.h, im - 1, yi)
-        num = (yo[im + 1] - yo[im - 1]) * yi[im] - (yi[im + 1] - yi[im - 1]) * yo[im]
-        return num / (2.0 * self.h * (abs(yo[im] * yi[im]) + 1e-300))
-
-    def assemble(self, energy: float) -> tuple[np.ndarray, np.ndarray]:
-        f = self.f_of(energy)
-        im = self.match_index(f)
-        if im < 0:
-            raise NoBoundStateError("no classically allowed region at the candidate energy")
-        y0, y1 = self.start_values(energy)
-        yo = np.empty(im + 2)
-        _sweep_outward(f, self.h, y0, y1, im + 1, yo)
-        yi = np.empty(f.shape[0])
-        _sweep_inward(f, self.h, im - 1, yi)
-        y = np.empty(f.shape[0])
-        y[: im + 1] = yo[: im + 1]
-        y[im:] = yi[im:] * (yo[im] / yi[im])
-        # prepend the origin and normalize the density to one
-        grid = np.concatenate(([0.0], self.r))
-        vals = np.concatenate(([0.0], y))
-        norm = sqrt(simpson(vals**2, x=grid))
-        vals /= norm if norm > 0 else 1.0
-        if vals[np.argmax(np.abs(vals))] < 0:
-            vals = -vals
-        return grid, vals
-
-
 def _count_interior_nodes(values: np.ndarray) -> int:
     big = 1e-9 * np.max(np.abs(values))
     sig = values[np.abs(values) > big]
     return int(np.count_nonzero(np.signbit(sig[1:]) != np.signbit(sig[:-1])))
 
 
-def energy_search_bracket(
-    potential, state: QuantumState, units: UnitSystem, config: SolverConfig
-) -> tuple[float, float]:
-    """Interval [lo, hi] whose outward integrations carry n and n+1 nodes.
+def _level(v: np.ndarray, h: float, kinetic: float, n: int, vector: bool = False):
+    """Eigenvalue n of the three-point Hamiltonian on interior samples ``v``.
 
-    Raises NoBoundStateError when no such interval exists below E = 0
-    (potentials vanishing at infinity have their continuum there).
+    ``kinetic`` is hbar^2/m.  With ``vector`` the result is the pair
+    (eigenvalues, eigenvectors) of eigh_tridiagonal, else the eigenvalue.
     """
-    shooter = _Shooter(potential, state, units, config)
-    return _bracket(shooter)
+    diagonal = kinetic / h**2 + v
+    off_diagonal = np.full(v.size - 1, -0.5 * kinetic / h**2)
+    found = eigh_tridiagonal(
+        diagonal, off_diagonal, eigvals_only=not vector, select="i",
+        select_range=(n, n), lapack_driver="stebz", tol=_BISECTION_TOL,
+    )
+    return found if vector else float(found[0])
 
 
-def _bracket(shooter: _Shooter) -> tuple[float, float]:
-    n = shooter.state.n
-    if shooter.v_eff_min >= 0.0:
-        raise NoBoundStateError("effective potential is nowhere negative; nothing is bound")
-    lo = shooter.v_eff_min
-    hi = -1e-12 * abs(shooter.v_eff_min)
-    c_hi = shooter.count_nodes(hi)
-    if c_hi < n + 1:
-        raise NoBoundStateError(
-            f"fewer than {n + 1} nodes at the continuum edge; "
-            f"state n={n}, l={shooter.state.ell} is not bound for this potential"
+def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConfig):
+    """The level as a RadialFunction, or the reason why it is not bound."""
+    h = config.step
+    # intervals, a multiple of four so that r_max is a node of every grid
+    intervals = 4 * round(config.r_max / (4.0 * h))
+    if intervals // 4 - 1 <= state.n:
+        raise ValidationError(f"grid too coarse for a level with {state.n} nodes")
+    r = h * np.arange(1, intervals)
+    v = np.asarray(potential(r), dtype=float)
+    if v.shape != r.shape:
+        raise ValidationError(
+            f"potential returned shape {v.shape} on a grid of shape {r.shape}; "
+            "it must accept and return arrays"
         )
-    c_lo = shooter.count_nodes(lo)
-    if c_lo > n:
-        raise NoBoundStateError("lower search edge already oscillates; bad potential scale")
-    for _ in range(shooter.config.max_iterations):
-        if c_lo == n and c_hi == n + 1:
-            return lo, hi
-        mid = 0.5 * (lo + hi)
-        c_mid = shooter.count_nodes(mid)
-        if c_mid >= n + 1:
-            hi, c_hi = mid, c_mid
-        else:
-            lo, c_lo = mid, c_mid
-    return lo, hi
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("potential is not finite on the grid")
+    if not np.any(v < 0.0):
+        return "effective potential is nowhere negative; nothing is bound"
+
+    unbound = (f"level n={state.n}, l={state.ell} lies at E >= 0 on the grid to "
+               f"r_max = {intervals * h:g}: a box-quantised continuum state, not bound")
+    kinetic = units.hbar**2 / units.mass
+    levels, vectors = _level(v, h, kinetic, state.n, vector=True)
+    e_h = float(levels[0])
+    if e_h >= 0.0:
+        return unbound
+    e_2h = _level(v[1::2], 2.0 * h, kinetic, state.n)
+    e_4h = _level(v[3::4], 4.0 * h, kinetic, state.n)
+    energy = (4.0 * e_h - e_2h) / 3.0
+    if energy >= 0.0:
+        return unbound
+
+    # The level sits some 1e6 times below the diagonal kinetic / h^2 that it
+    # is resolved against, and bisection finds the level of the rounded matrix
+    # to a small part of eps * kinetic / h^2: 0.006 (1s) to 0.085 (2p, 3p) of
+    # it on Coulomb levels, measured against extended-precision bisection
+    floor = _EPS * kinetic / h**2 / 8.0
+    estimate = abs(energy - (4.0 * e_2h - e_4h) / 3.0) + floor
+
+    chi = vectors[:, 0]
+    values = np.zeros(intervals + 1)
+    values[1:-1] = chi / sqrt(h)  # unit sum chi_i^2 h, the trapezoidal norm
+    if values[np.argmax(np.abs(values))] < 0:
+        values = -values
+    return RadialFunction(
+        grid=h * np.arange(intervals + 1),
+        values=values,
+        node_count=_count_interior_nodes(values),
+        energy=energy,
+        converged=estimate <= config.energy_abs_tol,
+        error_estimate=estimate,
+    )
 
 
 def solve_bound_state(
@@ -308,46 +174,16 @@ def solve_bound_state(
 ) -> RadialFunction:
     """Find the bound level with ``state.n`` interior nodes and its wavefunction.
 
-    Node-count bisection narrows the energy window, then the log-derivative
-    mismatch is driven to zero inside it; the assembled wavefunction is
-    normalized to unit radial density.
+    ``potential`` maps an array of radii to the effective potential there.
+    Raises NoBoundStateError when the potential is nowhere negative or the
+    level lies at or above E = 0, where a potential vanishing at infinity
+    has its continuum; raises ValidationError when the potential does not
+    return finite values of the grid's shape.
     """
-    shooter = _Shooter(potential, state, units, config)
-    lo, hi = _bracket(shooter)
-    n = shooter.state.n
-    tol = config.energy_abs_tol
-    target = max(tol / 8.0, 8.0 * np.finfo(float).eps * max(abs(lo), abs(hi)))
-    iterations = 0
-    while hi - lo > target:
-        iterations += 1
-        if iterations > config.max_iterations:
-            if hi - lo > tol:
-                raise IterationLimitError(
-                    f"bisection did not reach {tol} (bracket width {hi - lo:.3e})",
-                    (lo, hi),
-                )
-            break
-        mid = 0.5 * (lo + hi)
-        if shooter.count_nodes(mid) >= n + 1:
-            hi = mid
-        else:
-            lo = mid
-
-    energy = 0.5 * (lo + hi)
-    converged = (hi - lo) <= tol
-    g_lo, g_hi = shooter.mismatch(lo), shooter.mismatch(hi)
-    if np.isfinite(g_lo) and np.isfinite(g_hi) and np.sign(g_lo) != np.sign(g_hi):
-        try:
-            energy = brentq(shooter.mismatch, lo, hi, xtol=0.25 * tol, rtol=4e-16)
-            converged = True
-        except ValueError:
-            pass
-
-    grid, vals = shooter.assemble(energy)
-    return RadialFunction(
-        grid=grid,
-        values=vals,
-        node_count=_count_interior_nodes(vals),
-        energy=float(energy),
-        converged=bool(converged),
-    )
+    level = _solve(potential, state, units, config)
+    if isinstance(level, str):
+        # raised here, not inside _solve: the traceback keeps the frames it
+        # passes through alive until the cyclic collector runs, and this
+        # frame holds no grid-sized arrays
+        raise NoBoundStateError(level)
+    return level

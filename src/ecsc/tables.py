@@ -45,7 +45,6 @@ from .quadrature import (
     second_order_energy_numeric,
 )
 from .radial import (
-    IterationLimitError,
     NoBoundStateError,
     default_solver_config,
     solve_bound_state,
@@ -341,7 +340,7 @@ def reproduce_table(
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    """Analytic, quadrature and (optionally) shooting-solver energies at one delta."""
+    """Analytic, quadrature and (optionally) radial-solver energies at one delta."""
 
     state_label: str
     delta: float
@@ -466,8 +465,6 @@ def scan_delta(
                 status = "ok" if rf.converged else "not-converged"
             except NoBoundStateError:
                 status = "no-bound-state"
-            except IterationLimitError:
-                status = "iteration-limit"
         rows.append(
             ComparisonRow(
                 state_label=state.label,

@@ -111,7 +111,7 @@ def check_criterion_5():
 
 
 def check_criterion_6():
-    """Shooting solver vs closed forms for the 1s level, atomic units."""
+    """Radial solver vs closed forms for the 1s level, atomic units."""
     st = state_from_label("1s")
     for delta in (0.01, 0.02, 0.03, 0.04, 0.05, 0.06):
         spec = ScreeningSpec(delta=delta)
@@ -205,7 +205,7 @@ CRITERIA = (
     (3, "reference tables T3/T4 within 1e-6", check_criterion_3),
     (4, "reference table T5 within 1e-6", check_criterion_4),
     (5, "reference table T6 within 1e-5", check_criterion_5),
-    (6, "shooting solver vs closed forms (1s)", check_criterion_6),
+    (6, "radial solver vs closed forms (1s)", check_criterion_6),
     (7, "quadrature vs closed forms", check_criterion_7),
     (8, "moment identity for first order", check_criterion_8),
     (9, "Coulomb limit across all modules", check_criterion_9),

@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ecsc import (
     ATOMIC,
@@ -8,6 +12,7 @@ from ecsc import (
     ScreeningSpec,
     SecondOrderVariant,
     Tolerances,
+    UnitSystem,
     ValidationError,
     make_unit_system,
     state_from_label,
@@ -85,6 +90,29 @@ class TestScreeningSpec:
     def test_nonpositive_strength_rejected(self):
         with pytest.raises(ValidationError):
             ScreeningSpec(delta=0.1, strength=0.0)
+
+    @given(
+        field=st.sampled_from(["delta", "strength", "g"]),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+        delta=st.floats(0.0, 10.0),
+        strength=st.floats(1e-3, 1e3),
+        g=st.floats(-10.0, 10.0),
+    )
+    def test_non_finite_parameters_rejected(self, field, bad, delta, strength, g):
+        params = dict(delta=delta, strength=strength, g=g)
+        ScreeningSpec(**params)
+        params[field] = bad
+        with pytest.raises(ValidationError):
+            ScreeningSpec(**params)
+
+    @given(hbar=st.floats(allow_nan=True, allow_infinity=True),
+           mass=st.floats(allow_nan=True, allow_infinity=True))
+    def test_unit_system_accepts_only_positive_finite_pairs(self, hbar, mass):
+        if all(math.isfinite(x) and x > 0.0 for x in (hbar, mass)):
+            assert UnitSystem(hbar, mass).hbar == hbar
+        else:
+            with pytest.raises(ValidationError):
+                UnitSystem(hbar, mass)
 
 
 class TestEnergyBreakdown:

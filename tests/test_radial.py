@@ -15,7 +15,6 @@ from ecsc import (
     coulomb_energy,
     default_solver_config,
     effective_potential,
-    energy_search_bracket,
     solve_bound_state,
     state_from_label,
 )
@@ -37,6 +36,27 @@ class TestSolverConfig:
             SolverConfig(step=1.0, r_max=2.0)
         with pytest.raises(ValidationError):
             SolverConfig(step=1e-3, r_max=10.0, energy_abs_tol=0.0)
+        with pytest.raises(ValidationError):
+            SolverConfig(step=1e-3, r_max=math.inf)
+        with pytest.raises(ValidationError):
+            SolverConfig(step=math.nan, r_max=10.0)
+
+
+class TestPotentialInput:
+    def test_potential_must_return_grid_shaped_finite_values(self):
+        cfg = SolverConfig(step=1e-2, r_max=10.0)
+        st = QuantumState(0, 0)
+        with pytest.raises(ValidationError):
+            solve_bound_state(lambda r: -1.0, st, ATOMIC, cfg)
+        with pytest.raises(ValidationError):
+            solve_bound_state(lambda r: -1.0 / r[:-1], st, ATOMIC, cfg)
+        with pytest.raises(ValidationError):
+            solve_bound_state(lambda r: np.where(r > 5.0, np.nan, -1.0 / r), st, ATOMIC, cfg)
+
+    def test_grid_must_resolve_the_nodes(self):
+        cfg = SolverConfig(step=1.0, r_max=16.0)
+        with pytest.raises(ValidationError):
+            solve_bound_state(lambda r: -1.0 / r, QuantumState(3, 0), ATOMIC, cfg)
 
 
 class TestCoulombLimit:
@@ -105,24 +125,29 @@ class TestScreenedStates:
 
 
 class TestBracketing:
+    """The level lies in [energy - error_estimate, energy + error_estimate]."""
+
     def test_coulomb_bracket_contains_level(self):
         st = state_from_label("1s")
         spec = ScreeningSpec(delta=0.0)
         pot = lambda r: effective_potential(r, spec, 0, ATOMIC)
-        lo, hi = energy_search_bracket(pot, st, ATOMIC, default_solver_config(st, spec, ATOMIC))
+        rf = solve_bound_state(pot, st, ATOMIC, default_solver_config(st, spec, ATOMIC))
+        lo, hi = rf.energy - rf.error_estimate, rf.energy + rf.error_estimate
         assert lo < -0.5 < hi < 0.0
 
     def test_screened_bracket(self):
+        # -0.4008785 is the closed-form total, good to criterion 6's 1e-5 here
         st = state_from_label("1s")
         spec = ScreeningSpec(delta=0.1)
         pot = lambda r: effective_potential(r, spec, 0, ATOMIC)
-        lo, hi = energy_search_bracket(pot, st, ATOMIC, default_solver_config(st, spec, ATOMIC))
-        assert lo < -0.4008785 < hi
+        rf = solve_bound_state(pot, st, ATOMIC, default_solver_config(st, spec, ATOMIC))
+        assert rf.converged and rf.error_estimate < 1e-9
+        assert abs(rf.energy - -0.4008785) < 1e-5
 
     def test_repulsive_potential(self):
         cfg = SolverConfig(step=1e-3, r_max=40.0)
         with pytest.raises(NoBoundStateError):
-            energy_search_bracket(lambda r: 1.0 / r, QuantumState(0, 0), ATOMIC, cfg)
+            solve_bound_state(lambda r: 1.0 / r, QuantumState(0, 0), ATOMIC, cfg)
 
     def test_overscreened_state_is_reported_missing(self):
         # at delta = 1.0 the screened well holds no n = 2 level
@@ -132,17 +157,44 @@ class TestBracketing:
         with pytest.raises(NoBoundStateError):
             solve_bound_state(pot, st, ATOMIC, default_solver_config(st, spec, ATOMIC))
 
-    def test_iteration_cap_carries_best_bracket(self):
-        from ecsc import IterationLimitError
 
-        st = state_from_label("1s")
+class TestErrorEstimate:
+    @pytest.mark.parametrize("label", ["1s", "2s", "2p", "3s", "3p", "3d", "4s", "4p", "4d", "4f"])
+    def test_coulomb_level_within_estimate(self, solve, label):
+        st = state_from_label(label)
         spec = ScreeningSpec(delta=0.0)
-        pot = lambda r: effective_potential(r, spec, 0, ATOMIC)
-        cfg = SolverConfig(step=1e-3, r_max=40.0, max_iterations=4)
-        with pytest.raises(IterationLimitError) as exc:
-            solve_bound_state(pot, st, ATOMIC, cfg)
-        lo, hi = exc.value.bracket
-        assert lo < -0.5 < hi
+        rf = solve(st, 1.0, 0.0, ATOMIC)
+        want = coulomb_energy(st, spec, ATOMIC)
+        tol = default_solver_config(st, spec, ATOMIC).energy_abs_tol
+        assert abs(rf.energy - want) <= rf.error_estimate <= tol
+        assert rf.converged
+
+
+def _grid_arrays_held(tb) -> list[str]:
+    held = []
+    while tb is not None:
+        frame = tb.tb_frame
+        held += [f"{frame.f_code.co_name}.{name}" for name, value in frame.f_locals.items()
+                 if isinstance(value, np.ndarray) and value.size > 1000]
+        tb = tb.tb_next
+    return held
+
+
+class TestUnboundTraceback:
+    """The traceback of NoBoundStateError keeps its frames alive until the
+    cyclic collector runs; none of them may hold a grid-sized array."""
+
+    def test_repulsive_potential(self):
+        cfg = SolverConfig(step=1e-3, r_max=40.0)
+        with pytest.raises(NoBoundStateError) as exc:
+            solve_bound_state(lambda r: 1.0 / r, QuantumState(0, 0), ATOMIC, cfg)
+        assert _grid_arrays_held(exc.value.__traceback__) == []
+
+    def test_yukawa_2p_past_critical_screening(self, solve):
+        # critical screening of the Yukawa 2p level is 0.2202 Coulomb lengths
+        with pytest.raises(NoBoundStateError) as exc:
+            solve(state_from_label("2p"), 1.0, 0.25, ATOMIC, g=0.0)
+        assert _grid_arrays_held(exc.value.__traceback__) == []
 
 
 class TestDump:

@@ -205,8 +205,16 @@ class TestCli:
         out = tmp_path / "chi.txt"
         assert main(["oracle", "--state", "1s", "--A", "1", "--delta", "0.05",
                      "--out", str(out)]) == 0
-        assert "numeric energy" in capsys.readouterr().out
+        line = capsys.readouterr().out.splitlines()[0]
+        assert "numeric energy" in line and "converged=True" in line
+        assert 0.0 < float(line.split("error_estimate=")[1]) <= 1e-9
         assert len(out.read_text().splitlines()) > 1000
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_delta_is_a_usage_error(self, capsys, value):
+        assert main(["energy", "--state", "1s", f"--delta={value}"]) == 2
+        assert main(["oracle", "--state", "1s", "--delta", "0.05", f"--g={value}"]) == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_oracle_no_bound_state_exit(self, capsys):
         assert main(["oracle", "--state", "3s", "--A", "1", "--delta", "1.0"]) == 1
