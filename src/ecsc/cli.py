@@ -14,6 +14,7 @@ from .core import (
     make_unit_system,
     state_from_label,
 )
+from .coulomb import coulomb_beta
 from .perturbation import ground_wavefunction, moderated_validity_radius, total_energy
 from .potential import effective_potential
 from .radial import (
@@ -148,7 +149,7 @@ def _cmd_wavefunction(args) -> int:
         return 2
     spec = ScreeningSpec(delta=args.delta, strength=args.A)
     psi, poly = ground_wavefunction(state.ell, spec, units, renormalize=args.renormalize)
-    beta = units.mass * args.A / ((state.ell + 1) * units.hbar**2)
+    beta = coulomb_beta(state, spec, units)
     r_max = args.rmax
     if r_max is None:
         # stay inside the decaying window of the asymptotic closed form

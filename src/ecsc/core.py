@@ -179,10 +179,9 @@ class Tolerances:
 
     quadrature_rel: float = 1e-10
     eigen_abs: float = 1e-9
-    grid_refine_abs: float = 1e-8
 
     def __post_init__(self) -> None:
-        if min(self.quadrature_rel, self.eigen_abs, self.grid_refine_abs) <= 0.0:
+        if min(self.quadrature_rel, self.eigen_abs) <= 0.0:
             raise ValidationError("tolerances must be strictly positive")
 
 

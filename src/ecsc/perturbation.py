@@ -330,14 +330,14 @@ def wavefunction_polynomial(ell: int, spec: ScreeningSpec, units: UnitSystem) ->
 
     At delta = 0 only p1 = -beta survives (pure Coulomb decay).
     """
-    hb, m = units.hbar, units.mass
     a_s, d = spec.strength, spec.delta
-    beta = a_s * m / ((ell + 1) * hb**2)
+    state = QuantumState(0, ell)
+    beta = coulomb_beta(state, spec, units)
     if d == 0.0:
         return WavefunctionPolynomial(-beta, 0.0, 0.0, 0.0, 0.0)
     _require_expansion(spec)
     gc = ground_coefficients(ell, spec, units)
-    e2 = second_order_shift(QuantumState(0, ell), spec, units)
+    e2 = second_order_shift(state, spec, units)
     p1 = (ell + 1) * e2 / a_s - beta
     p2 = 2.25 * (ell + 2) / (ell + 1) ** 2 * gc.c**2 * gc.d * d**4
     p3 = gc.c * gc.d * d**4 / 6.0

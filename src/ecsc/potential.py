@@ -83,8 +83,7 @@ def effective_potential(r, spec: ScreeningSpec, ell: int, units: UnitSystem):
         raise DomainError(f"ell must be >= 0, got {ell}")
     arr = _check_positive_radius(r)
     barrier = units.hbar**2 * ell * (ell + 1) / (2.0 * units.mass * arr**2)
-    out = -(spec.strength / arr) * np.exp(-spec.delta * arr) * np.cos(spec.g * spec.delta * arr)
-    out = out + barrier
+    out = evaluate_potential(arr, spec) + barrier
     return out if out.ndim else float(out)
 
 

@@ -63,35 +63,39 @@ class NodeSingularityError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Scheme choice and accuracy targets for the density integrals."""
+    """Scheme choice and accuracy target for the density integrals."""
 
     scheme: str = "adaptive"
     rel_tol: float = DEFAULT_TOLERANCES.quadrature_rel
-    r_max_factor: float = 40.0
-    gauss_nodes: int = 150
 
     def __post_init__(self) -> None:
         if self.scheme not in ("adaptive", "gauss"):
             raise ValidationError(f"scheme must be 'adaptive' or 'gauss', got {self.scheme!r}")
         if not self.rel_tol > 0.0:
             raise ValidationError("rel_tol must be positive")
-        if self.r_max_factor < 20.0:
-            raise ValidationError("r_max_factor below 20 risks visible tail truncation")
-        if self.gauss_nodes < 16:
-            raise ValidationError("gauss_nodes too small")
 
 
 _DEFAULT_SPEC = QuadratureSpec()
+
+#: adaptive integrals stop at r = _R_MAX_FACTOR / beta, where chi^2 ~ r^(2 ell + 2) exp(-80)
+_R_MAX_FACTOR = 40.0
+#: Gauss-Laguerre nodes; the error estimate compares with a rule of 32 fewer
+_GAUSS_NODES = 150
+
+
+def _density_without_exp(state: QuantumState, norm: float, r, x):
+    # chi^2 exp(x) = norm^2 r^(2 ell + 2) L_n^(2 ell + 1)(x)^2 at x = 2 beta r
+    lag = laguerre(state.n, 2 * state.ell + 1, x)
+    return norm**2 * r ** (2 * state.ell + 2) * lag**2
 
 
 def _chi2_factory(state: QuantumState, spec: ScreeningSpec, units: UnitSystem):
     beta = coulomb_beta(state, spec, units)
     norm = coulomb_norm(state, spec, units)
-    n, ell = state.n, state.ell
 
     def chi2(r: float) -> float:
-        lag = laguerre(n, 2 * ell + 1, 2.0 * beta * r)
-        return norm**2 * r ** (2 * ell + 2) * np.exp(-2.0 * beta * r) * lag**2
+        x = 2.0 * beta * r
+        return _density_without_exp(state, norm, r, x) * np.exp(-x)
 
     return chi2, beta, norm
 
@@ -100,13 +104,10 @@ def _gauss_eval(state, spec, units, f, nodes: int) -> float:
     # substitute x = 2 beta r so exp(-x) becomes the Gauss-Laguerre weight
     beta = coulomb_beta(state, spec, units)
     norm = coulomb_norm(state, spec, units)
-    n, ell = state.n, state.ell
     x, w = roots_laguerre(nodes)
     r = x / (2.0 * beta)
-    lag = laguerre(n, 2 * ell + 1, x)
-    density_no_exp = norm**2 * r ** (2 * ell + 2) * lag**2
     fx = np.array([f(ri) for ri in r], dtype=float)
-    return float(np.sum(w * density_no_exp * fx) / (2.0 * beta))
+    return float(np.sum(w * _density_without_exp(state, norm, r, x) * fx) / (2.0 * beta))
 
 
 def integrate_density_with_error(
@@ -119,11 +120,11 @@ def integrate_density_with_error(
     """integral chi^2 f dr together with the scheme's error estimate."""
     qspec = qspec or _DEFAULT_SPEC
     if qspec.scheme == "gauss":
-        val = _gauss_eval(state, spec, units, f, qspec.gauss_nodes)
-        ref = _gauss_eval(state, spec, units, f, max(16, qspec.gauss_nodes - 32))
+        val = _gauss_eval(state, spec, units, f, _GAUSS_NODES)
+        ref = _gauss_eval(state, spec, units, f, _GAUSS_NODES - 32)
         return val, abs(val - ref)
     chi2, beta, _ = _chi2_factory(state, spec, units)
-    r_max = qspec.r_max_factor / beta
+    r_max = _R_MAX_FACTOR / beta
     integrand = lambda r: chi2(r) * f(r)
     epsrel = max(qspec.rel_tol * 1e-2, 5e-14)
     val, err, *info = quad(integrand, 0.0, r_max, epsabs=0.0, epsrel=epsrel,
@@ -191,7 +192,7 @@ def superpotential_first_numeric(
     third = spec.strength * spec.delta**3 / 3.0
     pref = sqrt(2.0 * units.mass) / units.hbar
     r_split = 2.0 * (state.ell + 1) / beta
-    r_max = qspec.r_max_factor / beta
+    r_max = _R_MAX_FACTOR / beta
     eps_abs = max(1e-6 * qspec.rel_tol * abs(e1), 1e-300)
 
     def integrand(x: float) -> float:

@@ -11,11 +11,14 @@ regression fixtures:
   T5  1s .. 3d levels with hbar = m = 1, A = sqrt(2), delta = sqrt(2) G
   T6  levels for A in {4, 8, 16, 24} with hbar = 1, m = 1/2, delta = 0.2
 
-Columns published alongside (large-order 1/N expansions, dynamical-group
-values, Pade tables, variational bounds) are carried as read-only context
-and never recomputed.  Every cell of the main energy column is recomputed
-through the closed-form perturbation route and diffed at full precision;
-the per-table gate decides pass or fail, not the printed digit count.
+Each table is one ``TableDefinition`` with its own row schema: a row holds
+the ``key_columns``, then the ``reference_columns`` published alongside
+(large-order 1/N expansions, dynamical-group values, Pade tables,
+variational bounds; read-only context, never recomputed), then the
+published energy ``E``.  ``parameters`` maps a row to the level and
+screening it was computed for.  Every ``E`` is recomputed through the
+closed-form perturbation route and diffed at full precision; the per-table
+gate decides pass or fail, not the printed digit count.
 
 Known upstream data issues (kept verbatim, they fail their gates honestly):
 T3's 2p cell at delta = 0.04 disagrees with the closed forms by 3.2e-6
@@ -26,6 +29,7 @@ with half the first-order shift; see the package README for the analysis.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .core import (
@@ -35,6 +39,7 @@ from .core import (
     ScreeningSpec,
     SecondOrderVariant,
     UnitSystem,
+    ValidationError,
     state_from_label,
 )
 from .coulomb import coulomb_energy
@@ -51,7 +56,7 @@ from .radial import (
 )
 
 # --- frozen reference data -------------------------------------------------
-# (delta, 1/N expansion, dynamical, shifted 1/N, energy)
+# each row follows its table's ``columns``; None marks a value not published
 _T1_ROWS = (
     (0.01, -0.490001, -0.4900010, None, -0.4900009),
     (0.02, -0.480008, -0.4800078, -0.48000783, -0.4800078),
@@ -78,8 +83,6 @@ _T2_ROWS = (
     (0.10, -0.033500, -0.0349677, -0.03500467, -0.0351880),
 )
 
-# (state, delta, Pade E[10,10], Pade E[10,11], perturbation, variational,
-#  shifted 1/N, energy)
 _T3_ROWS = (
     ("2s", 0.10, -0.034941, -0.034941, -0.034425, -0.034935, -0.03500467, -0.0351880),
     ("2p", 0.10, -0.032469, -0.032469, -0.032042, None, -0.03247015, -0.0326733),
@@ -108,7 +111,7 @@ _T4_ROWS = (
     ("3d", 0.02, -0.035851, -0.035851, -0.035849, None, -0.03585066, -0.0358490),
 )
 
-# (G, state, energy); published as binding energies -E, stored signed
+# T5 and T6 are published as binding energies -E and stored signed
 _T5_ROWS = (
     (0.002, "1s", -0.9960000), (0.002, "2s", -0.2460002), (0.002, "2p", -0.2460001),
     (0.002, "3p", -0.1071120), (0.002, "3d", -0.1071114),
@@ -124,7 +127,6 @@ _T5_ROWS = (
     (0.050, "3p", -0.0222235), (0.050, "3d", -0.0141374),
 )
 
-# (A, ell, n, energy); published as binding energies -E, stored signed
 _T6_ROWS = (
     (4, 0, 0, -3.207029),
     (8, 0, 0, -14.403752),
@@ -151,7 +153,7 @@ _T5_STRENGTH = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class TableDefinition:
-    """Identity, parameter policy and acceptance gate of one reference table."""
+    """Identity, row schema, parameter policy and acceptance gate of one table."""
 
     table_id: str
     title: str
@@ -160,34 +162,65 @@ class TableDefinition:
     key_columns: tuple[str, ...]
     reference_columns: tuple[str, ...]
     sign: int  # +1 tables print E, -1 tables print the binding energy -E
+    rows: tuple[tuple, ...]
+    parameters: Callable[[dict], tuple[QuantumState, ScreeningSpec]]  # row -> level, screening
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """Names of the row fields: keys, published-alongside columns, then ``E``."""
+        return self.key_columns + self.reference_columns + ("E",)
+
+    def named_rows(self) -> Iterator[dict]:
+        """Each row keyed by column name; a row of the wrong length raises ValueError."""
+        for row in self.rows:
+            yield dict(zip(self.columns, row, strict=True))
+
+
+def _atomic(label: str, delta: float) -> tuple[QuantumState, ScreeningSpec]:
+    # T1 .. T4: atomic units, A = 1
+    return state_from_label(label), ScreeningSpec(delta=delta, strength=1.0)
 
 
 TABLES: dict[str, TableDefinition] = {
     "T1": TableDefinition(
         "T1", "1s level vs screening, atomic units, A = 1", ATOMIC, 1e-6,
         ("delta",), ("1/N", "dynamical", "shifted 1/N"), +1,
+        rows=_T1_ROWS, parameters=lambda row: _atomic("1s", row["delta"]),
     ),
     "T2": TableDefinition(
         "T2", "2s level vs screening, atomic units, A = 1", ATOMIC, 1e-6,
         ("delta",), ("1/N", "dynamical", "shifted 1/N"), +1,
+        rows=_T2_ROWS, parameters=lambda row: _atomic("2s", row["delta"]),
     ),
     "T3": TableDefinition(
         "T3", "2s and 2p levels vs screening, atomic units, A = 1", ATOMIC, 1e-6,
         ("state", "delta"),
         ("E[10,10]", "E[10,11]", "perturbation", "variational", "shifted 1/N"), +1,
+        rows=_T3_ROWS, parameters=lambda row: _atomic(row["state"], row["delta"]),
     ),
     "T4": TableDefinition(
         "T4", "3s, 3p and 3d levels vs screening, atomic units, A = 1", ATOMIC, 1e-6,
         ("state", "delta"),
         ("E[10,10]", "E[10,11]", "perturbation", "variational", "shifted 1/N"), +1,
+        rows=_T4_ROWS, parameters=lambda row: _atomic(row["state"], row["delta"]),
     ),
     "T5": TableDefinition(
         "T5", "binding energies, hbar = m = 1, A = sqrt(2), delta = sqrt(2) G",
         _T5_UNITS, 1e-6, ("G", "state"), (), -1,
+        rows=_T5_ROWS,
+        parameters=lambda row: (
+            state_from_label(row["state"]),
+            ScreeningSpec(delta=_T5_STRENGTH * row["G"], strength=_T5_STRENGTH),
+        ),
     ),
     "T6": TableDefinition(
         "T6", "binding energies, hbar = 1, m = 1/2, delta = 0.2, A in {4, 8, 16, 24}",
         HBAR2M, 1e-5, ("A", "ell", "n"), (), -1,
+        rows=_T6_ROWS,
+        parameters=lambda row: (
+            QuantumState(n=row["n"], ell=row["ell"]),
+            ScreeningSpec(delta=0.2, strength=float(row["A"])),
+        ),
     ),
 }
 
@@ -240,79 +273,6 @@ class TableResult:
         return _markdown_text(self)
 
 
-def _cells_t1_t2(rows, state_label: str, variant) -> tuple[TableCell, ...]:
-    state = state_from_label(state_label)
-    cells = []
-    for delta, one_n, dyn, shifted, ref in rows:
-        spec = ScreeningSpec(delta=delta, strength=1.0)
-        computed = total_energy(state, spec, ATOMIC, variant).total
-        cells.append(
-            TableCell(
-                key=(("delta", delta),),
-                state=state,
-                reference=ref,
-                computed=computed,
-                literature=(("1/N", one_n), ("dynamical", dyn), ("shifted 1/N", shifted)),
-            )
-        )
-    return tuple(cells)
-
-
-def _cells_t3_t4(rows, variant) -> tuple[TableCell, ...]:
-    cells = []
-    for label, delta, p10, p11, pert, vari, shifted, ref in rows:
-        state = state_from_label(label)
-        spec = ScreeningSpec(delta=delta, strength=1.0)
-        computed = total_energy(state, spec, ATOMIC, variant).total
-        cells.append(
-            TableCell(
-                key=(("state", label), ("delta", delta)),
-                state=state,
-                reference=ref,
-                computed=computed,
-                literature=(
-                    ("E[10,10]", p10), ("E[10,11]", p11), ("perturbation", pert),
-                    ("variational", vari), ("shifted 1/N", shifted),
-                ),
-            )
-        )
-    return tuple(cells)
-
-
-def _cells_t5(variant) -> tuple[TableCell, ...]:
-    cells = []
-    for g_factor, label, ref in _T5_ROWS:
-        state = state_from_label(label)
-        spec = ScreeningSpec(delta=_T5_STRENGTH * g_factor, strength=_T5_STRENGTH)
-        computed = total_energy(state, spec, _T5_UNITS, variant).total
-        cells.append(
-            TableCell(
-                key=(("G", g_factor), ("state", label)),
-                state=state,
-                reference=ref,
-                computed=computed,
-            )
-        )
-    return tuple(cells)
-
-
-def _cells_t6(variant) -> tuple[TableCell, ...]:
-    cells = []
-    for strength, ell, n, ref in _T6_ROWS:
-        state = QuantumState(n=n, ell=ell)
-        spec = ScreeningSpec(delta=0.2, strength=float(strength))
-        computed = total_energy(state, spec, HBAR2M, variant).total
-        cells.append(
-            TableCell(
-                key=(("A", strength), ("ell", ell), ("n", n)),
-                state=state,
-                reference=ref,
-                computed=computed,
-            )
-        )
-    return tuple(cells)
-
-
 def reproduce_table(
     table_id: str, variant: SecondOrderVariant = SecondOrderVariant.TRUNCATED
 ) -> TableResult:
@@ -320,19 +280,20 @@ def reproduce_table(
     tid = table_id.upper()
     if tid not in TABLES:
         raise KeyError(f"unknown table {table_id!r}; expected one of {sorted(TABLES)}")
-    if tid == "T1":
-        cells = _cells_t1_t2(_T1_ROWS, "1s", variant)
-    elif tid == "T2":
-        cells = _cells_t1_t2(_T2_ROWS, "2s", variant)
-    elif tid == "T3":
-        cells = _cells_t3_t4(_T3_ROWS, variant)
-    elif tid == "T4":
-        cells = _cells_t3_t4(_T4_ROWS, variant)
-    elif tid == "T5":
-        cells = _cells_t5(variant)
-    else:
-        cells = _cells_t6(variant)
-    return TableResult(TABLES[tid], variant, cells)
+    definition = TABLES[tid]
+    cells = []
+    for row in definition.named_rows():
+        state, spec = definition.parameters(row)
+        cells.append(
+            TableCell(
+                key=tuple((name, row[name]) for name in definition.key_columns),
+                state=state,
+                reference=row["E"],
+                computed=total_energy(state, spec, definition.units, variant).total,
+                literature=tuple((name, row[name]) for name in definition.reference_columns),
+            )
+        )
+    return TableResult(definition, variant, tuple(cells))
 
 
 # --- delta sweeps ----------------------------------------------------------
@@ -410,12 +371,12 @@ def _reference_for(state: QuantumState, strength: float, units: UnitSystem, delt
     # bundled 1s/2s atomic tables double as scan references where they apply
     if units.hbar != 1.0 or units.mass != 1.0 or strength != 1.0:
         return None
-    rows = {(0, 0): _T1_ROWS, (1, 0): _T2_ROWS}.get((state.n, state.ell))
-    if rows is None:
+    table_id = {(0, 0): "T1", (1, 0): "T2"}.get((state.n, state.ell))
+    if table_id is None:
         return None
-    for row in rows:
-        if abs(row[0] - delta) < 1e-12:
-            return row[-1]
+    for row in TABLES[table_id].named_rows():
+        if abs(row["delta"] - delta) < 1e-12:
+            return row["E"]
     return None
 
 
@@ -443,9 +404,9 @@ def scan_delta(
 ) -> ScanResult:
     """One ComparisonRow per screening value on a uniform grid of ``steps`` points."""
     if steps < 1:
-        raise ValueError("steps must be >= 1")
+        raise ValidationError("steps must be >= 1")
     if delta_start < 0.0 or delta_end < delta_start:
-        raise ValueError("need 0 <= delta_start <= delta_end")
+        raise ValidationError("need 0 <= delta_start <= delta_end")
     if steps == 1:
         deltas = [delta_start]
     else:

@@ -128,7 +128,7 @@ class TestEnergyBreakdown:
 class TestTolerances:
     def test_defaults(self):
         t = Tolerances()
-        assert (t.quadrature_rel, t.eigen_abs, t.grid_refine_abs) == (1e-10, 1e-9, 1e-8)
+        assert (t.quadrature_rel, t.eigen_abs) == (1e-10, 1e-9)
 
     def test_positive_required(self):
         with pytest.raises(ValidationError):

@@ -31,15 +31,13 @@ GAUSS = QuadratureSpec(scheme="gauss")
 class TestQuadratureSpec:
     def test_defaults(self):
         q = QuadratureSpec()
-        assert q.scheme == "adaptive" and q.rel_tol == 1e-10 and q.r_max_factor == 40.0
+        assert q.scheme == "adaptive" and q.rel_tol == 1e-10
 
     def test_validation(self):
         with pytest.raises(ValidationError):
             QuadratureSpec(scheme="monte-carlo")
         with pytest.raises(ValidationError):
             QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(ValidationError):
-            QuadratureSpec(r_max_factor=10.0)
 
 
 class TestIntegrateDensity:

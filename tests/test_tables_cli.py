@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from ecsc import (
     ATOMIC,
     SecondOrderVariant,
+    ValidationError,
     reproduce_table,
     scan_delta,
     state_from_label,
@@ -77,10 +79,22 @@ class TestReproduceTables:
         with pytest.raises(KeyError):
             reproduce_table("T9")
 
-    def test_definitions_are_complete(self):
+    def test_definitions_are_complete(self, monkeypatch):
         assert sorted(TABLES) == ["T1", "T2", "T3", "T4", "T5", "T6"]
-        sizes = {t: len(reproduce_table(t).cells) for t in TABLES}
+        results = {t: reproduce_table(t) for t in TABLES}
+        sizes = {t: len(res.cells) for t, res in results.items()}
         assert sizes == {"T1": 10, "T2": 10, "T3": 10, "T4": 12, "T5": 30, "T6": 17}
+        for tid, res in results.items():
+            definition = TABLES[tid]
+            for cell in res.cells:
+                assert tuple(name for name, _ in cell.key) == definition.key_columns
+                assert tuple(name for name, _ in cell.literature) == definition.reference_columns
+        # every row is zipped strictly with the column names
+        t1 = TABLES["T1"]
+        for bad_row in (t1.rows[0][:-1], t1.rows[0] + (0.0,)):
+            monkeypatch.setitem(TABLES, "T1", replace(t1, rows=(bad_row,)))
+            with pytest.raises(ValueError):
+                reproduce_table("T1")
 
 
 class TestEmission:
@@ -157,9 +171,9 @@ class TestScanDelta:
         assert len(text.strip().splitlines()) == 3
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             scan_delta(state_from_label("1s"), 1.0, ATOMIC, 0.1, 0.0, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             scan_delta(state_from_label("1s"), 1.0, ATOMIC, 0.0, 0.1, 0)
 
 
@@ -189,6 +203,13 @@ class TestCli:
                      "--delta-end", "0.1", "--steps", "3", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("bounds", [("0", "0.1", "0"), ("0.1", "0", "3")])
+    def test_bad_scan_arguments_are_a_usage_error(self, capsys, bounds):
+        start, end, steps = bounds
+        assert main(["scan", "--state", "1s", "--delta-start", start,
+                     "--delta-end", end, "--steps", steps]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_wavefunction_verb(self, tmp_path):
         out = tmp_path / "wf.csv"
