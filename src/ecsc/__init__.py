@@ -13,7 +13,6 @@ from .core import (
     QuantumState,
     ScreeningSpec,
     SecondOrderVariant,
-    Tolerances,
     UnitSystem,
     UnsupportedExpansionError,
     UnsupportedOrderError,
@@ -22,11 +21,9 @@ from .core import (
     state_from_label,
 )
 from .coulomb import (
-    CoulombState,
     coulomb_beta,
     coulomb_energy,
     coulomb_norm,
-    coulomb_state,
     coulomb_wavefunction,
     laguerre,
     radial_moment,
@@ -48,12 +45,10 @@ from .perturbation import (
     wavefunction_polynomial,
 )
 from .potential import (
-    SeriesCoefficient,
     effective_potential,
     evaluate_potential,
     perturbation_remainder,
     series_coefficient,
-    series_coefficients,
 )
 from .quadrature import (
     NodeSingularityError,
@@ -63,7 +58,6 @@ from .quadrature import (
     integrate_density,
     integrate_density_with_error,
     second_order_energy_numeric,
-    second_order_residual_report,
     superpotential_first_numeric,
 )
 from .radial import (

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
+from math import isfinite
 
 import numpy as np
 
@@ -17,12 +19,7 @@ from .core import (
 from .coulomb import coulomb_beta
 from .perturbation import ground_wavefunction, moderated_validity_radius, total_energy
 from .potential import effective_potential
-from .radial import (
-    NoBoundStateError,
-    SolverConfig,
-    default_solver_config,
-    solve_bound_state,
-)
+from .radial import NoBoundStateError, default_solver_config, solve_bound_state
 from .tables import TABLES, reproduce_table, scan_delta, write_text
 
 
@@ -38,12 +35,14 @@ def _parse_units(text: str):
     raise ValidationError(f"unknown units {text!r}; expected atomic, hbar2m or custom:HBAR,MASS")
 
 
-def _add_common(parser: argparse.ArgumentParser, with_state=True) -> None:
-    if with_state:
-        parser.add_argument("--state", required=True, help="spectroscopic label, e.g. 1s, 2p, 3d")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--state", required=True, help="spectroscopic label, e.g. 1s, 2p, 3d")
     parser.add_argument("--A", type=float, default=1.0, help="potential strength (default 1)")
     parser.add_argument("--units", default="atomic",
                         help="atomic | hbar2m | custom:HBAR,MASS (default atomic)")
+
+
+def _add_variant(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--variant", choices=("truncated", "full"), default="truncated",
                         help="second-order closed form for the first excited level")
 
@@ -66,16 +65,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_energy = sub.add_parser("energy", help="closed-form level energy with its breakdown")
     _add_common(p_energy)
+    _add_variant(p_energy)
     p_energy.add_argument("--delta", type=float, required=True, help="screening parameter")
 
     p_table = sub.add_parser("table", help="recompute a bundled reference table and diff it")
     p_table.add_argument("id", choices=sorted(TABLES) + [t.lower() for t in sorted(TABLES)],
                          help="table identifier T1..T6")
-    p_table.add_argument("--variant", choices=("truncated", "full"), default="truncated")
+    _add_variant(p_table)
     _add_output(p_table)
 
     p_scan = sub.add_parser("scan", help="sweep the screening parameter")
     _add_common(p_scan)
+    _add_variant(p_scan)
     p_scan.add_argument("--delta-start", type=float, required=True)
     p_scan.add_argument("--delta-end", type=float, required=True)
     p_scan.add_argument("--steps", type=int, required=True)
@@ -94,6 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_or = sub.add_parser("oracle", help="solve the radial equation numerically")
     _add_common(p_or)
+    _add_variant(p_or)
     p_or.add_argument("--delta", type=float, required=True)
     p_or.add_argument("--g", type=float, default=1.0, help="cosine factor (0 gives pure Yukawa)")
     p_or.add_argument("--step", type=float, default=None, help="override grid spacing")
@@ -147,6 +149,10 @@ def _cmd_wavefunction(args) -> int:
         print("the analytic moderated wavefunction is available for n = 0 levels only",
               file=sys.stderr)
         return 2
+    if args.points < 1:
+        raise ValidationError(f"--points must be >= 1, got {args.points}")
+    if args.rmax is not None and not (isfinite(args.rmax) and args.rmax > 0.0):
+        raise ValidationError(f"--rmax must be positive and finite, got {args.rmax}")
     spec = ScreeningSpec(delta=args.delta, strength=args.A)
     psi, poly = ground_wavefunction(state.ell, spec, units, renormalize=args.renormalize)
     beta = coulomb_beta(state, spec, units)
@@ -170,11 +176,11 @@ def _cmd_oracle(args) -> int:
     state = state_from_label(args.state)
     spec = ScreeningSpec(delta=args.delta, strength=args.A, g=args.g)
     config = default_solver_config(state, spec, units)
-    if args.step is not None or args.rmax is not None:
-        config = SolverConfig(
-            step=args.step if args.step is not None else config.step,
-            r_max=args.rmax if args.rmax is not None else config.r_max,
-        )
+    config = replace(
+        config,
+        step=config.step if args.step is None else args.step,
+        r_max=config.r_max if args.rmax is None else args.rmax,
+    )
     potential = lambda r: effective_potential(r, spec, state.ell, units)
     try:
         rf = solve_bound_state(potential, state, units, config)

@@ -172,17 +172,3 @@ class EnergyBreakdown:
     def __post_init__(self) -> None:
         object.__setattr__(self, "total", self.e0 + self.linear_shift + self.e1 + self.e2)
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Default numerical gates shared across the package."""
-
-    quadrature_rel: float = 1e-10
-    eigen_abs: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if min(self.quadrature_rel, self.eigen_abs) <= 0.0:
-            raise ValidationError("tolerances must be strictly positive")
-
-
-DEFAULT_TOLERANCES = Tolerances()

@@ -17,7 +17,6 @@ independent of any numerical quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, sqrt
@@ -25,15 +24,6 @@ from math import comb, factorial, sqrt
 import numpy as np
 
 from .core import DomainError, QuantumState, ScreeningSpec, UnitSystem
-
-
-@dataclass(frozen=True)
-class CoulombState:
-    """A bound Coulomb level: its quantum numbers, decay rate and norm constant."""
-
-    state: QuantumState
-    beta: float
-    norm: float
 
 
 @lru_cache(maxsize=None)
@@ -81,10 +71,6 @@ def coulomb_norm(state: QuantumState, spec: ScreeningSpec, units: UnitSystem) ->
     beta = coulomb_beta(state, spec, units)
     ratio = _norm_ratio(state.n, state.ell)
     return sqrt(float(ratio) * (2.0 * beta) ** (2 * state.ell + 3))
-
-
-def coulomb_state(state: QuantumState, spec: ScreeningSpec, units: UnitSystem) -> CoulombState:
-    return CoulombState(state, coulomb_beta(state, spec, units), coulomb_norm(state, spec, units))
 
 
 def coulomb_wavefunction(state: QuantumState, spec: ScreeningSpec, units: UnitSystem, r):

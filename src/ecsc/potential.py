@@ -20,7 +20,6 @@ perturbation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -31,14 +30,6 @@ from .core import DomainError, ScreeningSpec, UnitSystem, UnsupportedExpansionEr
 
 #: truncation orders accepted by perturbation_remainder (V_2 = 0, so 2 is never needed)
 _REMAINDER_ORDERS = (1, 3, 4, 5)
-
-
-@dataclass(frozen=True)
-class SeriesCoefficient:
-    """One dimensionless expansion coefficient V_i, kept as an exact rational."""
-
-    index: int
-    value: Fraction
 
 
 @lru_cache(maxsize=None)
@@ -56,11 +47,6 @@ def series_coefficient(i: int) -> Fraction:
         raise DomainError(f"series index must be >= 0, got {i}")
     re, _ = _gauss_power(i)
     return Fraction(re, factorial(i))
-
-
-def series_coefficients(order: int) -> list[SeriesCoefficient]:
-    """All coefficients V_0 .. V_order."""
-    return [SeriesCoefficient(i, series_coefficient(i)) for i in range(order + 1)]
 
 
 def _check_positive_radius(r) -> np.ndarray:

@@ -15,11 +15,10 @@ Two schemes sit behind one interface: adaptive subdivision on [0, r_max]
 (default) and a fixed-node Gauss-Laguerre rule on the exponential weight.
 
 The cumulative W1 construction divides by chi^2 and is therefore only
-offered for the node-free ground level; excited states go through the
-closed-form hierarchy superpotential instead.  For n >= 1 the second-order
-integral does not exactly match the printed closed forms; use
-:func:`second_order_residual_report` to quantify the gap rather than
-asserting one.
+offered for the node-free ground level; for excited states the caller
+passes a closed-form hierarchy superpotential to
+:func:`second_order_energy_numeric`.  This module imports none of the
+closed-form energies it is used to check.
 """
 
 from __future__ import annotations
@@ -31,21 +30,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import roots_laguerre
 
-from .core import (
-    DEFAULT_TOLERANCES,
-    DomainError,
-    QuantumState,
-    ScreeningSpec,
-    SecondOrderVariant,
-    UnitSystem,
-    ValidationError,
-)
+from .core import DomainError, QuantumState, ScreeningSpec, UnitSystem, ValidationError
 from .coulomb import coulomb_beta, coulomb_norm, laguerre
-from .perturbation import (
-    second_order_shift,
-    second_order_terms,
-    superpotential_first,
-)
 
 
 class ToleranceNotMetError(RuntimeError):
@@ -66,7 +52,7 @@ class QuadratureSpec:
     """Scheme choice and accuracy target for the density integrals."""
 
     scheme: str = "adaptive"
-    rel_tol: float = DEFAULT_TOLERANCES.quadrature_rel
+    rel_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.scheme not in ("adaptive", "gauss"):
@@ -230,42 +216,3 @@ def second_order_energy_numeric(
         state, spec, units, lambda r: sixth * r**3 - w1(r) ** 2, qspec
     )
 
-
-def second_order_residual_report(
-    state: QuantumState,
-    spec: ScreeningSpec,
-    units: UnitSystem,
-    qspec: QuadratureSpec | None = None,
-) -> dict:
-    """Measure how the n >= 1 second-order integrals compare to the closed forms.
-
-    Runs the integral with both hierarchy superpotentials (two-term and
-    all-terms) and reports the numbers next to the printed closed forms.
-    The quartic piece is also isolated; that part is superpotential-free and
-    must agree exactly.
-    """
-    if state.n < 1:
-        raise DomainError("the residual report is for excited states; n = 0 matches exactly")
-    sixth = spec.strength * spec.delta**4 / 6.0
-    quartic_numeric = integrate_density(state, spec, units, lambda r: sixth * r**3, qspec)
-    w_trunc = superpotential_first(state, spec, units, truncated=True)
-    w_full = superpotential_first(state, spec, units, truncated=False)
-    num_trunc = second_order_energy_numeric(state, spec, units, w_trunc, qspec)
-    num_full = second_order_energy_numeric(state, spec, units, w_full, qspec)
-    closed_trunc = second_order_shift(state, spec, units, SecondOrderVariant.TRUNCATED)
-    closed_full = (
-        second_order_shift(state, spec, units, SecondOrderVariant.FULL)
-        if state.n == 1
-        else None
-    )
-    quartic_closed, _ = second_order_terms(state, spec, units)
-    return {
-        "numeric_truncated_w": num_trunc,
-        "numeric_full_w": num_full,
-        "closed_truncated": closed_trunc,
-        "closed_full": closed_full,
-        "quartic_numeric": quartic_numeric,
-        "quartic_closed": quartic_closed,
-        "residual_truncated": num_trunc - closed_trunc,
-        "residual_full": num_full - (closed_full if closed_full is not None else closed_trunc),
-    }

@@ -25,13 +25,7 @@ from math import sqrt
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .core import (
-    DEFAULT_TOLERANCES,
-    QuantumState,
-    ScreeningSpec,
-    UnitSystem,
-    ValidationError,
-)
+from .core import QuantumState, ScreeningSpec, UnitSystem, ValidationError
 
 _EPS = np.finfo(float).eps
 # dstebz locates eigenvalues most accurately at twice the underflow threshold
@@ -44,11 +38,15 @@ class NoBoundStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Uniform grid spacing, outer cutoff and convergence target."""
+    """Uniform grid spacing, outer cutoff and convergence target.
+
+    A level is ``converged`` when its error estimate is at most
+    ``energy_abs_tol``, an absolute energy in the caller's units.
+    """
 
     step: float
     r_max: float
-    energy_abs_tol: float = DEFAULT_TOLERANCES.eigen_abs
+    energy_abs_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         if not (0.0 < self.step < np.inf and 0.0 < self.r_max < np.inf):
@@ -62,9 +60,19 @@ class SolverConfig:
 def default_solver_config(
     state: QuantumState, spec: ScreeningSpec, units: UnitSystem
 ) -> SolverConfig:
-    """Grid scaled to the Coulomb length of the state: fine step, far cutoff."""
+    """Grid and target scaled to the Coulomb level: fine step, far cutoff.
+
+    The step and cutoff are multiples of the state's Coulomb length
+    N hbar^2/(m A).  The convergence target is 1e-9 in units of m A^2/hbar^2,
+    because the roundoff floor of the estimate scales with that energy; at
+    A = 1 in atomic units it is 1e-9.
+    """
     length = state.principal * units.hbar**2 / (units.mass * spec.strength)
-    return SolverConfig(step=1e-3 * length, r_max=40.0 * state.principal * length)
+    return SolverConfig(
+        step=1e-3 * length,
+        r_max=40.0 * state.principal * length,
+        energy_abs_tol=1e-9 * units.mass * spec.strength**2 / units.hbar**2,
+    )
 
 
 @dataclass(frozen=True)

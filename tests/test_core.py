@@ -11,7 +11,6 @@ from ecsc import (
     QuantumState,
     ScreeningSpec,
     SecondOrderVariant,
-    Tolerances,
     UnitSystem,
     ValidationError,
     make_unit_system,
@@ -123,13 +122,3 @@ class TestEnergyBreakdown:
     def test_coulomb_limit_shape(self):
         bd = EnergyBreakdown(-0.125, 0.0, 0.0, 0.0, SecondOrderVariant.TRUNCATED)
         assert bd.total == bd.e0
-
-
-class TestTolerances:
-    def test_defaults(self):
-        t = Tolerances()
-        assert (t.quadrature_rel, t.eigen_abs) == (1e-10, 1e-9)
-
-    def test_positive_required(self):
-        with pytest.raises(ValidationError):
-            Tolerances(quadrature_rel=0.0)

@@ -13,7 +13,6 @@ from ecsc import (
     ScreeningSpec,
     coulomb_beta,
     coulomb_energy,
-    coulomb_state,
     coulomb_wavefunction,
     laguerre,
     radial_moment,
@@ -118,11 +117,6 @@ class TestCoulombWavefunction:
                         0.0, 400.0, limit=400,
                     )
                     assert abs(val) < 1e-9
-
-    def test_state_summary_object(self):
-        cs = coulomb_state(state_from_label("1s"), SPEC1, ATOMIC)
-        assert cs.beta == 1.0
-        assert cs.norm == pytest.approx(2.0, rel=1e-14)
 
 
 class TestRadialMoment:

@@ -14,7 +14,6 @@ from ecsc import (
     evaluate_potential,
     perturbation_remainder,
     series_coefficient,
-    series_coefficients,
 )
 
 
@@ -69,11 +68,6 @@ class TestSeriesCoefficients:
             z = (-1.0 - 1.0j) ** i
             got = float(series_coefficient(i)) * math.factorial(i)
             assert got == pytest.approx(z.real, rel=1e-12, abs=1e-9)
-
-    def test_series_coefficients_listing(self):
-        cs = series_coefficients(5)
-        assert [c.index for c in cs] == list(range(6))
-        assert cs[3].value == Fraction(1, 3)
 
     def test_negative_index(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,10 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
+
+import ecsc.quadrature
 
 from ecsc import (
     ATOMIC,
@@ -9,6 +13,7 @@ from ecsc import (
     QuadratureSpec,
     QuantumState,
     ScreeningSpec,
+    SecondOrderVariant,
     ToleranceNotMetError,
     ValidationError,
     first_order_energy_numeric,
@@ -16,9 +21,10 @@ from ecsc import (
     integrate_density,
     integrate_density_with_error,
     radial_moment,
+    second_order_coefficients,
     second_order_energy_numeric,
-    second_order_residual_report,
     second_order_shift,
+    second_order_terms,
     state_from_label,
     superpotential_first,
     superpotential_first_numeric,
@@ -183,37 +189,86 @@ class TestSecondOrderNumeric:
 
 
 class TestResidualReport:
+    """The n >= 1 second-order integrals against the printed closed forms.
+
+    The quartic piece is superpotential-free and must agree exactly; the
+    sextic piece depends on which hierarchy superpotential is squared.
+    """
+
     def test_quartic_isolation(self):
         for n in (1, 2):
             st = QuantumState(n, 1)
             spec = ScreeningSpec(delta=0.1)
-            rep = second_order_residual_report(st, spec, ATOMIC)
-            assert rep["quartic_numeric"] == pytest.approx(rep["quartic_closed"], rel=1e-10)
+            sixth = spec.delta**4 / 6.0
+            quartic = integrate_density(st, spec, ATOMIC, lambda r: sixth * r**3)
+            quartic_closed, _ = second_order_terms(st, spec, ATOMIC)
+            assert quartic == pytest.approx(quartic_closed, rel=1e-12)
 
     def test_first_excited_residuals_are_real(self):
         # two-term W integral gives 1856 delta^6 at ell = 0 against the printed
         # 1688 (truncated) and 114176/72 (full); the all-terms W gives 14336/9
         st = state_from_label("2s")
         spec = ScreeningSpec(delta=0.1)
-        rep = second_order_residual_report(st, spec, ATOMIC)
-        d6 = spec.delta**6
-        assert rep["numeric_truncated_w"] == pytest.approx(55 * spec.delta**4 - 1856 * d6, rel=1e-9)
-        assert rep["numeric_full_w"] == pytest.approx(
-            55 * spec.delta**4 - (14336.0 / 9.0) * d6, rel=1e-9
-        )
-        assert rep["residual_truncated"] == pytest.approx(-(1856 - 121536 / 72) * d6, rel=1e-6)
-        assert rep["residual_full"] == pytest.approx(-(14336 / 9 - 114176 / 72) * d6, rel=1e-4)
+        d4, d6 = spec.delta**4, spec.delta**6
+        w_trunc = superpotential_first(st, spec, ATOMIC, truncated=True)
+        w_full = superpotential_first(st, spec, ATOMIC, truncated=False)
+        num_trunc = second_order_energy_numeric(st, spec, ATOMIC, w_trunc)
+        num_full = second_order_energy_numeric(st, spec, ATOMIC, w_full)
+        assert num_trunc == pytest.approx(55 * d4 - 1856 * d6, rel=1e-12)
+        assert num_full == pytest.approx(55 * d4 - (14336.0 / 9.0) * d6, rel=1e-12)
+        closed_trunc = second_order_shift(st, spec, ATOMIC, SecondOrderVariant.TRUNCATED)
+        closed_full = second_order_shift(st, spec, ATOMIC, SecondOrderVariant.FULL)
+        assert num_trunc - closed_trunc == pytest.approx(-(1856 - 121536 / 72) * d6, rel=1e-9)
+        assert num_full - closed_full == pytest.approx(-(14336 / 9 - 114176 / 72) * d6, rel=1e-9)
 
     def test_second_excited_truncated_matches_closed(self):
         # for n = 2 the two-term route reproduces the printed form exactly
         st = state_from_label("3s")
         spec = ScreeningSpec(delta=0.1)
-        rep = second_order_residual_report(st, spec, ATOMIC)
-        assert rep["numeric_truncated_w"] == pytest.approx(rep["closed_truncated"], rel=1e-9)
-        assert rep["closed_full"] is None
+        w_trunc = superpotential_first(st, spec, ATOMIC, truncated=True)
+        num_trunc = second_order_energy_numeric(st, spec, ATOMIC, w_trunc)
+        assert num_trunc == pytest.approx(second_order_shift(st, spec, ATOMIC), rel=1e-12)
 
-    def test_rejected_for_ground_state(self):
-        from ecsc import DomainError
+    def test_first_excited_sextic_is_exact(self):
+        # 2s at A = 1, atomic units: the moments are exact floats, and with
+        # W1 = -(2 delta^3 / (3 sqrt 2)) (r^2 + 6r + const) the sextic
+        # coefficient times 72 is 4 N^2 <(r^2 + 6r + const)^2>
+        st = state_from_label("2s")
+        mom = [radial_moment(st, ScreeningSpec(delta=0.0), ATOMIC, k) for k in range(5)]
+        assert mom == [1.0, 6.0, 42.0, 330.0, 2880.0]
+        n2 = st.principal**2
 
-        with pytest.raises(DomainError):
-            second_order_residual_report(state_from_label("1s"), ScreeningSpec(delta=0.1), ATOMIC)
+        def sextic72(const):
+            # <(r^2 + 6r + c)^2> expanded into moments
+            square = (mom[4] + 12 * mom[3] + (36 + 2 * const) * mom[2]
+                      + 12 * const * mom[1] + const**2 * mom[0])
+            return 4 * n2 * square
+
+        assert sextic72(0) == 133632 == 72 * 1856
+        assert sextic72(-8) == 114688 == 72 * 14336 // 9
+        assert 4 * mom[3] == 1320
+        assert second_order_coefficients(1, 0, SecondOrderVariant.TRUNCATED) == (1320, 121536)
+        assert second_order_coefficients(1, 0, SecondOrderVariant.FULL) == (1320, 114176)
+
+
+def _imported_modules(tree: ast.AST):
+    """Every module an import statement names, relative ones under ``ecsc``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "ecsc." + base if base else "ecsc"
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+class TestLayering:
+    def test_quadrature_imports_no_closed_forms(self):
+        # the numeric witness must stay independent of what it checks
+        tree = ast.parse(Path(ecsc.quadrature.__file__).read_text(encoding="utf-8"))
+        forbidden = ("ecsc.perturbation", "ecsc.tables")
+        bad = [m for m in _imported_modules(tree)
+               if any(m == f or m.startswith(f + ".") for f in forbidden)]
+        assert bad == []

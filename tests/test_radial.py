@@ -17,6 +17,7 @@ from ecsc import (
     effective_potential,
     solve_bound_state,
     state_from_label,
+    total_energy,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -168,6 +169,19 @@ class TestErrorEstimate:
         tol = default_solver_config(st, spec, ATOMIC).energy_abs_tol
         assert abs(rf.energy - want) <= rf.error_estimate <= tol
         assert rf.converged
+
+    @pytest.mark.parametrize("delta", [0.0, 0.01])
+    def test_target_scales_with_the_level(self, solve, delta):
+        # 1s at A = 16 in hbar2m units lies near E = -64, where the roundoff
+        # floor of the estimate is some 4e-9; the default target is 1e-9 in
+        # units of m A^2 / hbar^2, so it scales with the level
+        st = state_from_label("1s")
+        spec = ScreeningSpec(delta=delta, strength=16.0)
+        assert default_solver_config(st, spec, HBAR2M).energy_abs_tol == pytest.approx(128e-9)
+        assert default_solver_config(st, ScreeningSpec(delta=delta), ATOMIC).energy_abs_tol == 1e-9
+        rf = solve(st, 16.0, delta, HBAR2M)
+        assert rf.converged
+        assert abs(rf.energy - total_energy(st, spec, HBAR2M).total) <= rf.error_estimate
 
 
 def _grid_arrays_held(tb) -> list[str]:

@@ -222,6 +222,12 @@ class TestCli:
     def test_wavefunction_rejects_excited(self, capsys):
         assert main(["wavefunction", "--state", "2s", "--A", "1", "--delta", "0.05"]) == 2
 
+    @pytest.mark.parametrize("option", [("--points", "0"), ("--points", "-3"),
+                                        ("--rmax", "-1"), ("--rmax", "nan")])
+    def test_bad_wavefunction_arguments_are_a_usage_error(self, capsys, option):
+        assert main(["wavefunction", "--state", "1s", "--delta", "0.05", *option]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_oracle_verb(self, capsys, tmp_path):
         out = tmp_path / "chi.txt"
         assert main(["oracle", "--state", "1s", "--A", "1", "--delta", "0.05",
@@ -230,6 +236,14 @@ class TestCli:
         assert "numeric energy" in line and "converged=True" in line
         assert 0.0 < float(line.split("error_estimate=")[1]) <= 1e-9
         assert len(out.read_text().splitlines()) > 1000
+
+    @pytest.mark.parametrize("grid", [[], ["--step", "2.5e-4"]])
+    def test_oracle_deep_level_converges(self, capsys, grid):
+        # E near -64: the default target scales with the level, and a grid
+        # override keeps it
+        assert main(["oracle", "--state", "1s", "--A", "16", "--units", "hbar2m",
+                     "--delta", "0.01", *grid]) == 0
+        assert "converged=True" in capsys.readouterr().out
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_delta_is_a_usage_error(self, capsys, value):
