@@ -20,7 +20,7 @@ from .coulomb import coulomb_beta
 from .perturbation import ground_wavefunction, moderated_validity_radius, total_energy
 from .potential import effective_potential
 from .radial import NoBoundStateError, default_solver_config, solve_bound_state
-from .tables import TABLES, reproduce_table, scan_delta, write_text
+from .tables import TABLES, render_text, reproduce_table, scan_delta
 
 
 def _parse_units(text: str):
@@ -53,7 +53,15 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
 
 
 def _emit(text: str, out_path) -> None:
-    write_text(text, out_path if out_path is not None else sys.stdout)
+    """Write ``text`` to ``out_path``, or to stdout when it is None: the only file writer."""
+    if out_path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wf.add_argument("--rmax", type=float, default=None, help="sampling cutoff")
     p_wf.add_argument("--points", type=int, default=1000)
     p_wf.add_argument("--renormalize", action="store_true")
-    _add_output(p_wf)
+    p_wf.add_argument("--out", default=None, help="CSV output path (default stdout)")
 
     p_or = sub.add_parser("oracle", help="solve the radial equation numerically")
     _add_common(p_or)
@@ -123,8 +131,7 @@ def _cmd_energy(args) -> int:
 
 def _cmd_table(args) -> int:
     result = reproduce_table(args.id.upper(), SecondOrderVariant(args.variant))
-    text = result.to_csv_text() if args.format == "csv" else result.to_markdown_text()
-    _emit(text, args.out)
+    _emit(result.to_csv_text() if args.format == "csv" else result.to_markdown_text(), args.out)
     if args.out is not None:
         print(result.summary())
     return 0 if result.passed else 1
@@ -137,8 +144,7 @@ def _cmd_scan(args) -> int:
         state, args.A, units, args.delta_start, args.delta_end, args.steps,
         with_oracle=args.with_oracle, variant=SecondOrderVariant(args.variant),
     )
-    text = result.to_csv_text() if args.format == "csv" else result.to_markdown_text()
-    _emit(text, args.out)
+    _emit(result.to_csv_text() if args.format == "csv" else result.to_markdown_text(), args.out)
     return 0
 
 
@@ -161,10 +167,7 @@ def _cmd_wavefunction(args) -> int:
         # stay inside the decaying window of the asymptotic closed form
         r_max = min(25.0 / beta, moderated_validity_radius(state.ell, spec, units))
     grid = np.linspace(r_max / args.points, r_max, args.points)
-    values = psi(grid)
-    lines = ["r,psi"]
-    lines += [f"{r:.9g},{v:.9g}" for r, v in zip(grid, values)]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(render_text("csv", ("r", "psi"), zip(grid, psi(grid))), args.out)
     if args.out is not None:
         print("exponent coefficients:", ", ".join(f"p{i+1}={p:.6g}"
                                                   for i, p in enumerate(poly.as_tuple())))
@@ -193,7 +196,7 @@ def _cmd_oracle(args) -> int:
         analytic = total_energy(state, spec, units, SecondOrderVariant(args.variant)).total
         print(f"analytic total  {analytic:+.10g}   difference {rf.energy - analytic:+.3e}")
     if args.out is not None:
-        rf.dump_two_column(args.out)
+        _emit("".join(f"{r:.10e} {chi:.10e}\n" for r, chi in zip(rf.grid, rf.values)), args.out)
     return 0
 
 
@@ -211,8 +214,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValidationError, KeyError, ArithmeticError) as exc:
+        prefix = "out of floating-point range: " if isinstance(exc, ArithmeticError) else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
         return 2
 
 

@@ -92,15 +92,6 @@ class RadialFunction:
     converged: bool
     error_estimate: float = float("nan")
 
-    def dump_two_column(self, destination) -> None:
-        """Write plain two-column text (r, chi), one sample per line."""
-        lines = [f"{r:.10e} {v:.10e}\n" for r, v in zip(self.grid, self.values)]
-        if hasattr(destination, "write"):
-            destination.writelines(lines)
-        else:
-            with open(destination, "w", encoding="utf-8") as fh:
-                fh.writelines(lines)
-
 
 def _count_interior_nodes(values: np.ndarray) -> int:
     big = 1e-9 * np.max(np.abs(values))

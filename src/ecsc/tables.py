@@ -267,10 +267,25 @@ class TableResult:
         )
 
     def to_csv_text(self) -> str:
-        return _csv_text(self)
+        header = self.definition.key_columns + ("E_ref", "E_computed", "diff")
+        rows = [tuple(v for _, v in c.key) + (c.reference, c.computed, c.diff) for c in self.cells]
+        return render_text("csv", header, rows)
 
     def to_markdown_text(self) -> str:
-        return _markdown_text(self)
+        d = self.definition
+        value_name = "E" if d.sign > 0 else "-E"
+        header = d.key_columns + d.reference_columns + (
+            f"{value_name} computed", f"{value_name} reference", "diff", "note",
+        )
+        rows = [
+            tuple(v for _, v in c.key)
+            + tuple(None if lit is None else d.sign * lit for _, lit in c.literature)
+            + (d.sign * c.computed, d.sign * c.reference, d.sign * c.diff,
+               "" if abs(c.diff) <= d.tolerance else "exceeds gate")
+            for c in self.cells
+        ]
+        body = render_text("md", header, rows)
+        return f"## {d.table_id}: {d.title}\n\n{body}\n{self.summary()}\n"
 
 
 def reproduce_table(
@@ -325,46 +340,23 @@ class ScanResult:
     rows: tuple[ComparisonRow, ...]
 
     def to_csv_text(self) -> str:
-        header = (
-            "state,delta,E_analytic,E_quadrature,E_oracle,oracle_status,"
-            "E_ref,quad_minus_analytic,oracle_minus_analytic"
-        )
-        lines = [header]
-        for r in self.rows:
-            oma = r.oracle_minus_analytic
-            lines.append(
-                ",".join(
-                    (
-                        r.state_label,
-                        _num(r.delta),
-                        _num(r.analytic),
-                        _num(r.quadrature),
-                        _num(r.oracle) if r.oracle is not None else "",
-                        r.oracle_status,
-                        _num(r.reference) if r.reference is not None else "",
-                        _num(r.quad_minus_analytic),
-                        _num(oma) if oma is not None else "",
-                    )
-                )
-            )
-        return "\n".join(lines) + "\n"
+        header = ("state,delta,E_analytic,E_quadrature,E_oracle,oracle_status,E_ref,"
+                  "quad_minus_analytic,oracle_minus_analytic").split(",")
+        rows = [
+            (r.state_label, r.delta, r.analytic, r.quadrature, r.oracle, r.oracle_status,
+             r.reference, r.quad_minus_analytic, r.oracle_minus_analytic)
+            for r in self.rows
+        ]
+        return render_text("csv", header, rows)
 
     def to_markdown_text(self) -> str:
-        head = "| state | delta | analytic | quadrature | oracle | reference |"
-        rule = "|---|---:|---:|---:|---:|---:|"
-        lines = [head, rule]
-        for r in self.rows:
-            lines.append(
-                "| {} | {} | {} | {} | {} | {} |".format(
-                    r.state_label,
-                    _num(r.delta),
-                    _num(r.analytic),
-                    _num(r.quadrature),
-                    _num(r.oracle) if r.oracle is not None else (r.oracle_status or ""),
-                    _num(r.reference) if r.reference is not None else "",
-                )
-            )
-        return "\n".join(lines) + "\n"
+        header = ("state", "delta", "analytic", "quadrature", "oracle", "reference")
+        rows = [
+            (r.state_label, r.delta, r.analytic, r.quadrature,
+             r.oracle_status if r.oracle is None else r.oracle, r.reference)
+            for r in self.rows
+        ]
+        return render_text("md", header, rows, rule=("---",) + ("---:",) * 5)
 
 
 def _reference_for(state: QuantumState, strength: float, units: UnitSystem, delta: float):
@@ -444,51 +436,23 @@ def scan_delta(
 
 
 def _num(x) -> str:
+    """One cell: a number to 9 significant digits, None empty, a string as is."""
     # fixed 9-significant-digit rendering keeps emitted files byte-deterministic
-    return f"{x:.9g}"
+    if x is None:
+        return ""
+    return x if isinstance(x, str) else f"{x:.9g}"
 
 
-def _csv_text(result: TableResult) -> str:
-    d = result.definition
-    header = ",".join(d.key_columns) + ",E_ref,E_computed,diff"
-    lines = [header]
-    for cell in result.cells:
-        keys = ",".join(_num(v) if isinstance(v, (int, float)) else str(v) for _, v in cell.key)
-        lines.append(
-            f"{keys},{_num(cell.reference)},{_num(cell.computed)},{_num(cell.diff)}"
-        )
-    return "\n".join(lines) + "\n"
+def render_text(fmt: str, header, rows, rule=None) -> str:
+    """A CSV (``fmt`` "csv") or Markdown body: the header, then one line per row.
 
-
-def _markdown_text(result: TableResult) -> str:
-    d = result.definition
-    sign = d.sign
-    value_name = "E" if sign > 0 else "-E"
-    cols = list(d.key_columns) + list(d.reference_columns) + [
-        f"{value_name} computed", f"{value_name} reference", "diff", "note",
-    ]
-    lines = [f"## {d.table_id}: {d.title}", ""]
-    lines.append("| " + " | ".join(cols) + " |")
-    lines.append("|" + "---|" * len(cols))
-    tol = d.tolerance
-    for cell in result.cells:
-        parts = [_num(v) if isinstance(v, (int, float)) else str(v) for _, v in cell.key]
-        for _, lit in cell.literature:
-            parts.append(_num(sign * lit) if lit is not None else "")
-        parts.append(_num(sign * cell.computed))
-        parts.append(_num(sign * cell.reference))
-        parts.append(_num(sign * cell.diff))
-        parts.append("" if abs(cell.diff) <= tol else "exceeds gate")
-        lines.append("| " + " | ".join(parts) + " |")
-    lines.append("")
-    lines.append(result.summary())
-    return "\n".join(lines) + "\n"
-
-
-def write_text(text: str, destination) -> None:
-    """Write rendered table text to a path or file-like object."""
-    if hasattr(destination, "write"):
-        destination.write(text)
+    Every cell goes through ``_num``.  ``rule`` is the Markdown alignment of
+    each column ("---" or "---:"); by default "---".
+    """
+    lines = [[_num(x) for x in row] for row in (header, *rows)]
+    if fmt == "csv":
+        text = [",".join(line) for line in lines]
     else:
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        text = ["| " + " | ".join(line) + " |" for line in lines]
+        text.insert(1, "|" + "".join(a + "|" for a in rule or ("---",) * len(header)))
+    return "\n".join(text) + "\n"

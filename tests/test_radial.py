@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -19,6 +18,7 @@ from ecsc import (
     state_from_label,
     total_energy,
 )
+from ecsc.cli import main
 
 SQ2 = math.sqrt(2.0)
 
@@ -212,11 +212,12 @@ class TestUnboundTraceback:
 
 
 class TestDump:
-    def test_two_column_roundtrip(self, solve):
+    def test_two_column_roundtrip(self, solve, tmp_path):
+        out = tmp_path / "chi.txt"
+        assert main(["oracle", "--state", "1s", "--A", "1", "--delta", "0.05",
+                     "--out", str(out)]) == 0
         rf = solve(state_from_label("1s"), 1.0, 0.05, ATOMIC)
-        buf = io.StringIO()
-        rf.dump_two_column(buf)
-        lines = buf.getvalue().strip().splitlines()
+        lines = out.read_text().strip().splitlines()
         assert len(lines) == rf.grid.size
         r0, v0 = (float(tok) for tok in lines[1].split())
         assert r0 == pytest.approx(rf.grid[1])

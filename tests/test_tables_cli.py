@@ -1,8 +1,12 @@
+import ast
+import hashlib
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import ecsc
 from ecsc import (
     ATOMIC,
     SecondOrderVariant,
@@ -126,6 +130,18 @@ class TestEmission:
         empty = TableResult(TABLES["T1"], SecondOrderVariant.TRUNCATED, ())
         assert empty.to_csv_text() == "delta,E_ref,E_computed,diff\n"
 
+    def test_render_hash(self):
+        # pins the bytes of every table in both variants, csv then markdown
+        digest = hashlib.sha256()
+        for tid in sorted(TABLES):
+            for variant in SecondOrderVariant:
+                result = reproduce_table(tid, variant)
+                digest.update(result.to_csv_text().encode())
+                digest.update(result.to_markdown_text().encode())
+        assert digest.hexdigest() == (
+            "87edacdd86bf769c0eb834c881d0f89d610f7ca58ca025de7b77e6e53dd4ba1d"
+        )
+
 
 class TestScanDelta:
     def test_endpoints_match_reference_rows(self):
@@ -169,6 +185,17 @@ class TestScanDelta:
         text = res.to_csv_text()
         assert text.splitlines()[0].startswith("state,delta,E_analytic")
         assert len(text.strip().splitlines()) == 3
+
+    def test_markdown_layout(self):
+        res = scan_delta(state_from_label("3s"), 1.0, ATOMIC, 0.0, 1.0, 2, with_oracle=True)
+        lines = res.to_markdown_text().splitlines()
+        assert lines[0] == "| state | delta | analytic | quadrature | oracle | reference |"
+        assert lines[1] == "|---|---:|---:|---:|---:|---:|"
+        assert len(lines) == 4
+        bound, unbound = ([c.strip() for c in line[1:-1].split("|")] for line in lines[2:])
+        assert bound[:2] == ["3s", "0"] and float(bound[4]) == pytest.approx(-1 / 18)
+        assert unbound[:2] == ["3s", "1"] and unbound[4] == "no-bound-state"
+        assert unbound[5] == ""
 
     def test_bad_arguments(self):
         with pytest.raises(ValidationError):
@@ -250,6 +277,40 @@ class TestCli:
         assert main(["energy", "--state", "1s", f"--delta={value}"]) == 2
         assert main(["oracle", "--state", "1s", "--delta", "0.05", f"--g={value}"]) == 2
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "T1"],
+        ["scan", "--state", "1s", "--delta-start", "0", "--delta-end", "0.1", "--steps", "2"],
+        ["wavefunction", "--state", "1s", "--delta", "0.05", "--points", "5"],
+        ["oracle", "--state", "1s", "--delta", "0.05"],
+    ], ids=["table", "scan", "wavefunction", "oracle"])
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, argv):
+        out = tmp_path / "missing" / "x"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
+    @pytest.mark.parametrize("argv", [
+        ["energy", "--state", "1s", "--delta", "0.1", "--A", "1e-300"],
+        ["energy", "--state", "1s", "--delta", "0.1", "--A", "1e300"],
+        ["energy", "--state", "2s", "--delta", "1e100"],
+        ["oracle", "--state", "1s", "--delta", "0.1", "--A", "1e200"],
+        ["scan", "--state", "1s", "--delta-start", "0.1", "--delta-end", "0.1",
+         "--steps", "1", "--A", "1e-200"],
+        ["energy", "--state", "1s", "--delta", "0.1", "--units", "custom:1e-200,1"],
+    ])
+    def test_out_of_range_parameters_are_a_usage_error(self, capsys, argv):
+        # finite, but their scales over- or underflow a float
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_only_the_cli_opens_files(self):
+        package = Path(ecsc.__file__).parent
+        openers = sorted(
+            path.name for path in package.glob("*.py")
+            if any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        )
+        assert openers == ["cli.py"]
 
     def test_oracle_no_bound_state_exit(self, capsys):
         assert main(["oracle", "--state", "3s", "--A", "1", "--delta", "1.0"]) == 1
