@@ -30,7 +30,6 @@ from .coulomb import (
 )
 from .perturbation import (
     GroundCoefficients,
-    WavefunctionPolynomial,
     first_order_shift,
     ground_coefficients,
     ground_wavefunction,

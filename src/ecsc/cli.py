@@ -19,7 +19,7 @@ from .core import (
 from .coulomb import coulomb_beta
 from .perturbation import ground_wavefunction, moderated_validity_radius, total_energy
 from .potential import effective_potential
-from .radial import NoBoundStateError, default_solver_config, solve_bound_state
+from .radial import MAX_INTERVALS, NoBoundStateError, default_solver_config, solve_bound_state
 from .tables import TABLES, render_text, reproduce_table, scan_delta
 
 
@@ -138,6 +138,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if args.steps > MAX_INTERVALS:
+        raise ValidationError(f"--steps must be at most {MAX_INTERVALS}, got {args.steps}")
     units = _parse_units(args.units)
     state = state_from_label(args.state)
     result = scan_delta(
@@ -155,8 +157,8 @@ def _cmd_wavefunction(args) -> int:
         print("the analytic moderated wavefunction is available for n = 0 levels only",
               file=sys.stderr)
         return 2
-    if args.points < 1:
-        raise ValidationError(f"--points must be >= 1, got {args.points}")
+    if not 1 <= args.points <= MAX_INTERVALS:
+        raise ValidationError(f"--points must be between 1 and {MAX_INTERVALS}, got {args.points}")
     if args.rmax is not None and not (isfinite(args.rmax) and args.rmax > 0.0):
         raise ValidationError(f"--rmax must be positive and finite, got {args.rmax}")
     spec = ScreeningSpec(delta=args.delta, strength=args.A)
@@ -169,8 +171,8 @@ def _cmd_wavefunction(args) -> int:
     grid = np.linspace(r_max / args.points, r_max, args.points)
     _emit(render_text("csv", ("r", "psi"), zip(grid, psi(grid))), args.out)
     if args.out is not None:
-        print("exponent coefficients:", ", ".join(f"p{i+1}={p:.6g}"
-                                                  for i, p in enumerate(poly.as_tuple())))
+        print("exponent coefficients:", ", ".join(f"p{i}={p:.6g}"
+                                                  for i, p in enumerate(poly.coef[1:], 1)))
     return 0
 
 

@@ -22,31 +22,20 @@ from functools import lru_cache
 from math import comb, factorial, sqrt
 
 import numpy as np
+from scipy.special import eval_genlaguerre
 
 from .core import DomainError, QuantumState, ScreeningSpec, UnitSystem
-
-
-@lru_cache(maxsize=None)
-def _laguerre_int_coeffs(n: int, k: int) -> tuple[int, ...]:
-    # integer numerators of (-1)^m (n+k)!/((n-m)!(m+k)! m!), denominator m!
-    return tuple((-1) ** m * comb(n + k, n - m) for m in range(n + 1))
 
 
 def laguerre(n: int, k: int, x):
     """Associated Laguerre polynomial L_n^k(x); accepts scalars or arrays.
 
-    Coefficients are built in exact integer arithmetic and converted to float
-    once, so high orders do not accumulate factorial-ratio roundoff.
+    Evaluated by scipy's recurrence; the exact rational coefficients live in
+    :func:`_moment_fraction`, where exact arithmetic is needed.
     """
     if n < 0 or k < 0:
         raise DomainError(f"need n >= 0 and k >= 0, got (n={n}, k={k})")
-    nums = _laguerre_int_coeffs(n, k)
-    coeffs = [nums[m] / factorial(m) for m in range(n + 1)]
-    arr = np.asarray(x, dtype=float)
-    acc = np.zeros_like(arr) + coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * arr + c
-    return acc if acc.ndim else float(acc)
+    return eval_genlaguerre(n, k, x)
 
 
 def coulomb_energy(state: QuantumState, spec: ScreeningSpec, units: UnitSystem) -> float:
@@ -93,15 +82,12 @@ def coulomb_wavefunction(state: QuantumState, spec: ScreeningSpec, units: UnitSy
 def _moment_fraction(n: int, ell: int, k: int) -> Fraction:
     # <r^k> in units of (2 beta)^(-k), exact:
     #   ratio * sum_{p,q} c_p c_q (2 ell + 2 + k + p + q)!
-    # with c_m the exact rational Laguerre coefficients.
-    nums = _laguerre_int_coeffs(n, 2 * ell + 1)
-    cs = [Fraction(nums[m], factorial(m)) for m in range(n + 1)]
+    # with c_m = (-1)^m C(n + a, n - m) / m! the exact coefficients of L_n^a.
+    a = 2 * ell + 1
+    cs = [Fraction((-1) ** m * comb(n + a, n - m), factorial(m)) for m in range(n + 1)]
     j = 2 * ell + 2 + k
-    total = Fraction(0)
-    for p, cp in enumerate(cs):
-        for q, cq in enumerate(cs):
-            total += cp * cq * factorial(j + p + q)
-    return _norm_ratio(n, ell) * total
+    return _norm_ratio(n, ell) * sum(cp * cq * factorial(j + p + q)
+                                     for p, cp in enumerate(cs) for q, cq in enumerate(cs))
 
 
 def radial_moment(state: QuantumState, spec: ScreeningSpec, units: UnitSystem, k: int) -> float:

@@ -18,7 +18,8 @@ float only when multiplied by powers of delta, so the five-digit sextic
 coefficients carry no transcription roundoff.
 
 The same machinery provides the superpotentials (log-derivative corrections)
-W0, W^(1), W^(2) and the moderated ground-state wavefunction
+W0, W^(1), W^(2) and the moderated ground-state wavefunction, whose exponent
+P is a numpy ``Polynomial`` with coef[0] = 0:
 
     psi(r) = norm * r^(ell+1) * exp(P(r)),    P(r) = sum_i p_i r^i, i = 1..5.
 
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 from math import exp, sqrt
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 
 from .core import (
@@ -185,30 +187,6 @@ class GroundCoefficients:
     d: float | None
 
 
-@dataclass(frozen=True)
-class WavefunctionPolynomial:
-    """Coefficients of the exponent polynomial P(r) = sum_i p_i r^i, i = 1..5."""
-
-    p1: float
-    p2: float
-    p3: float
-    p4: float
-    p5: float
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.p1, self.p2, self.p3, self.p4, self.p5)
-
-    def evaluate(self, r):
-        arr = np.asarray(r, dtype=float)
-        out = ((((self.p5 * arr + self.p4) * arr + self.p3) * arr + self.p2) * arr + self.p1) * arr
-        return out if out.ndim else float(out)
-
-    def derivative(self, r):
-        arr = np.asarray(r, dtype=float)
-        out = (((5 * self.p5 * arr + 4 * self.p4) * arr + 3 * self.p3) * arr + 2 * self.p2) * arr + self.p1
-        return out if out.ndim else float(out)
-
-
 def ground_coefficients(ell: int, spec: ScreeningSpec, units: UnitSystem) -> GroundCoefficients:
     """The (a, b, c, d) parameter set entering W^(2) and P(r) for n = 0."""
     _require_expansion(spec)
@@ -325,16 +303,17 @@ def superpotential_second_ground(ell: int, spec: ScreeningSpec, units: UnitSyste
     return w2
 
 
-def wavefunction_polynomial(ell: int, spec: ScreeningSpec, units: UnitSystem) -> WavefunctionPolynomial:
-    """Exponent coefficients p1..p5 of the moderated ground-state wavefunction.
+def wavefunction_polynomial(ell: int, spec: ScreeningSpec, units: UnitSystem) -> Polynomial:
+    """The exponent P(r) = sum_i p_i r^i, i = 1..5, of the moderated ground state.
 
-    At delta = 0 only p1 = -beta survives (pure Coulomb decay).
+    A numpy ``Polynomial`` with ``coef = (0, p1, ..., p5)``.  At delta = 0 only
+    p1 = -beta survives (pure Coulomb decay).
     """
     a_s, d = spec.strength, spec.delta
     state = QuantumState(0, ell)
     beta = coulomb_beta(state, spec, units)
     if d == 0.0:
-        return WavefunctionPolynomial(-beta, 0.0, 0.0, 0.0, 0.0)
+        return Polynomial((0.0, -beta, 0.0, 0.0, 0.0, 0.0))
     _require_expansion(spec)
     gc = ground_coefficients(ell, spec, units)
     e2 = second_order_shift(state, spec, units)
@@ -343,7 +322,7 @@ def wavefunction_polynomial(ell: int, spec: ScreeningSpec, units: UnitSystem) ->
     p3 = gc.c * gc.d * d**4 / 6.0
     p4 = gc.a * gc.c * d**4 / 8.0
     p5 = gc.c * d**6 / 10.0
-    return WavefunctionPolynomial(p1, p2, p3, p4, p5)
+    return Polynomial((0.0, p1, p2, p3, p4, p5))
 
 
 def moderated_validity_radius(ell: int, spec: ScreeningSpec, units: UnitSystem) -> float:
@@ -362,7 +341,7 @@ def moderated_validity_radius(ell: int, spec: ScreeningSpec, units: UnitSystem) 
     beta = coulomb_beta(QuantumState(0, ell), spec, units)
     peak = (ell + 1) / beta
     rs = np.linspace(peak, 200.0 / beta, 20000)
-    rate = (ell + 1) / rs + poly.derivative(rs)
+    rate = (ell + 1) / rs + poly.deriv()(rs)
     # the first zero of the log-derivative is the peak itself; the breakdown
     # is where the rate turns nonnegative again after the decaying stretch
     decaying = np.nonzero(rate < 0.0)[0]
@@ -378,8 +357,8 @@ def ground_wavefunction(
     """Moderated ground-state radial wavefunction for n = 0.
 
     Returns (psi, poly) where psi(r) = norm * r^(ell+1) * exp(P(r)) and poly
-    holds the coefficients of P.  By default the Coulomb normalization
-    constant is kept, so psi is not exactly unit-normalized once delta > 0;
+    is the ``Polynomial`` P.  By default the Coulomb normalization constant
+    is kept, so psi is not exactly unit-normalized once delta > 0;
     pass ``renormalize=True`` to rescale numerically (useful for plotting).
     The closed form is asymptotic: see :func:`moderated_validity_radius`.
     """
@@ -389,7 +368,7 @@ def ground_wavefunction(
     if renormalize:
         beta = coulomb_beta(state, spec, units)
         r_stop = min(60.0 / beta, moderated_validity_radius(ell, spec, units))
-        density = lambda x: (x ** (ell + 1) * exp(poly.evaluate(x))) ** 2
+        density = lambda x: (x ** (ell + 1) * exp(poly(x))) ** 2
         val, _ = quad(density, 0.0, r_stop, limit=200)
         scale = 1.0 / sqrt(val)
 
@@ -397,7 +376,7 @@ def ground_wavefunction(
         arr = np.asarray(r, dtype=float)
         if np.any(arr <= 0.0):
             raise DomainError("radius must be positive")
-        out = scale * arr ** (ell + 1) * np.exp(poly.evaluate(arr))
+        out = scale * arr ** (ell + 1) * np.exp(poly(arr))
         return out if out.ndim else float(out)
 
     return psi, poly

@@ -25,6 +25,7 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .core import DomainError, ScreeningSpec, UnitSystem, UnsupportedExpansionError
 
@@ -86,9 +87,7 @@ def perturbation_remainder(r, spec: ScreeningSpec, max_order: int = 4):
     if max_order not in _REMAINDER_ORDERS:
         raise DomainError(f"max_order must be one of {_REMAINDER_ORDERS}, got {max_order}")
     arr = _check_positive_radius(r)
-    acc = np.zeros_like(arr)
-    for i in range(1, max_order + 1):
-        vi = series_coefficient(i)
-        if vi:
-            acc = acc - spec.strength * float(vi) * spec.delta**i * arr ** (i - 1)
-    return acc if acc.ndim else float(acc)
+    coeffs = [-spec.strength * float(series_coefficient(i)) * spec.delta**i
+              for i in range(1, max_order + 1)]
+    out = polyval(arr, coeffs)
+    return out if out.ndim else float(out)

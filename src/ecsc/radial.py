@@ -30,6 +30,9 @@ from .core import QuantumState, ScreeningSpec, UnitSystem, ValidationError
 _EPS = np.finfo(float).eps
 # dstebz locates eigenvalues most accurately at twice the underflow threshold
 _BISECTION_TOL = 2.0 * np.finfo(float).tiny
+#: largest grid any command allocates, in intervals (or samples, or scan
+#: points); the default grid of 40 000 N intervals stays below it up to N = 104
+MAX_INTERVALS = 2**22
 
 
 class NoBoundStateError(RuntimeError):
@@ -40,6 +43,7 @@ class NoBoundStateError(RuntimeError):
 class SolverConfig:
     """Uniform grid spacing, outer cutoff and convergence target.
 
+    The grid r_max / step must have between 16 and ``MAX_INTERVALS`` intervals.
     A level is ``converged`` when its error estimate is at most
     ``energy_abs_tol``, an absolute energy in the caller's units.
     """
@@ -51,8 +55,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.step < np.inf and 0.0 < self.r_max < np.inf):
             raise ValidationError("step and r_max must be positive and finite")
-        if self.r_max / self.step < 16:
-            raise ValidationError("grid must have a sensible number of points")
+        if not 16 <= self.r_max / self.step <= MAX_INTERVALS:
+            raise ValidationError(f"grid must have between 16 and {MAX_INTERVALS} intervals")
         if not self.energy_abs_tol > 0.0:
             raise ValidationError("energy_abs_tol must be positive")
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +42,17 @@ class TestLaguerre:
                 got = laguerre(n, k, xs)
                 want = eval_genlaguerre(n, k, xs)
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_matches_exact_sum(self):
+        # independent of scipy: sum_m (-1)^m C(n+k, n-m) x^m / m! in exact
+        # rationals, at points that are exact binary fractions
+        for x in (0.0, 0.5, 3.25, 12.0):
+            for n in range(9):
+                for k in range(8):
+                    terms = [Fraction((-1) ** m * math.comb(n + k, n - m), math.factorial(m))
+                             * Fraction(x) ** m for m in range(n + 1)]
+                    scale = float(sum(abs(t) for t in terms))
+                    assert abs(laguerre(n, k, x) - float(sum(terms))) <= 1e-12 * scale
 
     def test_negative_arguments_rejected(self):
         with pytest.raises(DomainError):

@@ -269,7 +269,7 @@ class TestSuperpotentials:
         k = 1.0 / SQ2
         beta = 1.0 / (ell + 1)
         for r in np.linspace(0.1, 10.0, 23):
-            logder = (ell + 1) / r + poly.derivative(r)
+            logder = (ell + 1) / r + poly.deriv()(r)
             assert -k * logder == pytest.approx(w_total(r), rel=1e-10, abs=1e-13)
 
 
@@ -293,7 +293,7 @@ class TestGroundCoefficients:
 class TestGroundWavefunction:
     def test_coulomb_limit_polynomial(self):
         poly = wavefunction_polynomial(0, ScreeningSpec(delta=0.0), ATOMIC)
-        assert poly.as_tuple() == (-1.0, 0.0, 0.0, 0.0, 0.0)
+        assert tuple(poly.coef) == (0.0, -1.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_coulomb_limit_amplitude(self):
         psi, _ = ground_wavefunction(0, ScreeningSpec(delta=0.0), ATOMIC)
@@ -302,10 +302,10 @@ class TestGroundWavefunction:
     def test_leading_coefficients_example(self):
         spec = ScreeningSpec(delta=0.1)
         poly = wavefunction_polynomial(0, spec, ATOMIC)
-        assert poly.p5 == pytest.approx((1.0 / 9.0) * 1e-6 / 10.0, rel=1e-12)
+        assert poly.coef[5] == pytest.approx((1.0 / 9.0) * 1e-6 / 10.0, rel=1e-12)
         e2 = second_order_shift(state_from_label("1s"), spec, ATOMIC)
-        assert poly.p1 == pytest.approx(e2 - 1.0, rel=1e-12)
-        assert poly.p1 == pytest.approx(-0.9998786, abs=5e-8)
+        assert poly.coef[1] == pytest.approx(e2 - 1.0, rel=1e-12)
+        assert poly.coef[1] == pytest.approx(-0.9998786, abs=5e-8)
 
     def test_renormalization_flag(self):
         spec = ScreeningSpec(delta=0.08)
@@ -339,7 +339,7 @@ class TestGroundWavefunction:
             return math.exp(-SQ2 * val)
 
         def u_poly(r):
-            return math.exp(poly.evaluate(r) + beta * r)
+            return math.exp(poly(r) + beta * r)
 
         anchor = u_direct(1.0) / u_poly(1.0)
         for r in np.linspace(0.1, 8.0, 17):

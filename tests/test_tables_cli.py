@@ -142,6 +142,26 @@ class TestEmission:
             "87edacdd86bf769c0eb834c881d0f89d610f7ca58ca025de7b77e6e53dd4ba1d"
         )
 
+    def test_wavefunction_hash(self, capsys, tmp_path):
+        # pins the bytes of three sampled moderated wavefunctions
+        digest = hashlib.sha256()
+        for argv in (
+            ["--state", "1s", "--delta", "0.05"],
+            ["--state", "2p", "--delta", "0.1", "--renormalize"],
+            ["--state", "3d", "--A", "8", "--units", "hbar2m", "--delta", "0.2"],
+        ):
+            assert main(["wavefunction", *argv, "--points", "50"]) == 0
+            digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == (
+            "bf0dd92d4ab4adeb48cbdaeb9933c4235461081dc3a67771b907e6443c6e548f"
+        )
+        assert main(["wavefunction", "--state", "1s", "--delta", "0.05", "--points", "50",
+                     "--out", str(tmp_path / "wf.csv")]) == 0
+        assert capsys.readouterr().out == (
+            "exponent coefficients: p1=-0.999992, p2=3.90812e-05, p3=1.30271e-05, "
+            "p4=-2.58898e-07, p5=1.73611e-10\n"
+        )
+
 
 class TestScanDelta:
     def test_endpoints_match_reference_rows(self):
@@ -300,6 +320,18 @@ class TestCli:
     ])
     def test_out_of_range_parameters_are_a_usage_error(self, capsys, argv):
         # finite, but their scales over- or underflow a float
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--state", "1s", "--delta", "0.05", "--step", "1e-7"],
+        ["oracle", "--state", "1s", "--delta", "0.05", "--rmax", "1e9"],
+        ["wavefunction", "--state", "1s", "--delta", "0.05", "--points", "1000000000"],
+        ["scan", "--state", "1s", "--delta-start", "0", "--delta-end", "0.1",
+         "--steps", "1000000000"],
+    ], ids=["step", "rmax", "points", "steps"])
+    def test_oversized_grids_are_a_usage_error(self, capsys, argv):
+        # rejected before anything of that size is allocated
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
