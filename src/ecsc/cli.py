@@ -138,8 +138,6 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    if args.steps > MAX_INTERVALS:
-        raise ValidationError(f"--steps must be at most {MAX_INTERVALS}, got {args.steps}")
     units = _parse_units(args.units)
     state = state_from_label(args.state)
     result = scan_delta(

@@ -2,26 +2,31 @@
 
 With the potential split as pure Coulomb plus
 dV = A delta - (A delta^3/3) r^2 + (A delta^4/6) r^3 - ..., the level with
-quantum numbers (n, ell) acquires corrections
+quantum numbers (n, ell) and N = n + ell + 1 acquires corrections
 
     E = E0 + A delta + E1 + E2,
 
-where the first order is always E1 = -(A delta^3/3) <r^2> over the Coulomb
-state.  In closed form, with p(ell) an integer polynomial:
+where the first order is E1 = -(A delta^3/3) <r^2> over the Coulomb state.
+The hydrogen moment <r^2> = (a^2 N^2/2)(5N^2 + 1 - 3 ell(ell+1)), with
+a = hbar^2/(m A), makes this closed for every n; with integer polynomials
+p1(n, ell) and c4(ell), c6(ell):
 
-    E1 = -hbar^4 p1(ell) delta^3 / (6 A m^2)
+    E1 = -hbar^4 p1 delta^3 / (6 A m^2),    p1 = N^2 (5N^2 + 1 - 3 ell(ell+1))
     E2 = hbar^6 c4(ell) delta^4 / (24 A^2 m^3)
          - hbar^10 c6(ell) delta^6 / (72 A^4 m^5)
 
-The integer coefficient polynomials are constructed exactly and converted to
-float only when multiplied by powers of delta, so the five-digit sextic
-coefficients carry no transcription roundoff.
+The integer coefficients are constructed exactly and converted to float only
+when multiplied by powers of delta, so the five-digit sextic coefficients
+carry no transcription roundoff.
 
-The same machinery provides the superpotentials (log-derivative corrections)
-W0, W^(1), W^(2) and the moderated ground-state wavefunction, whose exponent
-P is a numpy ``Polynomial`` with coef[0] = 0:
+The superpotentials (log-derivative corrections) W^(1) and W^(2) are numpy
+``Polynomial``s, and the moderated ground-state wavefunction is derived from
+them rather than expanded separately:
 
-    psi(r) = norm * r^(ell+1) * exp(P(r)),    P(r) = sum_i p_i r^i, i = 1..5.
+    psi(r) = norm * r^(ell+1) * exp(P(r)),
+    P(r) = -beta r - (sqrt(2m)/hbar) integral_0^r (W^(1) + W^(2)),
+
+a ``Polynomial`` with coef = (0, p1, ..., p5).
 
 Second order is only available in closed form for n <= 2; for n = 1 two
 printed alternatives exist (see SecondOrderVariant), and the TRUNCATED one
@@ -35,6 +40,7 @@ from math import exp, sqrt
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
 
 from .core import (
@@ -47,29 +53,37 @@ from .core import (
     UnsupportedExpansionError,
     UnsupportedOrderError,
 )
-from .coulomb import coulomb_beta, coulomb_energy, coulomb_norm, radial_moment
+from .coulomb import coulomb_beta, coulomb_energy, coulomb_norm
+from .coulomb import radial_moment  # noqa: F401  perfbench/tracing.py traces it under this module
+
+
+class _Polynomial(Polynomial):
+    """A ``Polynomial`` on the identity domain, evaluated by ``polyval`` without the domain map.
+
+    The values are bit-identical to ``Polynomial.__call__``; skipping the map
+    matters because ``quad`` calls W^(1) once per node.
+    """
+
+    def __call__(self, r):
+        return polyval(r, self.coef)
 
 
 def _require_expansion(spec: ScreeningSpec) -> None:
-    if spec.g != 1.0:
+    # at delta = 0 the potential is pure Coulomb whatever g is
+    if spec.g != 1.0 and spec.delta != 0.0:
         raise UnsupportedExpansionError(
             f"closed-form corrections assume g = 1, got g = {spec.g}"
         )
 
 
-def _as_variant(variant) -> SecondOrderVariant:
-    return variant if isinstance(variant, SecondOrderVariant) else SecondOrderVariant(variant)
-
-
 def first_order_coefficient(n: int, ell: int) -> int:
-    """Exact integer p1 with E1 = -hbar^4 p1 delta^3 / (6 A m^2), for n <= 2."""
-    if n == 0:
-        return (ell + 1) ** 2 * (ell + 2) * (2 * ell + 3)
-    if n == 1:
-        return (ell + 2) ** 2 * (ell + 7) * (2 * ell + 3)
-    if n == 2:
-        return (ell + 3) ** 2 * (ell + 2) * (2 * ell + 23)
-    raise UnsupportedOrderError(f"no closed first-order coefficient for n = {n}")
+    """Exact integer p1 = N^2 (5N^2 + 1 - 3 ell(ell+1)) with E1 = -hbar^4 p1 delta^3 / (6 A m^2).
+
+    p1 = 2 <r^2> / a^2 for the hydrogen level (Bethe & Salpeter, section 3),
+    so it holds for every n.
+    """
+    big_n = n + ell + 1
+    return big_n**2 * (5 * big_n**2 + 1 - 3 * ell * (ell + 1))
 
 
 def second_order_coefficients(
@@ -80,7 +94,7 @@ def second_order_coefficients(
     The variant only matters for n = 1; the ground and second excited levels
     each have a single closed form.
     """
-    variant = _as_variant(variant)
+    variant = SecondOrderVariant(variant)
     if n == 0:
         c4 = (ell + 1) ** 3 * (ell + 2) * (2 * ell + 3) * (2 * ell + 5)
         c6 = (ell + 1) ** 6 * (ell + 2) * (2 * ell + 3) * (8 * ell**2 + 37 * ell + 43)
@@ -105,19 +119,12 @@ def second_order_coefficients(
 
 
 def first_order_shift(state: QuantumState, spec: ScreeningSpec, units: UnitSystem) -> float:
-    """First-order energy correction E1.
-
-    Uses the closed integer-coefficient form for n <= 2 and the exact moment
-    route E1 = -(A delta^3 / 3) <r^2> for higher radial excitations (the two
-    agree identically where both exist).
-    """
+    """First-order energy correction E1 = -(A delta^3 / 3) <r^2>, for every level."""
     _require_expansion(spec)
     hb, m = units.hbar, units.mass
     a_s, d = spec.strength, spec.delta
-    if state.n <= 2:
-        p1 = first_order_coefficient(state.n, state.ell)
-        return -(hb**4) * p1 * d**3 / (6.0 * a_s * m**2)
-    return -(a_s * d**3 / 3.0) * radial_moment(state, spec, units, 2)
+    p1 = first_order_coefficient(state.n, state.ell)
+    return -(hb**4) * p1 * d**3 / (6.0 * a_s * m**2)
 
 
 def second_order_terms(
@@ -158,7 +165,7 @@ def total_energy(
     For n > 2 no second-order closed form exists; the breakdown carries
     e2 = 0 and is flagged ``first_order_only``.
     """
-    variant = _as_variant(variant)
+    variant = SecondOrderVariant(variant)
     e0 = coulomb_energy(state, spec, units)
     if spec.delta == 0.0:
         return EnergyBreakdown(e0, 0.0, 0.0, 0.0, variant)
@@ -176,19 +183,16 @@ def total_energy(
 
 @dataclass(frozen=True)
 class GroundCoefficients:
-    """Parameters (a, b, c, d) of the ground-level second-order superpotential.
-
-    ``d`` carries a 1/delta term and is only formed for delta > 0.
-    """
+    """Parameters (a, b, c) of the ground-level second-order superpotential W^(2)."""
 
     a: float
     b: float
     c: float
-    d: float | None
 
 
 def ground_coefficients(ell: int, spec: ScreeningSpec, units: UnitSystem) -> GroundCoefficients:
-    """The (a, b, c, d) parameter set entering W^(2) and P(r) for n = 0."""
+    """The (a, b, c) parameter set entering W^(2) for n = 0."""
+    QuantumState(0, ell)  # rejects ell < 0
     _require_expansion(spec)
     hb, m = units.hbar, units.mass
     a_s, d = spec.strength, spec.delta
@@ -199,8 +203,7 @@ def ground_coefficients(ell: int, spec: ScreeningSpec, units: UnitSystem) -> Gro
         - 1.5 * (2 * ell + 5) / lp
     )
     c = hb**2 * lp**3 / (9.0 * a_s * m)
-    dd = b + 6.0 * a_s * m / (hb**2 * lp**2 * d) if d > 0.0 else None
-    return GroundCoefficients(a, b, c, dd)
+    return GroundCoefficients(a, b, c)
 
 
 def superpotential_w0(state: QuantumState, spec: ScreeningSpec, units: UnitSystem):
@@ -230,8 +233,8 @@ def superpotential_w0(state: QuantumState, spec: ScreeningSpec, units: UnitSyste
 
 def superpotential_first(
     state: QuantumState, spec: ScreeningSpec, units: UnitSystem, truncated: bool = False
-):
-    """First-order superpotential W^(1)(r).
+) -> Polynomial:
+    """First-order superpotential W^(1)(r), a quadratic ``Polynomial``.
 
     For n = 0 this is the exact quadratic solution of the first-order
     Riccati equation,
@@ -259,70 +262,43 @@ def superpotential_first(
         const = 0.0
     else:
         const = -2.0 * hb**4 * (big_n - 1) * big_n**2 / (a_s**2 * m**2)
-
-    def w1(r):
-        arr = np.asarray(r, dtype=float)
-        out = pref * (arr**2 + lin * arr + const)
-        return out if out.ndim else float(out)
-
-    return w1
+    return _Polynomial((pref * const, pref * lin, pref))
 
 
-def superpotential_second_ground(ell: int, spec: ScreeningSpec, units: UnitSystem):
-    """Second-order ground superpotential W^(2)(r) for n = 0.
+def superpotential_second_ground(ell: int, spec: ScreeningSpec, units: UnitSystem) -> Polynomial:
+    """Second-order ground superpotential W^(2)(r) for n = 0, a quartic ``Polynomial``.
 
     W^(2)(r) = -(hbar delta^4 c r / (2 sqrt(2m)))
                * (delta^2 r^3 + a r^2 + b (r + hbar^2 (ell+1)(ell+2)/(A m)))
                - (hbar (ell+1) / (sqrt(2m) A)) E2.
 
     The trailing constant adjusts the asymptotic decay rate for the
-    second-order energy shift.  At delta = 0 the function is identically zero.
+    second-order energy shift.  At delta = 0 every coefficient is zero.
     """
+    state = QuantumState(0, ell)
     hb, m = units.hbar, units.mass
     a_s, d = spec.strength, spec.delta
-    if d == 0.0:
-        def w2_zero(r):
-            arr = np.asarray(r, dtype=float)
-            out = 0.0 * arr
-            return out if out.ndim else 0.0
-
-        return w2_zero
-    _require_expansion(spec)
     k = hb / sqrt(2.0 * m)
     gc = ground_coefficients(ell, spec, units)
     cr = hb**2 * (ell + 1) * (ell + 2) / (a_s * m)
-    e2 = second_order_shift(QuantumState(0, ell), spec, units)
-    tail = -k * (ell + 1) / a_s * e2
-
-    def w2(r):
-        arr = np.asarray(r, dtype=float)
-        out = -(k * gc.c * d**4 / 2.0) * arr * (d**2 * arr**3 + gc.a * arr**2 + gc.b * (arr + cr))
-        out = out + tail
-        return out if out.ndim else float(out)
-
-    return w2
+    tail = -k * (ell + 1) / a_s * second_order_shift(state, spec, units)
+    scale = -k * gc.c * d**4 / 2.0
+    return _Polynomial((tail, scale * gc.b * cr, scale * gc.b, scale * gc.a, scale * d**2))
 
 
 def wavefunction_polynomial(ell: int, spec: ScreeningSpec, units: UnitSystem) -> Polynomial:
     """The exponent P(r) = sum_i p_i r^i, i = 1..5, of the moderated ground state.
 
-    A numpy ``Polynomial`` with ``coef = (0, p1, ..., p5)``.  At delta = 0 only
-    p1 = -beta survives (pure Coulomb decay).
+    A numpy ``Polynomial`` with ``coef = (0, p1, ..., p5)``, derived as
+    P = -beta r - (sqrt(2m)/hbar) integral_0^r (W^(1) + W^(2)).  At delta = 0
+    only p1 = -beta survives (pure Coulomb decay).
     """
-    a_s, d = spec.strength, spec.delta
     state = QuantumState(0, ell)
-    beta = coulomb_beta(state, spec, units)
-    if d == 0.0:
-        return Polynomial((0.0, -beta, 0.0, 0.0, 0.0, 0.0))
-    _require_expansion(spec)
-    gc = ground_coefficients(ell, spec, units)
-    e2 = second_order_shift(state, spec, units)
-    p1 = (ell + 1) * e2 / a_s - beta
-    p2 = 2.25 * (ell + 2) / (ell + 1) ** 2 * gc.c**2 * gc.d * d**4
-    p3 = gc.c * gc.d * d**4 / 6.0
-    p4 = gc.a * gc.c * d**4 / 8.0
-    p5 = gc.c * d**6 / 10.0
-    return Polynomial((0.0, p1, p2, p3, p4, p5))
+    w = superpotential_first(state, spec, units) + superpotential_second_ground(ell, spec, units)
+    exponent = (_Polynomial((0.0, -coulomb_beta(state, spec, units)))
+                - sqrt(2.0 * units.mass) / units.hbar * w.integ())
+    # polynomial arithmetic trims trailing zeros; restore all six coefficients
+    return _Polynomial(np.pad(exponent.coef, (0, 6 - exponent.coef.size)))
 
 
 def moderated_validity_radius(ell: int, spec: ScreeningSpec, units: UnitSystem) -> float:
@@ -335,10 +311,11 @@ def moderated_validity_radius(ell: int, spec: ScreeningSpec, units: UnitSystem) 
     lengths are reported as infinite; the amplitude there is already
     negligible.
     """
+    state = QuantumState(0, ell)
     if spec.delta == 0.0:
         return float("inf")
     poly = wavefunction_polynomial(ell, spec, units)
-    beta = coulomb_beta(QuantumState(0, ell), spec, units)
+    beta = coulomb_beta(state, spec, units)
     peak = (ell + 1) / beta
     rs = np.linspace(peak, 200.0 / beta, 20000)
     rate = (ell + 1) / rs + poly.deriv()(rs)

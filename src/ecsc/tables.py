@@ -50,6 +50,7 @@ from .quadrature import (
     second_order_energy_numeric,
 )
 from .radial import (
+    MAX_INTERVALS,
     NoBoundStateError,
     default_solver_config,
     solve_bound_state,
@@ -395,8 +396,8 @@ def scan_delta(
     variant: SecondOrderVariant = SecondOrderVariant.TRUNCATED,
 ) -> ScanResult:
     """One ComparisonRow per screening value on a uniform grid of ``steps`` points."""
-    if steps < 1:
-        raise ValidationError("steps must be >= 1")
+    if not 1 <= steps <= MAX_INTERVALS:
+        raise ValidationError(f"steps must be between 1 and {MAX_INTERVALS}, got {steps}")
     if delta_start < 0.0 or delta_end < delta_start:
         raise ValidationError("need 0 <= delta_start <= delta_end")
     if steps == 1:

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 
 from ecsc import (
@@ -12,6 +14,7 @@ from ecsc import (
     SecondOrderVariant,
     UnsupportedExpansionError,
     UnsupportedOrderError,
+    ValidationError,
     coulomb_wavefunction,
     first_order_shift,
     ground_coefficients,
@@ -28,6 +31,8 @@ from ecsc import (
     total_energy,
     wavefunction_polynomial,
 )
+from ecsc.coulomb import _moment_fraction
+from ecsc.perturbation import first_order_coefficient
 
 SQ2 = math.sqrt(2.0)
 
@@ -50,7 +55,7 @@ class TestFirstOrder:
         got = first_order_shift(state_from_label("2s"), spec, HBAR2M)
         assert got == pytest.approx(-0.028, rel=1e-13)
 
-    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("n", range(0, 6))
     @pytest.mark.parametrize("ell", range(0, 7))
     def test_moment_identity(self, n, ell):
         # closed form == -(A delta^3/3) <r^2>, an exact polynomial identity in ell
@@ -60,6 +65,14 @@ class TestFirstOrder:
             closed = first_order_shift(st, spec, units)
             moment = -(strength * spec.delta**3 / 3.0) * radial_moment(st, spec, units, 2)
             assert closed == pytest.approx(moment, rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    @pytest.mark.parametrize("ell", range(0, 7))
+    def test_coefficient_is_the_exact_moment(self, n, ell):
+        # p1 = 2 <r^2>/a^2 and <r^2> = _moment_fraction / (2 beta)^2 with beta = 1/(N a)
+        big_n = n + ell + 1
+        exact = Fraction(big_n**2, 2) * _moment_fraction(n, ell, 2)
+        assert first_order_coefficient(n, ell) == exact
 
     def test_high_n_uses_moment_route(self):
         st = QuantumState(5, 1)
@@ -251,8 +264,10 @@ class TestSuperpotentials:
         assert w2(0.0) == pytest.approx(-8.5855e-5, abs=1e-9)
 
     def test_w2_vanishes_without_screening(self):
-        w2 = superpotential_second_ground(2, ScreeningSpec(delta=0.0), ATOMIC)
-        assert all(w2(r) == 0.0 for r in (0.1, 1.0, 10.0))
+        # at delta = 0 the potential is pure Coulomb, so any g is accepted
+        for g in (1.0, 0.0):
+            w2 = superpotential_second_ground(2, ScreeningSpec(delta=0.0, g=g), ATOMIC)
+            assert all(w2(r) == 0.0 for r in (0.1, 1.0, 10.0))
 
     @pytest.mark.parametrize("ell", [0, 1, 2])
     def test_log_derivative_identity(self, ell):
@@ -281,19 +296,20 @@ class TestGroundCoefficients:
             assert gc.b == pytest.approx(-1.5 * (2 * ell + 5) / (ell + 1), rel=1e-9)
             assert gc.c > 0.0
 
-    def test_d_relation(self):
-        spec = ScreeningSpec(delta=0.1)
-        gc = ground_coefficients(0, spec, ATOMIC)
-        assert gc.d == pytest.approx(gc.b + 6.0 / spec.delta, rel=1e-13)
-
-    def test_d_not_formed_at_zero_screening(self):
-        assert ground_coefficients(0, ScreeningSpec(delta=0.0), ATOMIC).d is None
-
 
 class TestGroundWavefunction:
     def test_coulomb_limit_polynomial(self):
-        poly = wavefunction_polynomial(0, ScreeningSpec(delta=0.0), ATOMIC)
-        assert tuple(poly.coef) == (0.0, -1.0, 0.0, 0.0, 0.0, 0.0)
+        for g in (1.0, 0.0):
+            poly = wavefunction_polynomial(0, ScreeningSpec(delta=0.0, g=g), ATOMIC)
+            assert tuple(poly.coef) == (0.0, -1.0, 0.0, 0.0, 0.0, 0.0)
+
+    def test_subnormal_screening_keeps_every_coefficient(self):
+        # p2 = delta^3/3 at ell = 0 in atomic units; delta^4 is subnormal here, so
+        # p2 must come from W^(1) alone and p5 = delta^6/90 underflows to zero
+        delta = 1e-80
+        poly = wavefunction_polynomial(0, ScreeningSpec(delta=delta), ATOMIC)
+        assert poly.coef.size == 6
+        assert poly.coef[2] == pytest.approx(delta**3 / 3.0, rel=1e-12, abs=0.0)
 
     def test_coulomb_limit_amplitude(self):
         psi, _ = ground_wavefunction(0, ScreeningSpec(delta=0.0), ATOMIC)
@@ -344,3 +360,24 @@ class TestGroundWavefunction:
         anchor = u_direct(1.0) / u_poly(1.0)
         for r in np.linspace(0.1, 8.0, 17):
             assert u_direct(r) / u_poly(r) == pytest.approx(anchor, rel=1e-6)
+
+
+class TestNegativeEll:
+    @pytest.mark.parametrize("ell", [-1, -2])
+    @pytest.mark.parametrize("delta", [0.0, 0.05])
+    @pytest.mark.parametrize(
+        "helper",
+        [ground_coefficients, superpotential_second_ground, wavefunction_polynomial,
+         moderated_validity_radius, ground_wavefunction],
+    )
+    def test_ground_helpers_reject(self, helper, delta, ell):
+        with pytest.raises(ValidationError):
+            helper(ell, ScreeningSpec(delta=delta), ATOMIC)
+
+
+class TestPolynomialForms:
+    def test_superpotentials_and_exponent_are_polynomials(self):
+        spec = ScreeningSpec(delta=0.05)
+        assert isinstance(superpotential_first(state_from_label("2s"), spec, ATOMIC), Polynomial)
+        assert isinstance(superpotential_second_ground(1, spec, ATOMIC), Polynomial)
+        assert isinstance(wavefunction_polynomial(1, spec, ATOMIC), Polynomial)

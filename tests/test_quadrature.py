@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-import ecsc.quadrature
+import ecsc
 
 from ecsc import (
     ATOMIC,
@@ -265,10 +265,20 @@ def _imported_modules(tree: ast.AST):
 
 
 class TestLayering:
-    def test_quadrature_imports_no_closed_forms(self):
-        # the numeric witness must stay independent of what it checks
-        tree = ast.parse(Path(ecsc.quadrature.__file__).read_text(encoding="utf-8"))
-        forbidden = ("ecsc.perturbation", "ecsc.tables")
+    # the three routes stay independent: none imports another or the tables,
+    # and the eigensolver does not even use the Coulomb basis
+    @pytest.mark.parametrize(
+        "route, forbidden",
+        [
+            ("quadrature", ("ecsc.perturbation", "ecsc.radial", "ecsc.tables")),
+            ("perturbation", ("ecsc.quadrature", "ecsc.radial", "ecsc.tables")),
+            ("radial", ("ecsc.quadrature", "ecsc.perturbation", "ecsc.tables", "ecsc.coulomb")),
+        ],
+        ids=["quadrature", "perturbation", "radial"],
+    )
+    def test_route_imports_no_other_route(self, route, forbidden):
+        path = Path(ecsc.__file__).parent / f"{route}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         bad = [m for m in _imported_modules(tree)
                if any(m == f or m.startswith(f + ".") for f in forbidden)]
         assert bad == []
