@@ -8,14 +8,11 @@ eigensolver, and a CLI that reproduces the bundled reference tables.
 from .core import (
     ATOMIC,
     HBAR2M,
-    DomainError,
     EnergyBreakdown,
     QuantumState,
     ScreeningSpec,
     SecondOrderVariant,
     UnitSystem,
-    UnsupportedExpansionError,
-    UnsupportedOrderError,
     ValidationError,
     make_unit_system,
     state_from_label,
@@ -50,7 +47,6 @@ from .potential import (
     series_coefficient,
 )
 from .quadrature import (
-    NodeSingularityError,
     QuadratureSpec,
     ToleranceNotMetError,
     first_order_energy_numeric,

@@ -23,18 +23,6 @@ from .radial import MAX_INTERVALS, NoBoundStateError, default_solver_config, sol
 from .tables import TABLES, render_text, reproduce_table, scan_delta
 
 
-def _parse_units(text: str):
-    if text in ("atomic", "hbar2m"):
-        return make_unit_system(text)
-    if text.startswith("custom:"):
-        try:
-            h, m = (float(v) for v in text[len("custom:"):].split(","))
-        except ValueError:
-            raise ValidationError(f"cannot parse units {text!r}; expected custom:HBAR,MASS")
-        return make_unit_system(hbar=h, mass=m)
-    raise ValidationError(f"unknown units {text!r}; expected atomic, hbar2m or custom:HBAR,MASS")
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--state", required=True, help="spectroscopic label, e.g. 1s, 2p, 3d")
     parser.add_argument("--A", type=float, default=1.0, help="potential strength (default 1)")
@@ -114,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_energy(args) -> int:
-    units = _parse_units(args.units)
+    units = make_unit_system(args.units)
     state = state_from_label(args.state)
     spec = ScreeningSpec(delta=args.delta, strength=args.A)
     breakdown = total_energy(state, spec, units, SecondOrderVariant(args.variant))
@@ -138,7 +126,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    units = _parse_units(args.units)
+    units = make_unit_system(args.units)
     state = state_from_label(args.state)
     result = scan_delta(
         state, args.A, units, args.delta_start, args.delta_end, args.steps,
@@ -149,12 +137,11 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_wavefunction(args) -> int:
-    units = _parse_units(args.units)
+    units = make_unit_system(args.units)
     state = state_from_label(args.state)
     if state.n != 0:
-        print("the analytic moderated wavefunction is available for n = 0 levels only",
-              file=sys.stderr)
-        return 2
+        raise ValidationError(
+            "the analytic moderated wavefunction is available for n = 0 levels only")
     if not 1 <= args.points <= MAX_INTERVALS:
         raise ValidationError(f"--points must be between 1 and {MAX_INTERVALS}, got {args.points}")
     if args.rmax is not None and not (isfinite(args.rmax) and args.rmax > 0.0):
@@ -175,7 +162,7 @@ def _cmd_wavefunction(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    units = _parse_units(args.units)
+    units = make_unit_system(args.units)
     state = state_from_label(args.state)
     spec = ScreeningSpec(delta=args.delta, strength=args.A, g=args.g)
     config = default_solver_config(state, spec, units)
@@ -214,7 +201,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, KeyError, ArithmeticError) as exc:
+    except (ValidationError, ArithmeticError) as exc:
         prefix = "out of floating-point range: " if isinstance(exc, ArithmeticError) else ""
         print(f"error: {prefix}{exc}", file=sys.stderr)
         return 2

@@ -6,22 +6,13 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from math import isfinite
+from numbers import Integral
+
+import numpy as np
 
 
 class ValidationError(ValueError):
-    """A domain object was constructed with invalid parameters."""
-
-
-class DomainError(ValueError):
-    """An operation was evaluated outside its mathematical domain."""
-
-
-class UnsupportedExpansionError(ValueError):
-    """A series-based result was requested outside the g = 1 expansion."""
-
-
-class UnsupportedOrderError(ValueError):
-    """A perturbation order with no closed form was requested."""
+    """An argument lies outside what the package accepts or what a closed form covers."""
 
 
 #: spectroscopic letters in order of increasing orbital angular momentum
@@ -48,26 +39,27 @@ class UnitSystem:
             )
 
 
-def make_unit_system(
-    preset: str | None = None, *, hbar: float | None = None, mass: float | None = None
-) -> UnitSystem:
-    """Build a UnitSystem from a named preset or an explicit (hbar, mass) pair.
-
-    Presets: "atomic" (hbar = m = 1) and "hbar2m" (hbar = 1, m = 1/2).
-    """
-    if preset is not None:
-        if hbar is not None or mass is not None:
-            raise ValidationError("give either a preset name or explicit hbar/mass, not both")
+def make_unit_system(text: str) -> UnitSystem:
+    """Parse "atomic" (hbar = m = 1), "hbar2m" (hbar = 1, m = 1/2) or "custom:HBAR,MASS"."""
+    if text in _PRESETS:
+        return UnitSystem(*_PRESETS[text], label=text)
+    if text.startswith("custom:"):
         try:
-            h, m = _PRESETS[preset]
-        except KeyError:
-            raise ValidationError(
-                f"unknown unit preset {preset!r}; expected one of {sorted(_PRESETS)}"
-            ) from None
-        return UnitSystem(h, m, label=preset)
-    if hbar is None or mass is None:
-        raise ValidationError("explicit unit system needs both hbar and mass")
-    return UnitSystem(float(hbar), float(mass))
+            h, m = (float(v) for v in text[len("custom:"):].split(","))
+        except ValueError:
+            raise ValidationError(f"cannot parse units {text!r}; expected custom:HBAR,MASS")
+        return UnitSystem(h, m)
+    raise ValidationError(
+        f"unknown units {text!r}; expected {', '.join(_PRESETS)} or custom:HBAR,MASS"
+    )
+
+
+def check_positive_radius(r) -> np.ndarray:
+    """``r`` as a float array, or ValidationError if any entry is not positive."""
+    arr = np.asarray(r, dtype=float)
+    if np.any(arr <= 0.0):
+        raise ValidationError("radius must be positive (Coulomb singularity at r = 0)")
+    return arr
 
 
 ATOMIC = make_unit_system("atomic")
@@ -86,6 +78,10 @@ class QuantumState:
     ell: int
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.n, Integral) and isinstance(self.ell, Integral)):
+            raise ValidationError(
+                f"n and ell must be integers, got (n={self.n!r}, ell={self.ell!r})"
+            )
         if self.n < 0 or self.ell < 0:
             raise ValidationError(f"need n >= 0 and ell >= 0, got (n={self.n}, ell={self.ell})")
 

@@ -24,7 +24,7 @@ from math import comb, factorial, sqrt
 import numpy as np
 from scipy.special import eval_genlaguerre
 
-from .core import DomainError, QuantumState, ScreeningSpec, UnitSystem
+from .core import QuantumState, ScreeningSpec, UnitSystem, ValidationError, check_positive_radius
 
 
 def laguerre(n: int, k: int, x):
@@ -34,7 +34,7 @@ def laguerre(n: int, k: int, x):
     :func:`_moment_fraction`, where exact arithmetic is needed.
     """
     if n < 0 or k < 0:
-        raise DomainError(f"need n >= 0 and k >= 0, got (n={n}, k={k})")
+        raise ValidationError(f"need n >= 0 and k >= 0, got (n={n}, k={k})")
     return eval_genlaguerre(n, k, x)
 
 
@@ -64,9 +64,7 @@ def coulomb_norm(state: QuantumState, spec: ScreeningSpec, units: UnitSystem) ->
 
 def coulomb_wavefunction(state: QuantumState, spec: ScreeningSpec, units: UnitSystem, r):
     """Normalized radial amplitude chi(r); accepts scalars or arrays."""
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0.0):
-        raise DomainError("radius must be positive")
+    arr = check_positive_radius(r)
     beta = coulomb_beta(state, spec, units)
     norm = coulomb_norm(state, spec, units)
     out = (
@@ -93,6 +91,6 @@ def _moment_fraction(n: int, ell: int, k: int) -> Fraction:
 def radial_moment(state: QuantumState, spec: ScreeningSpec, units: UnitSystem, k: int) -> float:
     """Analytic <r^k> = integral chi^2 r^k dr for integer k >= -2."""
     if k < -2:
-        raise DomainError(f"moment <r^{k}> not supported; need k >= -2 for all bound states")
+        raise ValidationError(f"moment <r^{k}> not supported; need k >= -2 for all bound states")
     beta = coulomb_beta(state, spec, units)
     return float(_moment_fraction(state.n, state.ell, k)) / (2.0 * beta) ** k

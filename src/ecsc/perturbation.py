@@ -44,14 +44,13 @@ from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
 
 from .core import (
-    DomainError,
     EnergyBreakdown,
     QuantumState,
     ScreeningSpec,
     SecondOrderVariant,
     UnitSystem,
-    UnsupportedExpansionError,
-    UnsupportedOrderError,
+    ValidationError,
+    check_positive_radius,
 )
 from .coulomb import coulomb_beta, coulomb_energy, coulomb_norm
 from .coulomb import radial_moment  # noqa: F401  perfbench/tracing.py traces it under this module
@@ -71,7 +70,7 @@ class _Polynomial(Polynomial):
 def _require_expansion(spec: ScreeningSpec) -> None:
     # at delta = 0 the potential is pure Coulomb whatever g is
     if spec.g != 1.0 and spec.delta != 0.0:
-        raise UnsupportedExpansionError(
+        raise ValidationError(
             f"closed-form corrections assume g = 1, got g = {spec.g}"
         )
 
@@ -112,7 +111,7 @@ def second_order_coefficients(
             16 * ell**4 + 474 * ell**3 + 3879 * ell**2 + 12118 * ell + 12873
         )
     else:
-        raise UnsupportedOrderError(
+        raise ValidationError(
             f"no closed second-order form for n = {n}; only n <= 2 is available"
         )
     return c4, c6
@@ -213,7 +212,7 @@ def superpotential_w0(state: QuantumState, spec: ScreeningSpec, units: UnitSyste
     Only the node-free n = 0 level has this node-free closed form.
     """
     if state.n != 0:
-        raise UnsupportedOrderError(
+        raise ValidationError(
             "unperturbed superpotentials are only closed-form for n = 0 (excited ones have nodes)"
         )
     hb, m = units.hbar, units.mass
@@ -222,9 +221,7 @@ def superpotential_w0(state: QuantumState, spec: ScreeningSpec, units: UnitSyste
     lp = state.ell + 1
 
     def w0(r):
-        arr = np.asarray(r, dtype=float)
-        if np.any(arr <= 0.0):
-            raise DomainError("radius must be positive")
+        arr = check_positive_radius(r)
         out = -k * lp / arr + const
         return out if out.ndim else float(out)
 
@@ -350,9 +347,7 @@ def ground_wavefunction(
         scale = 1.0 / sqrt(val)
 
     def psi(r):
-        arr = np.asarray(r, dtype=float)
-        if np.any(arr <= 0.0):
-            raise DomainError("radius must be positive")
+        arr = check_positive_radius(r)
         out = scale * arr ** (ell + 1) * np.exp(poly(arr))
         return out if out.ndim else float(out)
 

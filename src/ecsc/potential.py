@@ -27,7 +27,7 @@ from math import factorial
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .core import DomainError, ScreeningSpec, UnitSystem, UnsupportedExpansionError
+from .core import ScreeningSpec, UnitSystem, ValidationError, check_positive_radius
 
 #: truncation orders accepted by perturbation_remainder (V_2 = 0, so 2 is never needed)
 _REMAINDER_ORDERS = (1, 3, 4, 5)
@@ -45,21 +45,14 @@ def _gauss_power(i: int) -> tuple[int, int]:
 def series_coefficient(i: int) -> Fraction:
     """Exact rational V_i of the g = 1 expansion; V_0 = 1 from the Coulomb limit."""
     if i < 0:
-        raise DomainError(f"series index must be >= 0, got {i}")
+        raise ValidationError(f"series index must be >= 0, got {i}")
     re, _ = _gauss_power(i)
     return Fraction(re, factorial(i))
 
 
-def _check_positive_radius(r) -> np.ndarray:
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0.0):
-        raise DomainError("radius must be positive (Coulomb singularity at r = 0)")
-    return arr
-
-
 def evaluate_potential(r, spec: ScreeningSpec):
     """V(r) = -(A/r) exp(-delta r) cos(g delta r); accepts scalars or arrays."""
-    arr = _check_positive_radius(r)
+    arr = check_positive_radius(r)
     out = -(spec.strength / arr) * np.exp(-spec.delta * arr) * np.cos(spec.g * spec.delta * arr)
     return out if out.ndim else float(out)
 
@@ -67,8 +60,8 @@ def evaluate_potential(r, spec: ScreeningSpec):
 def effective_potential(r, spec: ScreeningSpec, ell: int, units: UnitSystem):
     """Screened potential plus the centrifugal barrier hbar^2 l(l+1)/(2 m r^2)."""
     if ell < 0:
-        raise DomainError(f"ell must be >= 0, got {ell}")
-    arr = _check_positive_radius(r)
+        raise ValidationError(f"ell must be >= 0, got {ell}")
+    arr = check_positive_radius(r)
     barrier = units.hbar**2 * ell * (ell + 1) / (2.0 * units.mass * arr**2)
     out = evaluate_potential(arr, spec) + barrier
     return out if out.ndim else float(out)
@@ -81,12 +74,12 @@ def perturbation_remainder(r, spec: ScreeningSpec, max_order: int = 4):
     terms through r^3, which is the working set of the closed-form theory.
     """
     if spec.g != 1.0:
-        raise UnsupportedExpansionError(
+        raise ValidationError(
             f"the small-delta expansion is only available for g = 1, got g = {spec.g}"
         )
     if max_order not in _REMAINDER_ORDERS:
-        raise DomainError(f"max_order must be one of {_REMAINDER_ORDERS}, got {max_order}")
-    arr = _check_positive_radius(r)
+        raise ValidationError(f"max_order must be one of {_REMAINDER_ORDERS}, got {max_order}")
+    arr = check_positive_radius(r)
     coeffs = [-spec.strength * float(series_coefficient(i)) * spec.delta**i
               for i in range(1, max_order + 1)]
     out = polyval(arr, coeffs)

@@ -24,13 +24,13 @@ closed-form energies it is used to check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import roots_laguerre
 
-from .core import DomainError, QuantumState, ScreeningSpec, UnitSystem, ValidationError
+from .core import QuantumState, ScreeningSpec, UnitSystem, ValidationError
 from .coulomb import coulomb_beta, coulomb_norm, laguerre
 
 
@@ -41,10 +41,6 @@ class ToleranceNotMetError(RuntimeError):
         super().__init__(message)
         self.best_estimate = best_estimate
         self.error_estimate = error_estimate
-
-
-class NodeSingularityError(ValueError):
-    """Cumulative superpotential integrals are singular at wavefunction nodes."""
 
 
 @dataclass(frozen=True)
@@ -107,23 +103,28 @@ def integrate_density_with_error(
     qspec = qspec or _DEFAULT_SPEC
     if qspec.scheme == "gauss":
         val = _gauss_eval(state, spec, units, f, _GAUSS_NODES)
-        ref = _gauss_eval(state, spec, units, f, _GAUSS_NODES - 32)
-        return val, abs(val - ref)
-    chi2, beta, _ = _chi2_factory(state, spec, units)
-    r_max = _R_MAX_FACTOR / beta
-    integrand = lambda r: chi2(r) * f(r)
-    epsrel = max(qspec.rel_tol * 1e-2, 5e-14)
-    val, err, *info = quad(integrand, 0.0, r_max, epsabs=0.0, epsrel=epsrel,
-                           limit=300, full_output=True)
-    if len(info) > 1:  # quad appended a warning message: retry with an absolute floor
-        val, err, *info = quad(integrand, 0.0, r_max,
-                               epsabs=max(qspec.rel_tol * abs(val), 1e-300),
-                               epsrel=epsrel, limit=300, full_output=True)
-        if len(info) > 1:
-            raise ToleranceNotMetError(
-                f"adaptive refinement stalled: {info[1]}", float(val), float(err)
-            )
-    return float(val), float(err)
+        err = abs(val - _gauss_eval(state, spec, units, f, _GAUSS_NODES - 32))
+    else:
+        chi2, beta, _ = _chi2_factory(state, spec, units)
+        r_max = _R_MAX_FACTOR / beta
+        integrand = lambda r: chi2(r) * f(r)
+        epsrel = max(qspec.rel_tol * 1e-2, 5e-14)
+        val, err, *info = quad(integrand, 0.0, r_max, epsabs=0.0, epsrel=epsrel,
+                               limit=300, full_output=True)
+        if len(info) > 1:  # quad appended a warning message: retry with an absolute floor
+            val, err, *info = quad(integrand, 0.0, r_max,
+                                   epsabs=max(qspec.rel_tol * abs(val), 1e-300),
+                                   epsrel=epsrel, limit=300, full_output=True)
+            if len(info) > 1:
+                raise ToleranceNotMetError(
+                    f"adaptive refinement stalled: {info[1]}", float(val), float(err)
+                )
+        val, err = float(val), float(err)
+    if not (isfinite(val) and isfinite(err)):
+        raise ToleranceNotMetError(
+            f"integral is not finite: value {val}, error estimate {err}", val, err
+        )
+    return val, err
 
 
 def integrate_density(
@@ -168,7 +169,7 @@ def superpotential_first_numeric(
     accuracy where chi^2 is tiny.
     """
     if state.n != 0:
-        raise NodeSingularityError(
+        raise ValidationError(
             "chi^2 vanishes at the nodes of excited states; use the closed-form "
             "hierarchy superpotential for n >= 1"
         )
@@ -186,7 +187,7 @@ def superpotential_first_numeric(
 
     def w1(r: float) -> float:
         if r < 0.0:
-            raise DomainError("radius must be nonnegative")
+            raise ValidationError("radius must be nonnegative")
         if r == 0.0:
             return 0.0
         if r <= r_split:

@@ -295,7 +295,7 @@ def reproduce_table(
     """Recompute one reference table cell by cell and diff at full precision."""
     tid = table_id.upper()
     if tid not in TABLES:
-        raise KeyError(f"unknown table {table_id!r}; expected one of {sorted(TABLES)}")
+        raise ValidationError(f"unknown table {table_id!r}; expected one of {sorted(TABLES)}")
     definition = TABLES[tid]
     cells = []
     for row in definition.named_rows():

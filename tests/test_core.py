@@ -1,9 +1,13 @@
+import importlib
 import math
+import pkgutil
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ecsc
 from ecsc import (
     ATOMIC,
     HBAR2M,
@@ -29,21 +33,26 @@ class TestUnitSystem:
         assert (u.hbar, u.mass) == (1.0, 0.5)
 
     def test_explicit_pair(self):
-        u = make_unit_system(hbar=2.0, mass=3.0)
+        u = UnitSystem(2.0, 3.0)
         assert (u.hbar, u.mass) == (2.0, 3.0)
 
     @pytest.mark.parametrize("hbar,mass", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -2.0)])
     def test_nonpositive_rejected(self, hbar, mass):
         with pytest.raises(ValidationError):
-            make_unit_system(hbar=hbar, mass=mass)
+            UnitSystem(hbar, mass)
 
     def test_unknown_preset(self):
         with pytest.raises(ValidationError):
             make_unit_system("si")
 
-    def test_preset_and_explicit_conflict(self):
+    def test_custom_pair(self):
+        u = make_unit_system("custom:2,0.5")
+        assert (u.hbar, u.mass, u.label) == (2.0, 0.5, "custom")
+
+    @pytest.mark.parametrize("bad", ["custom:1", "custom:1,2,3", "custom:a,b", "custom:0,1"])
+    def test_bad_custom_pair(self, bad):
         with pytest.raises(ValidationError):
-            make_unit_system("atomic", hbar=1.0, mass=1.0)
+            make_unit_system(bad)
 
     def test_module_constants(self):
         assert ATOMIC.mass == 1.0 and HBAR2M.mass == 0.5
@@ -75,6 +84,14 @@ class TestQuantumState:
             QuantumState(-1, 0)
         with pytest.raises(ValidationError):
             QuantumState(0, -2)
+
+    @pytest.mark.parametrize("n,ell", [(0.5, 0), (0, 1.0), (1.0, 1), ("1", 0)])
+    def test_non_integer_quantum_numbers(self, n, ell):
+        with pytest.raises(ValidationError):
+            QuantumState(n, ell)
+
+    def test_numpy_integers_accepted(self):
+        assert QuantumState(np.int64(1), np.int64(0)).label == "2s"
 
 
 class TestScreeningSpec:
@@ -122,3 +139,17 @@ class TestEnergyBreakdown:
     def test_coulomb_limit_shape(self):
         bd = EnergyBreakdown(-0.125, 0.0, 0.0, 0.0, SecondOrderVariant.TRUNCATED)
         assert bd.total == bd.e0
+
+
+class TestErrorTypes:
+    def test_one_value_error_type(self):
+        # rejected arguments raise ValidationError; the other two report results
+        # that could not be computed
+        defined = {}
+        for info in pkgutil.iter_modules(ecsc.__path__):
+            module = importlib.import_module(f"ecsc.{info.name}")
+            defined.update((c.__name__, c) for c in vars(module).values()
+                           if isinstance(c, type) and issubclass(c, BaseException)
+                           and c.__module__ == module.__name__)
+        assert sorted(defined) == ["NoBoundStateError", "ToleranceNotMetError", "ValidationError"]
+        assert [n for n, c in defined.items() if issubclass(c, ValueError)] == ["ValidationError"]

@@ -9,9 +9,9 @@ from scipy.special import eval_genlaguerre
 from ecsc import (
     ATOMIC,
     HBAR2M,
-    DomainError,
     QuantumState,
     ScreeningSpec,
+    ValidationError,
     coulomb_beta,
     coulomb_energy,
     coulomb_wavefunction,
@@ -55,7 +55,7 @@ class TestLaguerre:
                     assert abs(laguerre(n, k, x) - float(sum(terms))) <= 1e-12 * scale
 
     def test_negative_arguments_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             laguerre(-1, 0, 1.0)
 
 
@@ -156,7 +156,7 @@ class TestRadialMoment:
         assert radial_moment(st, spec, ATOMIC, k) == pytest.approx(want, rel=1e-9)
 
     def test_divergent_request_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             radial_moment(state_from_label("1s"), SPEC1, ATOMIC, -3)
 
     def test_units_scaling(self):

@@ -12,8 +12,6 @@ from ecsc import (
     QuantumState,
     ScreeningSpec,
     SecondOrderVariant,
-    UnsupportedExpansionError,
-    UnsupportedOrderError,
     ValidationError,
     coulomb_wavefunction,
     first_order_shift,
@@ -90,7 +88,7 @@ class TestFirstOrder:
             assert e1 * a == pytest.approx(ref, rel=1e-13)
 
     def test_requires_cosine_factor_one(self):
-        with pytest.raises(UnsupportedExpansionError):
+        with pytest.raises(ValidationError):
             first_order_shift(state_from_label("1s"), ScreeningSpec(delta=0.1, g=0.0), ATOMIC)
 
 
@@ -143,7 +141,7 @@ class TestSecondOrder:
             assert q * a**2 == pytest.approx(q1, rel=1e-13)
 
     def test_no_closed_form_beyond_n2(self):
-        with pytest.raises(UnsupportedOrderError):
+        with pytest.raises(ValidationError):
             second_order_shift(QuantumState(3, 0), ScreeningSpec(delta=0.1), ATOMIC)
 
 
@@ -221,7 +219,7 @@ class TestSuperpotentials:
         assert w0(1e12) == pytest.approx(1.0 / (2.0 * SQ2), abs=1e-11)
 
     def test_w0_rejects_excited(self):
-        with pytest.raises(UnsupportedOrderError):
+        with pytest.raises(ValidationError):
             superpotential_w0(state_from_label("2s"), ScreeningSpec(delta=0.0), ATOMIC)
 
     def test_w1_ground_closed_form(self):

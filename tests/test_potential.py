@@ -7,9 +7,8 @@ import pytest
 from ecsc import (
     ATOMIC,
     HBAR2M,
-    DomainError,
     ScreeningSpec,
-    UnsupportedExpansionError,
+    ValidationError,
     effective_potential,
     evaluate_potential,
     perturbation_remainder,
@@ -41,7 +40,7 @@ class TestEvaluatePotential:
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_nonpositive_radius(self, bad):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             evaluate_potential(bad, ScreeningSpec(delta=0.1))
 
     def test_yukawa_matches_exponential_form(self):
@@ -70,7 +69,7 @@ class TestSeriesCoefficients:
             assert got == pytest.approx(z.real, rel=1e-12, abs=1e-9)
 
     def test_negative_index(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             series_coefficient(-1)
 
     def test_partial_sums_converge_to_potential(self):
@@ -107,7 +106,7 @@ class TestEffectivePotential:
         assert got == pytest.approx(1.0)
 
     def test_negative_ell_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             effective_potential(1.0, ScreeningSpec(delta=0.1), -1, ATOMIC)
 
 
@@ -134,10 +133,10 @@ class TestPerturbationRemainder:
             assert truncated == pytest.approx(exact, rel=1e-6)
 
     def test_requires_cosine_factor_one(self):
-        with pytest.raises(UnsupportedExpansionError):
+        with pytest.raises(ValidationError):
             perturbation_remainder(1.0, ScreeningSpec(delta=0.1, g=0.0))
 
     @pytest.mark.parametrize("order", [0, 2, 6])
     def test_order_whitelist(self, order):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             perturbation_remainder(1.0, ScreeningSpec(delta=0.1), max_order=order)

@@ -9,7 +9,6 @@ import ecsc
 from ecsc import (
     ATOMIC,
     HBAR2M,
-    NodeSingularityError,
     QuadratureSpec,
     QuantumState,
     ScreeningSpec,
@@ -90,6 +89,14 @@ class TestIntegrateDensity:
         assert math.isfinite(exc.value.best_estimate)
         assert exc.value.error_estimate > 0.0
 
+    @pytest.mark.parametrize("scheme", ["adaptive", "gauss"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_integrand_raises(self, scheme, value):
+        st = state_from_label("1s")
+        with pytest.raises(ToleranceNotMetError):
+            integrate_density_with_error(st, ScreeningSpec(delta=0.0), ATOMIC,
+                                         lambda r: value, QuadratureSpec(scheme=scheme))
+
 
 class TestFirstOrderNumeric:
     def test_ground_value(self):
@@ -142,7 +149,7 @@ class TestSuperpotentialNumeric:
         assert abs(w_num(1e-4)) < 1e-7
 
     def test_excited_states_refused(self):
-        with pytest.raises(NodeSingularityError):
+        with pytest.raises(ValidationError):
             superpotential_first_numeric(state_from_label("2s"), ScreeningSpec(delta=0.1), ATOMIC)
 
 

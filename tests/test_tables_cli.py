@@ -81,7 +81,7 @@ class TestReproduceTables:
         assert abs(cells[(16, 0, 1)].diff) > 1e-6
 
     def test_unknown_table(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValidationError):
             reproduce_table("T9")
 
     def test_definitions_are_complete(self, monkeypatch):
@@ -272,6 +272,15 @@ class TestCli:
 
     def test_wavefunction_rejects_excited(self, capsys):
         assert main(["wavefunction", "--state", "2s", "--A", "1", "--delta", "0.05"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_programming_errors_are_not_usage_errors(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(ecsc.cli, "total_energy", broken)
+        with pytest.raises(KeyError):
+            main(["energy", "--state", "1s", "--delta", "0.1"])
 
     @pytest.mark.parametrize("option", [("--points", "0"), ("--points", "-3"),
                                         ("--rmax", "-1"), ("--rmax", "nan")])
