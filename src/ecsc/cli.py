@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from math import isfinite
@@ -52,6 +53,7 @@ def _emit(text: str, out_path) -> None:
         raise ValidationError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ecsc",

@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, sqrt
+from numbers import Integral
 
 import numpy as np
 from scipy.special import eval_genlaguerre
@@ -33,8 +34,8 @@ def laguerre(n: int, k: int, x):
     Evaluated by scipy's recurrence; the exact rational coefficients live in
     :func:`_moment_fraction`, where exact arithmetic is needed.
     """
-    if n < 0 or k < 0:
-        raise ValidationError(f"need n >= 0 and k >= 0, got (n={n}, k={k})")
+    if not (isinstance(n, Integral) and isinstance(k, Integral)) or n < 0 or k < 0:
+        raise ValidationError(f"need integers n >= 0 and k >= 0, got (n={n!r}, k={k!r})")
     return eval_genlaguerre(n, k, x)
 
 
@@ -90,7 +91,7 @@ def _moment_fraction(n: int, ell: int, k: int) -> Fraction:
 
 def radial_moment(state: QuantumState, spec: ScreeningSpec, units: UnitSystem, k: int) -> float:
     """Analytic <r^k> = integral chi^2 r^k dr for integer k >= -2."""
-    if k < -2:
-        raise ValidationError(f"moment <r^{k}> not supported; need k >= -2 for all bound states")
+    if not isinstance(k, Integral) or k < -2:
+        raise ValidationError(f"moment <r^{k!r}> not supported; need an integer k >= -2")
     beta = coulomb_beta(state, spec, units)
     return float(_moment_fraction(state.n, state.ell, k)) / (2.0 * beta) ** k

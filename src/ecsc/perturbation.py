@@ -40,8 +40,6 @@ from math import exp, sqrt
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from numpy.polynomial.polynomial import polyval
-from scipy.integrate import quad
 
 from .core import (
     EnergyBreakdown,
@@ -54,17 +52,6 @@ from .core import (
 )
 from .coulomb import coulomb_beta, coulomb_energy, coulomb_norm
 from .coulomb import radial_moment  # noqa: F401  perfbench/tracing.py traces it under this module
-
-
-class _Polynomial(Polynomial):
-    """A ``Polynomial`` on the identity domain, evaluated by ``polyval`` without the domain map.
-
-    The values are bit-identical to ``Polynomial.__call__``; skipping the map
-    matters because ``quad`` calls W^(1) once per node.
-    """
-
-    def __call__(self, r):
-        return polyval(r, self.coef)
 
 
 def _require_expansion(spec: ScreeningSpec) -> None:
@@ -259,7 +246,7 @@ def superpotential_first(
         const = 0.0
     else:
         const = -2.0 * hb**4 * (big_n - 1) * big_n**2 / (a_s**2 * m**2)
-    return _Polynomial((pref * const, pref * lin, pref))
+    return Polynomial((pref * const, pref * lin, pref))
 
 
 def superpotential_second_ground(ell: int, spec: ScreeningSpec, units: UnitSystem) -> Polynomial:
@@ -280,7 +267,7 @@ def superpotential_second_ground(ell: int, spec: ScreeningSpec, units: UnitSyste
     cr = hb**2 * (ell + 1) * (ell + 2) / (a_s * m)
     tail = -k * (ell + 1) / a_s * second_order_shift(state, spec, units)
     scale = -k * gc.c * d**4 / 2.0
-    return _Polynomial((tail, scale * gc.b * cr, scale * gc.b, scale * gc.a, scale * d**2))
+    return Polynomial((tail, scale * gc.b * cr, scale * gc.b, scale * gc.a, scale * d**2))
 
 
 def wavefunction_polynomial(ell: int, spec: ScreeningSpec, units: UnitSystem) -> Polynomial:
@@ -292,10 +279,10 @@ def wavefunction_polynomial(ell: int, spec: ScreeningSpec, units: UnitSystem) ->
     """
     state = QuantumState(0, ell)
     w = superpotential_first(state, spec, units) + superpotential_second_ground(ell, spec, units)
-    exponent = (_Polynomial((0.0, -coulomb_beta(state, spec, units)))
+    exponent = (Polynomial((0.0, -coulomb_beta(state, spec, units)))
                 - sqrt(2.0 * units.mass) / units.hbar * w.integ())
     # polynomial arithmetic trims trailing zeros; restore all six coefficients
-    return _Polynomial(np.pad(exponent.coef, (0, 6 - exponent.coef.size)))
+    return Polynomial(np.pad(exponent.coef, (0, 6 - exponent.coef.size)))
 
 
 def moderated_validity_radius(ell: int, spec: ScreeningSpec, units: UnitSystem) -> float:
@@ -340,6 +327,7 @@ def ground_wavefunction(
     poly = wavefunction_polynomial(ell, spec, units)
     scale = coulomb_norm(state, spec, units)
     if renormalize:
+        from scipy.integrate import quad  # deferred: only this branch needs QUADPACK
         beta = coulomb_beta(state, spec, units)
         r_stop = min(60.0 / beta, moderated_validity_radius(ell, spec, units))
         density = lambda x: (x ** (ell + 1) * exp(poly(x))) ** 2

@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from numbers import Integral
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -44,8 +45,8 @@ def _gauss_power(i: int) -> tuple[int, int]:
 
 def series_coefficient(i: int) -> Fraction:
     """Exact rational V_i of the g = 1 expansion; V_0 = 1 from the Coulomb limit."""
-    if i < 0:
-        raise ValidationError(f"series index must be >= 0, got {i}")
+    if not isinstance(i, Integral) or i < 0:
+        raise ValidationError(f"series index must be an integer >= 0, got {i!r}")
     re, _ = _gauss_power(i)
     return Fraction(re, factorial(i))
 
@@ -77,7 +78,7 @@ def perturbation_remainder(r, spec: ScreeningSpec, max_order: int = 4):
         raise ValidationError(
             f"the small-delta expansion is only available for g = 1, got g = {spec.g}"
         )
-    if max_order not in _REMAINDER_ORDERS:
+    if not isinstance(max_order, Integral) or max_order not in _REMAINDER_ORDERS:
         raise ValidationError(f"max_order must be one of {_REMAINDER_ORDERS}, got {max_order}")
     arr = check_positive_radius(r)
     coeffs = [-spec.strength * float(series_coefficient(i)) * spec.delta**i

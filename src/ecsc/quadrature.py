@@ -11,8 +11,12 @@ and the first-order superpotential follows from the cumulative integral
     W1(r) = (sqrt(2m)/hbar) chi(r)^-2 *
             integral_0^r chi^2(x) [E1 + A delta^3 x^2 / 3] dx.
 
-Two schemes sit behind one interface: adaptive subdivision on [0, r_max]
-(default) and a fixed-node Gauss-Laguerre rule on the exponential weight.
+Two schemes sit behind one interface.  The default ("adaptive") doubles the
+panels of a composite 20-point Gauss-Legendre rule on [0, 40/beta] until two
+estimates agree to rel_tol, or to 64 eps times integral |chi^2 f| so that
+integrands cancelling to near zero converge; the other ("gauss") is a fixed
+Gauss-Laguerre rule on the exponential weight.  Every integrand f maps an
+array of radii to an array of values, and is called once per rule.
 
 The cumulative W1 construction divides by chi^2 and is therefore only
 offered for the node-free ground level; for excited states the caller
@@ -24,10 +28,10 @@ closed-form energies it is used to check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isfinite, sqrt
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import roots_laguerre
 
 from .core import QuantumState, ScreeningSpec, UnitSystem, ValidationError
@@ -61,8 +65,43 @@ _DEFAULT_SPEC = QuadratureSpec()
 
 #: adaptive integrals stop at r = _R_MAX_FACTOR / beta, where chi^2 ~ r^(2 ell + 2) exp(-80)
 _R_MAX_FACTOR = 40.0
+#: Gauss-Legendre panels double from 4 (the density integrals converge at 8) up to 256
+_PANEL_POINTS = 20
+_MIN_PANELS, _MAX_PANELS = 4, 256
 #: Gauss-Laguerre nodes; the error estimate compares with a rule of 32 fewer
 _GAUSS_NODES = 150
+
+
+@lru_cache(maxsize=None)
+def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    # composite Gauss-Legendre nodes and weights on [0, 1] split into equal panels
+    t, w = np.polynomial.legendre.leggauss(_PANEL_POINTS)
+    left = np.arange(panels)[:, None] / panels
+    return (left + (t + 1.0) / (2.0 * panels)).ravel(), np.tile(w / (2.0 * panels), panels)
+
+
+def _integrate(g, lo, width, epsrel: float):
+    """(integral, error estimate) of g over [lo, lo + width]; lo and width may be arrays.
+
+    The panel count doubles until at every point the last two estimates
+    differ by at most epsrel times the finer one or 64 eps integral |g|.
+    """
+    lo, width = np.asarray(lo, dtype=float)[..., None], np.asarray(width, dtype=float)[..., None]
+    coarse, panels = None, _MIN_PANELS
+    while True:
+        t, w = _panel_rule(panels)
+        terms = g(lo + width * t) * (width * w)
+        fine = terms.sum(axis=-1)
+        if not np.isfinite(fine).all():
+            raise ToleranceNotMetError("integral is not finite", fine, np.inf)
+        if coarse is not None:
+            err = np.abs(fine - coarse)
+            floor = 64.0 * np.finfo(float).eps * np.abs(terms).sum(axis=-1)
+            if (err <= np.maximum(epsrel * np.abs(fine), floor)).all():
+                return fine, err
+            if panels >= _MAX_PANELS:
+                raise ToleranceNotMetError(f"panel doubling stalled at {panels} panels", fine, err)
+        coarse, panels = fine, 2 * panels
 
 
 def _density_without_exp(state: QuantumState, norm: float, r, x):
@@ -75,21 +114,23 @@ def _chi2_factory(state: QuantumState, spec: ScreeningSpec, units: UnitSystem):
     beta = coulomb_beta(state, spec, units)
     norm = coulomb_norm(state, spec, units)
 
-    def chi2(r: float) -> float:
+    def chi2(r):
         x = 2.0 * beta * r
         return _density_without_exp(state, norm, r, x) * np.exp(-x)
 
-    return chi2, beta, norm
+    return chi2, beta
+
+
+_laguerre_rule = lru_cache(maxsize=None)(roots_laguerre)
 
 
 def _gauss_eval(state, spec, units, f, nodes: int) -> float:
     # substitute x = 2 beta r so exp(-x) becomes the Gauss-Laguerre weight
     beta = coulomb_beta(state, spec, units)
     norm = coulomb_norm(state, spec, units)
-    x, w = roots_laguerre(nodes)
+    x, w = _laguerre_rule(nodes)
     r = x / (2.0 * beta)
-    fx = np.array([f(ri) for ri in r], dtype=float)
-    return float(np.sum(w * _density_without_exp(state, norm, r, x) * fx) / (2.0 * beta))
+    return float(np.sum(w * _density_without_exp(state, norm, r, x) * f(r)) / (2.0 * beta))
 
 
 def integrate_density_with_error(
@@ -105,20 +146,8 @@ def integrate_density_with_error(
         val = _gauss_eval(state, spec, units, f, _GAUSS_NODES)
         err = abs(val - _gauss_eval(state, spec, units, f, _GAUSS_NODES - 32))
     else:
-        chi2, beta, _ = _chi2_factory(state, spec, units)
-        r_max = _R_MAX_FACTOR / beta
-        integrand = lambda r: chi2(r) * f(r)
-        epsrel = max(qspec.rel_tol * 1e-2, 5e-14)
-        val, err, *info = quad(integrand, 0.0, r_max, epsabs=0.0, epsrel=epsrel,
-                               limit=300, full_output=True)
-        if len(info) > 1:  # quad appended a warning message: retry with an absolute floor
-            val, err, *info = quad(integrand, 0.0, r_max,
-                                   epsabs=max(qspec.rel_tol * abs(val), 1e-300),
-                                   epsrel=epsrel, limit=300, full_output=True)
-            if len(info) > 1:
-                raise ToleranceNotMetError(
-                    f"adaptive refinement stalled: {info[1]}", float(val), float(err)
-                )
+        chi2, beta = _chi2_factory(state, spec, units)
+        val, err = _integrate(lambda r: chi2(r) * f(r), 0.0, _R_MAX_FACTOR / beta, qspec.rel_tol)
         val, err = float(val), float(err)
     if not (isfinite(val) and isfinite(err)):
         raise ToleranceNotMetError(
@@ -134,7 +163,11 @@ def integrate_density(
     f,
     qspec: QuadratureSpec | None = None,
 ) -> float:
-    """integral_0^inf chi^2(r) f(r) dr for polynomially bounded f."""
+    """integral_0^inf chi^2(r) f(r) dr for polynomially bounded f on arrays of radii.
+
+    The adaptive scheme doubles panels on [0, 40/beta] down to rel_tol or the
+    roundoff floor (see the module docstring).
+    """
     qspec = qspec or _DEFAULT_SPEC
     val, err = integrate_density_with_error(state, spec, units, f, qspec)
     if err > max(qspec.rel_tol * abs(val), 1e-12):
@@ -163,10 +196,11 @@ def superpotential_first_numeric(
 ):
     """Cumulative-integral W1(r) for the node-free ground level (n = 0).
 
-    The lower limit 0 picks the solution that is finite at the origin.
-    Past the density peak the forward integral is evaluated through its
-    vanishing total as minus the tail integral, which preserves relative
-    accuracy where chi^2 is tiny.
+    W1 maps r >= 0, a float or an array, to the same.  The lower limit 0
+    picks the solution that is finite at the origin.  Past the density peak
+    the forward integral is evaluated through its vanishing total as minus
+    the tail integral over [r, r + 40/beta], which preserves relative
+    accuracy where chi^2 is tiny.  Both use the adaptive panel doubling.
     """
     if state.n != 0:
         raise ValidationError(
@@ -175,27 +209,22 @@ def superpotential_first_numeric(
         )
     qspec = qspec or _DEFAULT_SPEC
     e1 = first_order_energy_numeric(state, spec, units, qspec)
-    chi2, beta, _ = _chi2_factory(state, spec, units)
+    chi2, beta = _chi2_factory(state, spec, units)
     third = spec.strength * spec.delta**3 / 3.0
     pref = sqrt(2.0 * units.mass) / units.hbar
     r_split = 2.0 * (state.ell + 1) / beta
-    r_max = _R_MAX_FACTOR / beta
-    eps_abs = max(1e-6 * qspec.rel_tol * abs(e1), 1e-300)
+    integrand = lambda x: chi2(x) * (e1 + third * x**2)
 
-    def integrand(x: float) -> float:
-        return chi2(x) * (e1 + third * x**2)
-
-    def w1(r: float) -> float:
-        if r < 0.0:
+    def w1(r):
+        arr = np.asarray(r, dtype=float)
+        if np.any(arr < 0.0):
             raise ValidationError("radius must be nonnegative")
-        if r == 0.0:
-            return 0.0
-        if r <= r_split:
-            val, _ = quad(integrand, 0.0, r, epsabs=eps_abs, epsrel=1e-12, limit=200)
-        else:
-            tail, _ = quad(integrand, r, r_max, epsabs=eps_abs, epsrel=1e-12, limit=200)
-            val = -tail
-        return pref * val / chi2(r)
+        tail = arr > r_split
+        val, _ = _integrate(integrand, np.where(tail, arr, 0.0),
+                            np.where(tail, _R_MAX_FACTOR / beta, arr), qspec.rel_tol)
+        # the integral over [0, 0] is exactly 0, so any nonzero divisor serves at r = 0
+        out = pref * np.where(tail, -val, val) / chi2(np.where(arr > 0.0, arr, 1.0))
+        return out if out.ndim else float(out)
 
     return w1
 
@@ -209,11 +238,10 @@ def second_order_energy_numeric(
 ) -> float:
     """E2 as the density integral of A delta^4/6 r^3 - W1(r)^2.
 
-    ``w1`` is the first-order superpotential to square: the numeric one for
-    n = 0, or a closed-form hierarchy variant for any n.
+    ``w1`` is the first-order superpotential to square (on arrays): the
+    numeric one for n = 0, or a closed-form hierarchy variant for any n.
     """
     sixth = spec.strength * spec.delta**4 / 6.0
     return integrate_density(
         state, spec, units, lambda r: sixth * r**3 - w1(r) ** 2, qspec
     )
-

@@ -58,6 +58,13 @@ class TestLaguerre:
         with pytest.raises(ValidationError):
             laguerre(-1, 0, 1.0)
 
+    def test_non_integer_orders_rejected(self):
+        # scipy would evaluate the Laguerre function of non-integer degree
+        for n, k in ((1.5, 1), (1, 1.0)):
+            with pytest.raises(ValidationError):
+                laguerre(n, k, 0.3)
+        assert laguerre(np.int64(1), np.int64(1), 2.0) == 0.0
+
 
 class TestCoulombEnergy:
     def test_hydrogen_ground(self):
@@ -158,6 +165,12 @@ class TestRadialMoment:
     def test_divergent_request_rejected(self):
         with pytest.raises(ValidationError):
             radial_moment(state_from_label("1s"), SPEC1, ATOMIC, -3)
+
+    def test_non_integer_power_rejected(self):
+        st = state_from_label("2p")
+        with pytest.raises(ValidationError):
+            radial_moment(st, SPEC1, ATOMIC, 1.5)
+        assert radial_moment(st, SPEC1, ATOMIC, np.int64(2)) == radial_moment(st, SPEC1, ATOMIC, 2)
 
     def test_units_scaling(self):
         # <r^k> scales as (hbar^2/(m A))^k

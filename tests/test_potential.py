@@ -72,6 +72,11 @@ class TestSeriesCoefficients:
         with pytest.raises(ValidationError):
             series_coefficient(-1)
 
+    def test_non_integer_index(self):
+        with pytest.raises(ValidationError):
+            series_coefficient(1.5)
+        assert series_coefficient(np.int64(3)) == Fraction(1, 3)
+
     def test_partial_sums_converge_to_potential(self):
         # -(A/r) sum V_i (delta r)^i approaches the closed form for delta*r < 1
         spec = ScreeningSpec(delta=0.2, strength=1.3)
@@ -140,3 +145,10 @@ class TestPerturbationRemainder:
     def test_order_whitelist(self, order):
         with pytest.raises(ValidationError):
             perturbation_remainder(1.0, ScreeningSpec(delta=0.1), max_order=order)
+
+    def test_non_integer_order(self):
+        # 4.0 == 4 would pass the whitelist and fail later with a TypeError
+        spec = ScreeningSpec(delta=0.1)
+        with pytest.raises(ValidationError):
+            perturbation_remainder(1.0, spec, 4.0)
+        assert perturbation_remainder(1.0, spec, np.int64(4)) == perturbation_remainder(1.0, spec, 4)

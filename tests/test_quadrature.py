@@ -2,6 +2,7 @@ import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ecsc
@@ -15,11 +16,13 @@ from ecsc import (
     SecondOrderVariant,
     ToleranceNotMetError,
     ValidationError,
+    coulomb_energy,
     first_order_energy_numeric,
     first_order_shift,
     integrate_density,
     integrate_density_with_error,
     radial_moment,
+    scan_delta,
     second_order_coefficients,
     second_order_energy_numeric,
     second_order_shift,
@@ -75,19 +78,30 @@ class TestIntegrateDensity:
         # halving rel_tol moves the value by less than the reported estimate
         st = state_from_label("2s")
         spec = ScreeningSpec(delta=0.05)
-        f = lambda r: r**2 * math.exp(-0.05 * r)
+        f = lambda r: r**2 * np.exp(-0.05 * r)
         v1, e1 = integrate_density_with_error(st, spec, ATOMIC, f, QuadratureSpec(rel_tol=1e-8))
         v2, _ = integrate_density_with_error(st, spec, ATOMIC, f, QuadratureSpec(rel_tol=5e-9))
         assert abs(v1 - v2) <= max(e1, 1e-13 * abs(v1))
 
     def test_tolerance_failure_carries_best_estimate(self):
         st = state_from_label("1s")
-        nasty = lambda r: math.sin(1e5 * r)
+        nasty = lambda r: np.sin(1e5 * r)
         with pytest.raises(ToleranceNotMetError) as exc:
             integrate_density(st, ScreeningSpec(delta=0.0), ATOMIC, nasty,
                               QuadratureSpec(rel_tol=1e-13))
         assert math.isfinite(exc.value.best_estimate)
         assert exc.value.error_estimate > 0.0
+
+    @pytest.mark.parametrize("qspec", [None, GAUSS])
+    def test_integrand_takes_arrays_a_few_times(self, qspec):
+        seen = []
+
+        def f(r):
+            seen.append(type(r))
+            return r**2
+
+        integrate_density(state_from_label("3d"), ScreeningSpec(delta=0.1), ATOMIC, f, qspec)
+        assert set(seen) == {np.ndarray} and 1 <= len(seen) <= 6
 
     @pytest.mark.parametrize("scheme", ["adaptive", "gauss"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -148,6 +162,15 @@ class TestSuperpotentialNumeric:
         assert w_num(0.0) == 0.0
         assert abs(w_num(1e-4)) < 1e-7
 
+    def test_past_the_cutoff(self):
+        # the tail integral spans [r, r + 40/beta], so W1 holds at and beyond r = 40/beta
+        st = state_from_label("1s")
+        spec = ScreeningSpec(delta=0.1)
+        rs = np.array([30.0, 39.0, 45.0])
+        got = superpotential_first_numeric(st, spec, ATOMIC)(rs)
+        assert isinstance(got, np.ndarray)
+        np.testing.assert_allclose(got, superpotential_first(st, spec, ATOMIC)(rs), rtol=1e-9)
+
     def test_excited_states_refused(self):
         with pytest.raises(ValidationError):
             superpotential_first_numeric(state_from_label("2s"), ScreeningSpec(delta=0.1), ATOMIC)
@@ -182,6 +205,20 @@ class TestSecondOrderNumeric:
         spec = ScreeningSpec(delta=0.0)
         w1 = superpotential_first(st, spec, ATOMIC)
         assert second_order_energy_numeric(st, spec, ATOMIC, w1) == 0.0
+
+    def test_cancelling_integrand(self):
+        # the E2 integrand of this level nearly cancels at this delta; the
+        # panel doubling converges on its roundoff floor instead of stalling
+        st, delta = QuantumState(2, 3), 0.0872618
+        spec = ScreeningSpec(delta=delta, strength=8.0)
+        (row,) = scan_delta(st, 8.0, HBAR2M, delta, delta, 1).rows
+        square = (superpotential_first(st, spec, HBAR2M, truncated=True) ** 2).coef
+        mom = lambda k: radial_moment(st, spec, HBAR2M, k)
+        e2 = 8.0 * delta**4 / 6.0 * mom(3) - sum(c * mom(k) for k, c in enumerate(square))
+        e0 = coulomb_energy(st, spec, HBAR2M)
+        e1 = first_order_shift(st, spec, HBAR2M)
+        tolerance = 1e-10 * abs(e1) + 1e-9 * abs(e2) + 4.0 * math.ulp(e0)
+        assert abs(row.quadrature - (e0 + 8.0 * delta + e1 + e2)) <= tolerance
 
     @pytest.mark.parametrize("units,strength", [(ATOMIC, 1.0), (HBAR2M, 8.0)])
     def test_ground_equivalence_grid(self, units, strength):
@@ -273,11 +310,12 @@ def _imported_modules(tree: ast.AST):
 
 class TestLayering:
     # the three routes stay independent: none imports another or the tables,
-    # and the eigensolver does not even use the Coulomb basis
+    # and the eigensolver does not even use the Coulomb basis; the quadrature
+    # has one integrator, its panel-doubling rule, and no QUADPACK beside it
     @pytest.mark.parametrize(
         "route, forbidden",
         [
-            ("quadrature", ("ecsc.perturbation", "ecsc.radial", "ecsc.tables")),
+            ("quadrature", ("ecsc.perturbation", "ecsc.radial", "ecsc.tables", "scipy.integrate")),
             ("perturbation", ("ecsc.quadrature", "ecsc.radial", "ecsc.tables")),
             ("radial", ("ecsc.quadrature", "ecsc.perturbation", "ecsc.tables", "ecsc.coulomb")),
         ],
