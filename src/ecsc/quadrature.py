@@ -110,17 +110,6 @@ def _density_without_exp(state: QuantumState, norm: float, r, x):
     return norm**2 * r ** (2 * state.ell + 2) * lag**2
 
 
-def _chi2_factory(state: QuantumState, spec: ScreeningSpec, units: UnitSystem):
-    beta = coulomb_beta(state, spec, units)
-    norm = coulomb_norm(state, spec, units)
-
-    def chi2(r):
-        x = 2.0 * beta * r
-        return _density_without_exp(state, norm, r, x) * np.exp(-x)
-
-    return chi2, beta
-
-
 _laguerre_rule = lru_cache(maxsize=None)(roots_laguerre)
 
 
@@ -146,8 +135,13 @@ def integrate_density_with_error(
         val = _gauss_eval(state, spec, units, f, _GAUSS_NODES)
         err = abs(val - _gauss_eval(state, spec, units, f, _GAUSS_NODES - 32))
     else:
-        chi2, beta = _chi2_factory(state, spec, units)
-        val, err = _integrate(lambda r: chi2(r) * f(r), 0.0, _R_MAX_FACTOR / beta, qspec.rel_tol)
+        beta, norm = coulomb_beta(state, spec, units), coulomb_norm(state, spec, units)
+
+        def chi2_f(r):
+            x = 2.0 * beta * r
+            return _density_without_exp(state, norm, r, x) * np.exp(-x) * f(r)
+
+        val, err = _integrate(chi2_f, 0.0, _R_MAX_FACTOR / beta, qspec.rel_tol)
         val, err = float(val), float(err)
     if not (isfinite(val) and isfinite(err)):
         raise ToleranceNotMetError(
@@ -209,21 +203,25 @@ def superpotential_first_numeric(
         )
     qspec = qspec or _DEFAULT_SPEC
     e1 = first_order_energy_numeric(state, spec, units, qspec)
-    chi2, beta = _chi2_factory(state, spec, units)
+    beta = coulomb_beta(state, spec, units)
     third = spec.strength * spec.delta**3 / 3.0
     pref = sqrt(2.0 * units.mass) / units.hbar
     r_split = 2.0 * (state.ell + 1) / beta
-    integrand = lambda x: chi2(x) * (e1 + third * x**2)
 
     def w1(r):
         arr = np.asarray(r, dtype=float)
         if np.any(arr < 0.0):
             raise ValidationError("radius must be nonnegative")
         tail = arr > r_split
+        # integrate chi^2(x) / chi^2(r) = (x/r)^(2 ell + 2) exp(-2 beta (x - r))
+        # (n = 0), finite where chi^2 underflows; r = 0 spans [0, 0], so any
+        # divisor serves there
+        ref = np.where(arr > 0.0, arr, 1.0)[..., None]
+        integrand = lambda x: ((x / ref) ** (2 * state.ell + 2) * np.exp(-2.0 * beta * (x - ref))
+                               * (e1 + third * x**2))
         val, _ = _integrate(integrand, np.where(tail, arr, 0.0),
                             np.where(tail, _R_MAX_FACTOR / beta, arr), qspec.rel_tol)
-        # the integral over [0, 0] is exactly 0, so any nonzero divisor serves at r = 0
-        out = pref * np.where(tail, -val, val) / chi2(np.where(arr > 0.0, arr, 1.0))
+        out = pref * np.where(tail, -val, val)
         return out if out.ndim else float(out)
 
     return w1

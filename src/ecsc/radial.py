@@ -4,17 +4,20 @@ The radial equation -(hbar^2/2m) chi'' + V_eff(r) chi = E chi is discretised
 with the three-point Laplacian on a uniform grid, with chi = 0 at r = 0 and
 at r_max.  That gives a symmetric tridiagonal matrix with negative
 off-diagonals, whose (n+1)-th lowest eigenvector has exactly n sign changes
-(discrete oscillation theorem), so the level with n nodes is selected by its
-index.  LAPACK bisection with Sturm counts (dstebz; Barth, Martin &
-Wilkinson, Numer. Math. 9 (1967) 386) finds that one eigenvalue on the grids
-h, 2h and 4h.  One Richardson step on the O(h^2) discretisation error gives
-the energy, and the difference of the (h, 2h) and (2h, 4h) steps, plus the
-roundoff floor, its error estimate.
+(discrete oscillation theorem), so the level with n nodes is eigenvalue n.
+LAPACK bisection with Sturm counts (dstebz; Barth, Martin & Wilkinson,
+Numer. Math. 9 (1967) 386) finds it on a grid of step 2^k h with at least
+1024 intervals.  Each finer grid down to h refines the interpolated vector
+and the Richardson prediction of the eigenvalue by inverse iteration shifted
+to the Rayleigh quotient (Parlett, The Symmetric Eigenvalue Problem, ch. 4);
+a grid whose vector has other than n sign changes is bisected instead.  One
+Richardson step on the O(h^2) discretisation error gives the energy, and the
+difference of the (h, 2h) and (2h, 4h) steps, plus the roundoff floor, its
+error estimate.
 
 The caller supplies the full effective potential including the centrifugal
 barrier (see :func:`ecsc.potential.effective_potential`).  It is evaluated
-once, on the finest grid; the coarser grids take every second and fourth
-point of it.
+once, on the finest grid; the coarser grids take every 2^k-th point of it.
 """
 
 from __future__ import annotations
@@ -24,12 +27,15 @@ from math import sqrt
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 
 from .core import QuantumState, ScreeningSpec, UnitSystem, ValidationError
 
 _EPS = np.finfo(float).eps
 # dstebz locates eigenvalues most accurately at twice the underflow threshold
 _BISECTION_TOL = 2.0 * np.finfo(float).tiny
+# intervals of the bisected start grid; Rayleigh-quotient steps per finer grid
+_START_INTERVALS, _MAX_ITERATIONS = 1024, 8
 #: largest grid any command allocates, in intervals (or samples, or scan
 #: points); the default grid of 40 000 N intervals stays below it up to N = 104
 MAX_INTERVALS = 2**22
@@ -84,7 +90,9 @@ class RadialFunction:
     """A solved bound state: normalized amplitude samples and metadata.
 
     ``error_estimate`` estimates |energy - exact level| at the given cutoff
-    r_max: the spread of two Richardson steps plus the roundoff floor.
+    r_max: the spread of two Richardson steps plus the roundoff floor.  It is
+    blind to the cutoff itself: Yukawa 1s at screening 1.0 (A = 1, atomic
+    units) is -0.0102852 at r_max = 40 and -0.0102858 at 80, both +- 3e-11.
     ``converged`` says whether it is within the config's energy_abs_tol;
     ``error_estimate`` is nan when a caller builds the record without one.
     """
@@ -103,19 +111,29 @@ def _count_interior_nodes(values: np.ndarray) -> int:
     return int(np.count_nonzero(np.signbit(sig[1:]) != np.signbit(sig[:-1])))
 
 
-def _level(v: np.ndarray, h: float, kinetic: float, n: int, vector: bool = False):
-    """Eigenvalue n of the three-point Hamiltonian on interior samples ``v``.
-
-    ``kinetic`` is hbar^2/m.  With ``vector`` the result is the pair
-    (eigenvalues, eigenvectors) of eigh_tridiagonal, else the eigenvalue.
-    """
-    diagonal = kinetic / h**2 + v
-    off_diagonal = np.full(v.size - 1, -0.5 * kinetic / h**2)
-    found = eigh_tridiagonal(
-        diagonal, off_diagonal, eigvals_only=not vector, select="i",
+def _level(v: np.ndarray, c: float, n: int) -> float:
+    """Eigenvalue n of the matrix with diagonal 2c + v, off-diagonal -c, by bisection."""
+    return float(eigh_tridiagonal(
+        2.0 * c + v, np.full(v.size - 1, -c), eigvals_only=True, select="i",
         select_range=(n, n), lapack_driver="stebz", tol=_BISECTION_TOL,
-    )
-    return found if vector else float(found[0])
+    )[0])
+
+
+def _refine(v: np.ndarray, c: float, n: int, shift: float, x: np.ndarray, tolerance: float):
+    """Inverse iteration, shifted to the Rayleigh quotient, on the matrix of
+    ``_level``: (eigenvalue, unit vector, whether it settled on n nodes)."""
+    for _ in range(_MAX_ITERATIONS):
+        *_, x, info = dgtsv(np.full(v.size - 1, -c), v - (shift - 2.0 * c),
+                            np.full(v.size - 1, -c), x, True, True, True, True)
+        if info != 0:
+            return shift, x, False
+        x /= np.linalg.norm(x)
+        # x^T T x in difference form: no cancellation against the diagonal 2c
+        quotient = c * (np.sum(np.diff(x) ** 2) + x[0] ** 2 + x[-1] ** 2) + np.dot(v, x * x)
+        moved, shift = abs(quotient - shift), quotient
+        if moved <= tolerance:
+            return shift, x, _count_interior_nodes(x) == n
+    return shift, x, False
 
 
 def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConfig):
@@ -139,27 +157,41 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
 
     unbound = (f"level n={state.n}, l={state.ell} lies at E >= 0 on the grid to "
                f"r_max = {intervals * h:g}: a box-quantised continuum state, not bound")
-    kinetic = units.hbar**2 / units.mass
-    levels, vectors = _level(v, h, kinetic, state.n, vector=True)
-    e_h = float(levels[0])
+    kinetic, n = units.hbar**2 / units.mass, state.n
+    # The level sits some 1e6 times below the diagonal kinetic / h^2.  On Coulomb
+    # 1s, 2p, 3p and 4f the Rayleigh quotient is within 1.5e-4 eps kinetic / h^2
+    # of 80-bit bisection of the unrounded matrix, and bisection of the rounded
+    # one within 0.0045 (1s) to 0.086 (2p, 3p); each grid refines to floor / 64.
+    floor = _EPS * kinetic / h**2 / 8.0
+    # the start grid: the coarsest of step 4h 2^k with _START_INTERVALS or more
+    stride = 4
+    while intervals % (2 * stride) == 0 and intervals // (2 * stride) >= _START_INTERVALS:
+        stride *= 2
+    levels, tolerance = [], floor / 64.0
+    while stride >= 1:
+        grid_v, c = v[stride - 1::stride], 0.5 * kinetic / (stride * h) ** 2
+        settled = False
+        if levels:
+            # the vector interpolated linearly onto this grid, and Richardson's
+            # prediction of its level from the two coarser ones
+            twice, last = np.repeat(np.pad(x, 1), 2), levels[-2:]
+            e, x, settled = _refine(grid_v, c, n, last[-1] + (last[-1] - last[0]) / 4.0,
+                                    0.5 * (twice[1:-2] + twice[2:-1]), tolerance)
+        if not settled:  # the start grid, or the vector found another level
+            start = np.random.default_rng(0).uniform(-1.0, 1.0, grid_v.size)
+            e, x, _ = _refine(grid_v, c, n, _level(grid_v, c, n), start, tolerance)
+        levels.append(e)
+        stride //= 2
+    e_4h, e_2h, e_h = levels[-3:]
     if e_h >= 0.0:
         return unbound
-    e_2h = _level(v[1::2], 2.0 * h, kinetic, state.n)
-    e_4h = _level(v[3::4], 4.0 * h, kinetic, state.n)
     energy = (4.0 * e_h - e_2h) / 3.0
     if energy >= 0.0:
         return unbound
-
-    # The level sits some 1e6 times below the diagonal kinetic / h^2 that it
-    # is resolved against, and bisection finds the level of the rounded matrix
-    # to a small part of eps * kinetic / h^2: 0.006 (1s) to 0.085 (2p, 3p) of
-    # it on Coulomb levels, measured against extended-precision bisection
-    floor = _EPS * kinetic / h**2 / 8.0
     estimate = abs(energy - (4.0 * e_2h - e_4h) / 3.0) + floor
 
-    chi = vectors[:, 0]
     values = np.zeros(intervals + 1)
-    values[1:-1] = chi / sqrt(h)  # unit sum chi_i^2 h, the trapezoidal norm
+    values[1:-1] = x / sqrt(h)  # unit sum chi_i^2 h, the trapezoidal norm
     if values[np.argmax(np.abs(values))] < 0:
         values = -values
     return RadialFunction(

@@ -171,6 +171,15 @@ class TestSuperpotentialNumeric:
         assert isinstance(got, np.ndarray)
         np.testing.assert_allclose(got, superpotential_first(st, spec, ATOMIC)(rs), rtol=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    def test_where_chi2_underflows(self):
+        # chi^2 underflows past 2 beta r ~ 708 (r ~ 354 here): W1 stays finite
+        st = state_from_label("1s")
+        spec = ScreeningSpec(delta=0.1)
+        rs = np.array([400.0, 1000.0])
+        got = superpotential_first_numeric(st, spec, ATOMIC)(rs)
+        np.testing.assert_allclose(got, superpotential_first(st, spec, ATOMIC)(rs), rtol=1e-9)
+
     def test_excited_states_refused(self):
         with pytest.raises(ValidationError):
             superpotential_first_numeric(state_from_label("2s"), ScreeningSpec(delta=0.1), ATOMIC)

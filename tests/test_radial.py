@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
+import ecsc.radial
 from ecsc import (
     ATOMIC,
     HBAR2M,
@@ -21,6 +23,28 @@ from ecsc import (
 from ecsc.cli import main
 
 SQ2 = math.sqrt(2.0)
+EPS = np.finfo(float).eps
+
+
+def _bisection_level(v, c, n):
+    """Reference: eigenvalue n of the matrix (2c + v, -c) by full LAPACK bisection."""
+    return float(eigh_tridiagonal(
+        2.0 * c + v, np.full(v.size - 1, -c), eigvals_only=True, select="i",
+        select_range=(n, n), lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny,
+    )[0])
+
+
+def _bisection_levels(potential, units, config, n):
+    """Reference eigenvalue n on the grids h, 2h and 4h, each with its
+    roundoff floor eps kinetic / (s h)^2 / 8."""
+    h = config.step
+    v = potential(h * np.arange(1, 4 * round(config.r_max / (4.0 * h))))
+    kinetic = units.hbar**2 / units.mass
+    out = []
+    for stride in (1, 2, 4):
+        c = 0.5 * kinetic / (stride * h) ** 2
+        out.append((_bisection_level(v[stride - 1::stride], c, n), EPS * 2.0 * c / 8.0))
+    return out
 
 
 class TestSolverConfig:
@@ -182,6 +206,64 @@ class TestErrorEstimate:
         rf = solve(st, 16.0, delta, HBAR2M)
         assert rf.converged
         assert abs(rf.energy - total_energy(st, spec, HBAR2M).total) <= rf.error_estimate
+
+
+class TestAgainstBisection:
+    """Inverse iteration lands within two roundoff floors of full bisection."""
+
+    @pytest.mark.parametrize("label, strength, delta, g, units, r_max", [
+        ("1s", 1.0, 0.0, 1.0, ATOMIC, None),
+        ("2s", 1.0, 0.0, 1.0, ATOMIC, None),
+        ("3d", 1.0, 0.0, 1.0, ATOMIC, 90.0),
+        ("4f", 1.0, 0.0, 1.0, ATOMIC, 160.0),
+        ("1s", 16.0, 0.0, 1.0, HBAR2M, None),
+        ("1s", 1.0, 0.05, 1.0, ATOMIC, None),
+        ("2s", 1.0, 0.10, 1.0, ATOMIC, None),
+        ("1s", 1.0, 1.0, 0.0, ATOMIC, None),
+    ], ids=["coulomb-1s", "coulomb-2s", "coulomb-3d", "coulomb-4f", "A16-hbar2m-1s",
+            "screened-1s", "screened-2s", "yukawa-1s"])
+    def test_grid_levels(self, monkeypatch, label, strength, delta, g, units, r_max):
+        st = state_from_label(label)
+        spec = ScreeningSpec(delta=delta, strength=strength, g=g)
+        cfg = default_solver_config(st, spec, units)
+        if r_max is not None:
+            cfg = SolverConfig(step=cfg.step, r_max=r_max, energy_abs_tol=cfg.energy_abs_tol)
+        pot = lambda r: effective_potential(r, spec, st.ell, units)
+        found, refine = {}, ecsc.radial._refine  # grid size -> last eigenvalue refined on it
+
+        def spy(v, *args):
+            out = refine(v, *args)
+            found[v.size] = out[0]
+            return out
+
+        monkeypatch.setattr(ecsc.radial, "_refine", spy)
+        rf = solve_bound_state(pot, st, units, cfg)
+        sizes = sorted(found, reverse=True)[:3]
+        for size, (want, floor) in zip(sizes, _bisection_levels(pot, units, cfg, st.n)):
+            assert abs(found[size] - want) <= 2.0 * floor
+        assert rf.energy == (4.0 * found[sizes[0]] - found[sizes[1]]) / 3.0
+        assert rf.node_count == st.n
+
+    def test_level_the_start_grid_cannot_see(self):
+        # a deep well 5h wide between the samples of the grids 8h and coarser
+        # binds a level below the Coulomb 1s; the ladder, started on 32h, must
+        # notice the extra node on 4h and take the well's level there
+        pot = lambda r: -1.0 / r - 1e3 * (np.abs(r - 1.012) < 0.0025)
+        cfg = SolverConfig(step=1e-3, r_max=40.0)
+        rf = solve_bound_state(pot, QuantumState(0, 0), ATOMIC, cfg)
+        (e_h, floor), (e_2h, _), _ = _bisection_levels(pot, ATOMIC, cfg, 0)
+        assert rf.node_count == 0
+        assert e_h < -1.0
+        assert abs(rf.energy - (4.0 * e_h - e_2h) / 3.0) <= 3.0 * floor
+
+    def test_start_on_4h(self):
+        # 40004 = 4 x 10001 intervals: the start grid is 4h itself
+        pot = lambda r: -1.0 / r
+        st = QuantumState(0, 0)
+        odd = solve_bound_state(pot, st, ATOMIC, SolverConfig(step=1e-3, r_max=40.004))
+        ladder = solve_bound_state(pot, st, ATOMIC, SolverConfig(step=1e-3, r_max=40.0))
+        assert odd.node_count == 0
+        assert abs(odd.energy - ladder.energy) <= odd.error_estimate + ladder.error_estimate
 
 
 def _grid_arrays_held(tb) -> list[str]:
