@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_variant(p_or)
     p_or.add_argument("--delta", type=float, required=True)
     p_or.add_argument("--g", type=float, default=1.0, help="cosine factor (0 gives pure Yukawa)")
-    p_or.add_argument("--step", type=float, default=None, help="override grid spacing")
+    p_or.add_argument("--step", type=float, default=None,
+                      help="override the finest grid spacing h; --out samples on 2h")
     p_or.add_argument("--rmax", type=float, default=None, help="override grid cutoff")
     p_or.add_argument("--out", default=None, help="dump the wavefunction as two-column text")
 

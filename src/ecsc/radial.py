@@ -6,14 +6,18 @@ at r_max.  That gives a symmetric tridiagonal matrix with negative
 off-diagonals, whose (n+1)-th lowest eigenvector has exactly n sign changes
 (discrete oscillation theorem), so the level with n nodes is eigenvalue n.
 LAPACK bisection with Sturm counts (dstebz; Barth, Martin & Wilkinson,
-Numer. Math. 9 (1967) 386) finds it on a grid of step 2^k h with at least
+Numer. Math. 9 (1967) 386) finds it on a grid of step 8h 2^k with at least
 1024 intervals.  Each finer grid down to h refines the interpolated vector
 and the Richardson prediction of the eigenvalue by inverse iteration shifted
 to the Rayleigh quotient (Parlett, The Symmetric Eigenvalue Problem, ch. 4);
-a grid whose vector has other than n sign changes is bisected instead.  One
-Richardson step on the O(h^2) discretisation error gives the energy, and the
-difference of the (h, 2h) and (2h, 4h) steps, plus the roundoff floor, its
-error estimate.
+a grid whose vector has other than n sign changes is bisected instead.
+Romberg extrapolation over the grids h, 2h, 4h and 8h gives the energy: a
+Richardson step on each neighbouring pair removes the h^2 error term, and a
+second column over those steps the h^4 term (Richardson & Gaunt, Phil.
+Trans. R. Soc. A 226 (1927) 299; Romberg, Norske Vid. Selsk. Forh. 28
+(1955) 30).  The difference of the second-column values over (h, 2h, 4h) and
+(2h, 4h, 8h), plus the roundoff floor, is its error estimate.  The amplitude
+is the Richardson step of the h and 2h vectors on the 2h points.
 
 The caller supplies the full effective potential including the centrifugal
 barrier (see :func:`ecsc.potential.effective_potential`).  It is evaluated
@@ -37,7 +41,7 @@ _BISECTION_TOL = 2.0 * np.finfo(float).tiny
 # intervals of the bisected start grid; Rayleigh-quotient steps per finer grid
 _START_INTERVALS, _MAX_ITERATIONS = 1024, 8
 #: largest grid any command allocates, in intervals (or samples, or scan
-#: points); the default grid of 40 000 N intervals stays below it up to N = 104
+#: points); the default grid of 10 000 N intervals stays below it up to N = 419
 MAX_INTERVALS = 2**22
 
 
@@ -70,16 +74,17 @@ class SolverConfig:
 def default_solver_config(
     state: QuantumState, spec: ScreeningSpec, units: UnitSystem
 ) -> SolverConfig:
-    """Grid and target scaled to the Coulomb level: fine step, far cutoff.
+    """Grid and target scaled to the Coulomb level: step 4e-3, cutoff 40 N.
 
     The step and cutoff are multiples of the state's Coulomb length
-    N hbar^2/(m A).  The convergence target is 1e-9 in units of m A^2/hbar^2,
-    because the roundoff floor of the estimate scales with that energy; at
-    A = 1 in atomic units it is 1e-9.
+    N hbar^2/(m A); the Romberg energy of a Coulomb level 1s-4f is then
+    within 2e-14 of exact, and one level costs 5-15 ms.  The convergence
+    target is 1e-9 in units of m A^2/hbar^2, because the roundoff floor of the
+    estimate scales with that energy; at A = 1 in atomic units it is 1e-9.
     """
     length = state.principal * units.hbar**2 / (units.mass * spec.strength)
     return SolverConfig(
-        step=1e-3 * length,
+        step=4e-3 * length,
         r_max=40.0 * state.principal * length,
         energy_abs_tol=1e-9 * units.mass * spec.strength**2 / units.hbar**2,
     )
@@ -89,10 +94,15 @@ def default_solver_config(
 class RadialFunction:
     """A solved bound state: normalized amplitude samples and metadata.
 
+    ``grid`` has spacing 2 step, and ``values`` is the Richardson-extrapolated
+    amplitude there, with unit trapezoidal norm.  ``node_count`` counts the
+    sign changes of the step-h eigenvector: on a grid too coarse for the
+    extrapolation (step 0.5 Coulomb lengths) the tail of ``values`` can
+    change sign where that vector does not.
     ``error_estimate`` estimates |energy - exact level| at the given cutoff
-    r_max: the spread of two Richardson steps plus the roundoff floor.  It is
+    r_max: the spread of two Romberg values plus the roundoff floor.  It is
     blind to the cutoff itself: Yukawa 1s at screening 1.0 (A = 1, atomic
-    units) is -0.0102852 at r_max = 40 and -0.0102858 at 80, both +- 3e-11.
+    units) is -0.0102852 at r_max = 40 and -0.0102858 at 80, both +- 3e-12.
     ``converged`` says whether it is within the config's energy_abs_tol;
     ``error_estimate`` is nan when a caller builds the record without one.
     """
@@ -139,9 +149,9 @@ def _refine(v: np.ndarray, c: float, n: int, shift: float, x: np.ndarray, tolera
 def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConfig):
     """The level as a RadialFunction, or the reason why it is not bound."""
     h = config.step
-    # intervals, a multiple of four so that r_max is a node of every grid
-    intervals = 4 * round(config.r_max / (4.0 * h))
-    if intervals // 4 - 1 <= state.n:
+    # intervals, a multiple of eight so that r_max is a node of every grid
+    intervals = 8 * round(config.r_max / (8.0 * h))
+    if intervals // 8 - 1 <= max(state.n, 1):  # the 8h grid needs level n and two points
         raise ValidationError(f"grid too coarse for a level with {state.n} nodes")
     r = h * np.arange(1, intervals)
     v = np.asarray(potential(r), dtype=float)
@@ -158,16 +168,17 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
     unbound = (f"level n={state.n}, l={state.ell} lies at E >= 0 on the grid to "
                f"r_max = {intervals * h:g}: a box-quantised continuum state, not bound")
     kinetic, n = units.hbar**2 / units.mass, state.n
-    # The level sits some 1e6 times below the diagonal kinetic / h^2.  On Coulomb
-    # 1s, 2p, 3p and 4f the Rayleigh quotient is within 1.5e-4 eps kinetic / h^2
-    # of 80-bit bisection of the unrounded matrix, and bisection of the rounded
-    # one within 0.0045 (1s) to 0.086 (2p, 3p); each grid refines to floor / 64.
+    # The level sits some 1e5 times below the diagonal kinetic / h^2.  At step
+    # 1e-3 on Coulomb 1s, 2p, 3p and 4f the Rayleigh quotient is within 1.5e-4
+    # eps kinetic / h^2 of 80-bit bisection of the unrounded matrix, and bisection
+    # of the rounded one within 0.0045 (1s) to 0.086 (2p, 3p); each grid refines
+    # to floor / 64.
     floor = _EPS * kinetic / h**2 / 8.0
-    # the start grid: the coarsest of step 4h 2^k with _START_INTERVALS or more
-    stride = 4
+    # the start grid: the coarsest of step 8h 2^k with _START_INTERVALS or more
+    stride = 8
     while intervals % (2 * stride) == 0 and intervals // (2 * stride) >= _START_INTERVALS:
         stride *= 2
-    levels, tolerance = [], floor / 64.0
+    levels, vectors, tolerance = [], [], floor / 64.0
     while stride >= 1:
         grid_v, c = v[stride - 1::stride], 0.5 * kinetic / (stride * h) ** 2
         settled = False
@@ -181,23 +192,30 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
             start = np.random.default_rng(0).uniform(-1.0, 1.0, grid_v.size)
             e, x, _ = _refine(grid_v, c, n, _level(grid_v, c, n), start, tolerance)
         levels.append(e)
+        vectors = [*vectors[-1:], x]
         stride //= 2
-    e_4h, e_2h, e_h = levels[-3:]
-    if e_h >= 0.0:
+    # Romberg: Richardson on (s, 2s) removes the h^2 term, a second column the h^4
+    r_4h, r_2h, r_h = ((4.0 * fine - coarse) / 3.0
+                       for coarse, fine in zip(levels[-4:-1], levels[-3:]))
+    energy = (16.0 * r_h - r_2h) / 15.0
+    if levels[-1] >= 0.0 or energy >= 0.0:
         return unbound
-    energy = (4.0 * e_h - e_2h) / 3.0
-    if energy >= 0.0:
-        return unbound
-    estimate = abs(energy - (4.0 * e_2h - e_4h) / 3.0) + floor
+    estimate = abs(energy - (16.0 * r_2h - r_4h) / 15.0) + floor
 
-    values = np.zeros(intervals + 1)
-    values[1:-1] = x / sqrt(h)  # unit sum chi_i^2 h, the trapezoidal norm
+    # (4 chi_h - chi_2h) / 3 at the 2h points, chi_s = x_s / sqrt(s) with the
+    # vectors' signs aligned; the renormalisation absorbs the 1/3
+    x_2h, x_h = vectors[0], vectors[1][1::2]
+    if np.dot(x_2h, x_h) < 0.0:
+        x_2h = -x_2h
+    chi = 4.0 * x_h / sqrt(h) - x_2h / sqrt(2.0 * h)
+    values = np.zeros(intervals // 2 + 1)
+    values[1:-1] = chi / sqrt(2.0 * h * np.dot(chi, chi))  # unit trapezoidal norm
     if values[np.argmax(np.abs(values))] < 0:
         values = -values
     return RadialFunction(
-        grid=h * np.arange(intervals + 1),
+        grid=2.0 * h * np.arange(intervals // 2 + 1),
         values=values,
-        node_count=_count_interior_nodes(values),
+        node_count=_count_interior_nodes(vectors[1]),
         energy=energy,
         converged=estimate <= config.energy_abs_tol,
         error_estimate=estimate,

@@ -14,6 +14,7 @@ from ecsc import (
     SolverConfig,
     ValidationError,
     coulomb_energy,
+    coulomb_wavefunction,
     default_solver_config,
     effective_potential,
     solve_bound_state,
@@ -35,16 +36,23 @@ def _bisection_level(v, c, n):
 
 
 def _bisection_levels(potential, units, config, n):
-    """Reference eigenvalue n on the grids h, 2h and 4h, each with its
+    """Reference eigenvalue n on the grids h, 2h, 4h and 8h, each with its
     roundoff floor eps kinetic / (s h)^2 / 8."""
     h = config.step
-    v = potential(h * np.arange(1, 4 * round(config.r_max / (4.0 * h))))
+    v = potential(h * np.arange(1, 8 * round(config.r_max / (8.0 * h))))
     kinetic = units.hbar**2 / units.mass
     out = []
-    for stride in (1, 2, 4):
+    for stride in (1, 2, 4, 8):
         c = 0.5 * kinetic / (stride * h) ** 2
         out.append((_bisection_level(v[stride - 1::stride], c, n), EPS * 2.0 * c / 8.0))
     return out
+
+
+def _romberg(e_h, e_2h, e_4h, e_8h):
+    """Richardson on each pair of neighbouring grids, then one more column."""
+    r_4h, r_2h, r_h = ((4.0 * fine - coarse) / 3.0
+                       for coarse, fine in ((e_8h, e_4h), (e_4h, e_2h), (e_2h, e_h)))
+    return (16.0 * r_h - r_2h) / 15.0
 
 
 class TestSolverConfig:
@@ -83,6 +91,19 @@ class TestPotentialInput:
         with pytest.raises(ValidationError):
             solve_bound_state(lambda r: -1.0 / r, QuantumState(3, 0), ATOMIC, cfg)
 
+    def test_coarsest_grid_of_one_point(self):
+        # 16 intervals leave the 8h grid a single interior point
+        cfg = SolverConfig(step=1.0, r_max=16.0)
+        with pytest.raises(ValidationError):
+            solve_bound_state(lambda r: -1.0 / r, QuantumState(0, 0), ATOMIC, cfg)
+        assert solve_bound_state(lambda r: -1.0 / r, QuantumState(0, 0), ATOMIC,
+                                 SolverConfig(step=1.0, r_max=24.0)).node_count == 0
+
+    def test_coarsest_grid_of_one_point_is_a_usage_error(self, capsys):
+        assert main(["oracle", "--state", "1s", "--delta", "0", "--step", "1", "--rmax", "16"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid too coarse") and "Traceback" not in err
+
 
 class TestCoulombLimit:
     def test_hydrogen_ground(self, solve):
@@ -107,6 +128,26 @@ class TestCoulombLimit:
         rf = solve(st, 4.0, 0.0, HBAR2M)
         want = coulomb_energy(st, ScreeningSpec(delta=0.0, strength=4.0), HBAR2M)
         assert abs(rf.energy - want) <= 1e-6 * abs(want)
+
+
+class TestRomberg:
+    """The second Richardson column: Coulomb levels to 5e-14, amplitudes to 1e-9."""
+
+    @pytest.mark.parametrize("label", ["1s", "2s", "2p", "3s", "3p", "3d", "4s", "4p", "4d", "4f"])
+    def test_coulomb_energy(self, solve, label):
+        st = state_from_label(label)
+        rf = solve(st, 1.0, 0.0, ATOMIC)
+        assert abs(rf.energy - coulomb_energy(st, ScreeningSpec(delta=0.0), ATOMIC)) <= 5e-14
+
+    @pytest.mark.parametrize("label", ["1s", "2p", "3d", "4s"])
+    def test_coulomb_amplitude(self, solve, label):
+        st = state_from_label(label)
+        rf = solve(st, 1.0, 0.0, ATOMIC)
+        want = coulomb_wavefunction(st, ScreeningSpec(delta=0.0), ATOMIC, rf.grid[1:])
+        want *= np.sign(np.dot(want, rf.values[1:]))  # the solver's largest lobe is positive
+        assert rf.values[0] == 0.0
+        assert np.max(np.abs(rf.values[1:] - want)) <= 1e-9
+        assert np.trapezoid(rf.values**2, rf.grid) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestScreenedStates:
@@ -238,10 +279,10 @@ class TestAgainstBisection:
 
         monkeypatch.setattr(ecsc.radial, "_refine", spy)
         rf = solve_bound_state(pot, st, units, cfg)
-        sizes = sorted(found, reverse=True)[:3]
+        sizes = sorted(found, reverse=True)[:4]
         for size, (want, floor) in zip(sizes, _bisection_levels(pot, units, cfg, st.n)):
             assert abs(found[size] - want) <= 2.0 * floor
-        assert rf.energy == (4.0 * found[sizes[0]] - found[sizes[1]]) / 3.0
+        assert rf.energy == _romberg(*(found[size] for size in sizes))
         assert rf.node_count == st.n
 
     def test_level_the_start_grid_cannot_see(self):
@@ -251,16 +292,17 @@ class TestAgainstBisection:
         pot = lambda r: -1.0 / r - 1e3 * (np.abs(r - 1.012) < 0.0025)
         cfg = SolverConfig(step=1e-3, r_max=40.0)
         rf = solve_bound_state(pot, QuantumState(0, 0), ATOMIC, cfg)
-        (e_h, floor), (e_2h, _), _ = _bisection_levels(pot, ATOMIC, cfg, 0)
+        levels = _bisection_levels(pot, ATOMIC, cfg, 0)
+        e_h, floor = levels[0]
         assert rf.node_count == 0
         assert e_h < -1.0
-        assert abs(rf.energy - (4.0 * e_h - e_2h) / 3.0) <= 3.0 * floor
+        assert abs(rf.energy - _romberg(*(e for e, _ in levels))) <= 3.0 * floor
 
-    def test_start_on_4h(self):
-        # 40004 = 4 x 10001 intervals: the start grid is 4h itself
+    def test_start_on_8h(self):
+        # 40008 = 8 x 5001 intervals: the start grid is 8h itself
         pot = lambda r: -1.0 / r
         st = QuantumState(0, 0)
-        odd = solve_bound_state(pot, st, ATOMIC, SolverConfig(step=1e-3, r_max=40.004))
+        odd = solve_bound_state(pot, st, ATOMIC, SolverConfig(step=1e-3, r_max=40.008))
         ladder = solve_bound_state(pot, st, ATOMIC, SolverConfig(step=1e-3, r_max=40.0))
         assert odd.node_count == 0
         assert abs(odd.energy - ladder.energy) <= odd.error_estimate + ladder.error_estimate
