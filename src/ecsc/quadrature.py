@@ -11,12 +11,15 @@ and the first-order superpotential follows from the cumulative integral
     W1(r) = (sqrt(2m)/hbar) chi(r)^-2 *
             integral_0^r chi^2(x) [E1 + A delta^3 x^2 / 3] dx.
 
-Two schemes sit behind one interface.  The default ("adaptive") doubles the
-panels of a composite 20-point Gauss-Legendre rule on [0, 40/beta] until two
-estimates agree to rel_tol, or to 64 eps times integral |chi^2 f| so that
-integrands cancelling to near zero converge; the other ("gauss") is a fixed
-Gauss-Laguerre rule on the exponential weight.  Every integrand f maps an
-array of radii to an array of values, and is called once per rule.
+Both schemes feed rules of rising order to one convergence loop, which
+accepts the first rule that agrees with the one before it to 1e-10 of the
+integral, or to 64 eps times integral |chi^2 f| so that integrands cancelling
+to near zero converge; neither bound depends on the unit of length.  The
+default ("adaptive") supplies a composite 20-point Gauss-Legendre rule on
+[0, 40/beta] of 4 to 256 panels, and doubles the cutoff, up to 320/beta,
+while the outermost panel exceeds that bound; the other ("gauss") supplies
+Gauss-Laguerre rules of 118 and 150 nodes in x = 2 beta r.  Every integrand
+f maps an array of radii to an array of values, and is called once per rule.
 
 The cumulative W1 construction divides by chi^2 and is therefore only
 offered for the node-free ground level; for excited states the caller
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite, sqrt
+from math import sqrt
 
 import numpy as np
 from scipy.special import roots_laguerre
@@ -49,27 +52,27 @@ class ToleranceNotMetError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Scheme choice and accuracy target for the density integrals."""
+    """Scheme choice for the density integrals."""
 
     scheme: str = "adaptive"
-    rel_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.scheme not in ("adaptive", "gauss"):
             raise ValidationError(f"scheme must be 'adaptive' or 'gauss', got {self.scheme!r}")
-        if not self.rel_tol > 0.0:
-            raise ValidationError("rel_tol must be positive")
 
 
 _DEFAULT_SPEC = QuadratureSpec()
 
-#: adaptive integrals stop at r = _R_MAX_FACTOR / beta, where chi^2 ~ r^(2 ell + 2) exp(-80)
-_R_MAX_FACTOR = 40.0
+#: two successive rules agree to _REL_TOL of the integral or to _FLOOR integral |g|
+_REL_TOL, _FLOOR = 1e-10, 64.0 * np.finfo(float).eps
+#: adaptive integrals stop at r = _R_MAX_FACTOR / beta, where chi^2 ~ r^(2 ell + 2) exp(-80),
+#: or at up to 8 times that; at 320 / beta, exp(-2 beta r) = exp(-640) is still normal
+_R_MAX_FACTOR, _MAX_WIDENINGS = 40.0, 3
 #: Gauss-Legendre panels double from 4 (the density integrals converge at 8) up to 256
 _PANEL_POINTS = 20
-_MIN_PANELS, _MAX_PANELS = 4, 256
-#: Gauss-Laguerre nodes; the error estimate compares with a rule of 32 fewer
-_GAUSS_NODES = 150
+_PANEL_COUNTS = tuple(4 * 2**k for k in range(7))
+#: Gauss-Laguerre node counts; the error estimate compares the two
+_GAUSS_NODES = (118, 150)
 
 
 @lru_cache(maxsize=None)
@@ -80,46 +83,37 @@ def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
     return (left + (t + 1.0) / (2.0 * panels)).ravel(), np.tile(w / (2.0 * panels), panels)
 
 
-def _integrate(g, lo, width, epsrel: float):
-    """(integral, error estimate) of g over [lo, lo + width]; lo and width may be arrays.
-
-    The panel count doubles until at every point the last two estimates
-    differ by at most epsrel times the finer one or 64 eps integral |g|.
-    """
+def _panel_rules(lo, width):
+    """The panel rules on [lo, lo + width]; lo and width may be arrays."""
     lo, width = np.asarray(lo, dtype=float)[..., None], np.asarray(width, dtype=float)[..., None]
-    coarse, panels = None, _MIN_PANELS
-    while True:
-        t, w = _panel_rule(panels)
-        terms = g(lo + width * t) * (width * w)
+    return ((lo + width * t, width * w) for t, w in map(_panel_rule, _PANEL_COUNTS))
+
+
+def _converge(g, rules):
+    """(integral, error estimate, tolerance, terms) of g by the first of the
+    (nodes, weights) ``rules`` that agrees with the one before it at every
+    point (nodes may carry leading axes, one integral each): to _REL_TOL
+    times its sum or _FLOOR times the sum of its absolute terms."""
+    coarse = err = None
+    for nodes, weights in rules:
+        terms = g(nodes) * weights
         fine = terms.sum(axis=-1)
         if not np.isfinite(fine).all():
             raise ToleranceNotMetError("integral is not finite", fine, np.inf)
         if coarse is not None:
             err = np.abs(fine - coarse)
-            floor = 64.0 * np.finfo(float).eps * np.abs(terms).sum(axis=-1)
-            if (err <= np.maximum(epsrel * np.abs(fine), floor)).all():
-                return fine, err
-            if panels >= _MAX_PANELS:
-                raise ToleranceNotMetError(f"panel doubling stalled at {panels} panels", fine, err)
-        coarse, panels = fine, 2 * panels
+            tol = np.maximum(_REL_TOL * np.abs(fine), _FLOOR * np.abs(terms).sum(axis=-1))
+            if (err <= tol).all():
+                return fine, err, tol, terms
+        coarse = fine
+    raise ToleranceNotMetError(f"no two rules agree up to {terms.shape[-1]} nodes", fine, err)
 
 
-def _density_without_exp(state: QuantumState, norm: float, r, x):
-    # chi^2 exp(x) = norm^2 r^(2 ell + 2) L_n^(2 ell + 1)(x)^2 at x = 2 beta r
-    lag = laguerre(state.n, 2 * state.ell + 1, x)
-    return norm**2 * r ** (2 * state.ell + 2) * lag**2
-
-
-_laguerre_rule = lru_cache(maxsize=None)(roots_laguerre)
-
-
-def _gauss_eval(state, spec, units, f, nodes: int) -> float:
-    # substitute x = 2 beta r so exp(-x) becomes the Gauss-Laguerre weight
-    beta = coulomb_beta(state, spec, units)
-    norm = coulomb_norm(state, spec, units)
-    x, w = _laguerre_rule(nodes)
-    r = x / (2.0 * beta)
-    return float(np.sum(w * _density_without_exp(state, norm, r, x) * f(r)) / (2.0 * beta))
+@lru_cache(maxsize=None)
+def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    # Gauss-Laguerre nodes on [0, inf), the weight exp(-x) folded into the weights
+    x, w = roots_laguerre(nodes)
+    return x, w * np.exp(x)
 
 
 def integrate_density_with_error(
@@ -129,25 +123,35 @@ def integrate_density_with_error(
     f,
     qspec: QuadratureSpec | None = None,
 ) -> tuple[float, float]:
-    """integral chi^2 f dr together with the scheme's error estimate."""
-    qspec = qspec or _DEFAULT_SPEC
-    if qspec.scheme == "gauss":
-        val = _gauss_eval(state, spec, units, f, _GAUSS_NODES)
-        err = abs(val - _gauss_eval(state, spec, units, f, _GAUSS_NODES - 32))
-    else:
-        beta, norm = coulomb_beta(state, spec, units), coulomb_norm(state, spec, units)
+    """integral_0^inf chi^2(r) f(r) dr and its error estimate, for polynomially
+    bounded f on arrays of radii.
 
-        def chi2_f(r):
-            x = 2.0 * beta * r
-            return _density_without_exp(state, norm, r, x) * np.exp(-x) * f(r)
+    The scheme's rules run through one convergence loop (see the module
+    docstring); the estimate is the difference of the last two rules.
+    Raises ToleranceNotMetError when no two rules agree, when a sum is not
+    finite, or when chi^2 f is not negligible at the widest adaptive
+    cutoff, 320/beta.
+    """
+    beta, norm = coulomb_beta(state, spec, units), coulomb_norm(state, spec, units)
 
-        val, err = _integrate(chi2_f, 0.0, _R_MAX_FACTOR / beta, qspec.rel_tol)
-        val, err = float(val), float(err)
-    if not (isfinite(val) and isfinite(err)):
-        raise ToleranceNotMetError(
-            f"integral is not finite: value {val}, error estimate {err}", val, err
-        )
-    return val, err
+    def chi2_f(r):
+        x = 2.0 * beta * r
+        lag = laguerre(state.n, 2 * state.ell + 1, x)
+        return norm**2 * r ** (2 * state.ell + 2) * lag**2 * np.exp(-x) * f(r)
+
+    if (qspec or _DEFAULT_SPEC).scheme == "gauss":
+        # the Gauss-Laguerre rules in x = 2 beta r, mapped to r
+        rules = ((x / (2.0 * beta), w / (2.0 * beta)) for x, w in map(_laguerre_rule, _GAUSS_NODES))
+        val, err, *_ = _converge(chi2_f, rules)
+        return float(val), float(err)
+    for widening in range(_MAX_WIDENINGS + 1):
+        cutoff = _R_MAX_FACTOR * 2**widening / beta
+        val, err, tol, terms = _converge(chi2_f, _panel_rules(0.0, cutoff))
+        if np.abs(terms[-_PANEL_POINTS:]).sum() <= tol:  # the outermost panel
+            return float(val), float(err)
+    raise ToleranceNotMetError(
+        f"integrand is not negligible at the widest cutoff r = {cutoff:.6g}", val, err
+    )
 
 
 def integrate_density(
@@ -157,18 +161,9 @@ def integrate_density(
     f,
     qspec: QuadratureSpec | None = None,
 ) -> float:
-    """integral_0^inf chi^2(r) f(r) dr for polynomially bounded f on arrays of radii.
-
-    The adaptive scheme doubles panels on [0, 40/beta] down to rel_tol or the
-    roundoff floor (see the module docstring).
-    """
-    qspec = qspec or _DEFAULT_SPEC
-    val, err = integrate_density_with_error(state, spec, units, f, qspec)
-    if err > max(qspec.rel_tol * abs(val), 1e-12):
-        raise ToleranceNotMetError(
-            f"error estimate {err:.2e} exceeds tolerance for value {val:.6e}", val, err
-        )
-    return val
+    """integral_0^inf chi^2(r) f(r) dr: the value of
+    :func:`integrate_density_with_error`, which says how it is accepted."""
+    return integrate_density_with_error(state, spec, units, f, qspec)[0]
 
 
 def first_order_energy_numeric(
@@ -201,7 +196,6 @@ def superpotential_first_numeric(
             "chi^2 vanishes at the nodes of excited states; use the closed-form "
             "hierarchy superpotential for n >= 1"
         )
-    qspec = qspec or _DEFAULT_SPEC
     e1 = first_order_energy_numeric(state, spec, units, qspec)
     beta = coulomb_beta(state, spec, units)
     third = spec.strength * spec.delta**3 / 3.0
@@ -219,8 +213,8 @@ def superpotential_first_numeric(
         ref = np.where(arr > 0.0, arr, 1.0)[..., None]
         integrand = lambda x: ((x / ref) ** (2 * state.ell + 2) * np.exp(-2.0 * beta * (x - ref))
                                * (e1 + third * x**2))
-        val, _ = _integrate(integrand, np.where(tail, arr, 0.0),
-                            np.where(tail, _R_MAX_FACTOR / beta, arr), qspec.rel_tol)
+        val, *_ = _converge(integrand, _panel_rules(np.where(tail, arr, 0.0),
+                                                    np.where(tail, _R_MAX_FACTOR / beta, arr)))
         out = pref * np.where(tail, -val, val)
         return out if out.ndim else float(out)
 

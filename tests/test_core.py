@@ -79,6 +79,16 @@ class TestQuantumState:
         with pytest.raises(ValidationError):
             state_from_label(bad)
 
+    def test_unknown_orbital_letter(self):
+        # "j" is skipped in the spectroscopic sequence s p d f g h i k
+        with pytest.raises(ValidationError, match="unknown orbital letter"):
+            state_from_label("2j")
+
+    def test_label_past_the_letters(self):
+        # l = 9 has no letter and N = 10 no single digit: both fall back to numbers
+        assert QuantumState(0, 9).label == "(n=0,l=9)"
+        assert QuantumState(9, 0).label == "(n=9,l=0)"
+
     def test_negative_quantum_numbers(self):
         with pytest.raises(ValidationError):
             QuantumState(-1, 0)

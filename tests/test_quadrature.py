@@ -1,5 +1,6 @@
 import ast
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +40,11 @@ GAUSS = QuadratureSpec(scheme="gauss")
 class TestQuadratureSpec:
     def test_defaults(self):
         q = QuadratureSpec()
-        assert q.scheme == "adaptive" and q.rel_tol == 1e-10
+        assert q.scheme == "adaptive"
 
     def test_validation(self):
         with pytest.raises(ValidationError):
             QuadratureSpec(scheme="monte-carlo")
-        with pytest.raises(ValidationError):
-            QuadratureSpec(rel_tol=0.0)
 
 
 class TestIntegrateDensity:
@@ -75,22 +74,35 @@ class TestIntegrateDensity:
             assert got == pytest.approx(radial_moment(st, spec, HBAR2M, k), rel=1e-10)
 
     def test_error_estimate_brackets_refinement(self):
-        # halving rel_tol moves the value by less than the reported estimate
+        # each scheme's estimate bounds its distance to the exact integral
+        # (1/2) integral r^4 (1 - r/2)^2 exp(-1.05 r) dr
         st = state_from_label("2s")
         spec = ScreeningSpec(delta=0.05)
         f = lambda r: r**2 * np.exp(-0.05 * r)
-        v1, e1 = integrate_density_with_error(st, spec, ATOMIC, f, QuadratureSpec(rel_tol=1e-8))
-        v2, _ = integrate_density_with_error(st, spec, ATOMIC, f, QuadratureSpec(rel_tol=5e-9))
-        assert abs(v1 - v2) <= max(e1, 1e-13 * abs(v1))
+        q = Fraction(21, 20)
+        exact = (96 / q**5 - 480 / q**6 + 720 / q**7) / 8
+        for qspec in (None, GAUSS):
+            val, err = integrate_density_with_error(st, spec, ATOMIC, f, qspec)
+            assert abs(Fraction(val) - exact) <= err
 
     def test_tolerance_failure_carries_best_estimate(self):
         st = state_from_label("1s")
         nasty = lambda r: np.sin(1e5 * r)
         with pytest.raises(ToleranceNotMetError) as exc:
-            integrate_density(st, ScreeningSpec(delta=0.0), ATOMIC, nasty,
-                              QuadratureSpec(rel_tol=1e-13))
+            integrate_density(st, ScreeningSpec(delta=0.0), ATOMIC, nasty)
         assert math.isfinite(exc.value.best_estimate)
         assert exc.value.error_estimate > 0.0
+
+    @pytest.mark.parametrize("qspec", [None, GAUSS])
+    @pytest.mark.parametrize("strength", [1.0, 0.1, 0.01])
+    def test_acceptance_is_scale_free(self, qspec, strength):
+        # the same cancelling integral with every length 1, 10 and 100 times
+        # longer: it converges at the roundoff floor in every unit
+        st = QuantumState(2, 3)
+        spec = ScreeningSpec(delta=0.0, strength=strength)
+        m2 = radial_moment(st, spec, ATOMIC, 2)
+        got = integrate_density(st, spec, ATOMIC, lambda r: r**2 - m2, qspec)
+        assert abs(got) <= 1e-14 * m2
 
     @pytest.mark.parametrize("qspec", [None, GAUSS])
     def test_integrand_takes_arrays_a_few_times(self, qspec):
@@ -110,6 +122,30 @@ class TestIntegrateDensity:
         with pytest.raises(ToleranceNotMetError):
             integrate_density_with_error(st, ScreeningSpec(delta=0.0), ATOMIC,
                                          lambda r: value, QuadratureSpec(scheme=scheme))
+
+
+class TestCutoff:
+    """The adaptive cutoff widens from 40/beta while chi^2 f is not negligible there."""
+
+    def test_wide_level_moment(self):
+        # (5,5) spreads past 40/beta: cut there, <r^4> is 1.1e-9 low
+        st = QuantumState(5, 5)
+        spec = ScreeningSpec(delta=0.1)
+        got = integrate_density(st, spec, ATOMIC, lambda r: r**4)
+        assert got == pytest.approx(radial_moment(st, spec, ATOMIC, 4), rel=1e-10)
+
+    def test_wide_level_cancelling(self):
+        st = QuantumState(5, 5)
+        spec = ScreeningSpec(delta=0.0)
+        m2 = radial_moment(st, spec, ATOMIC, 2)
+        assert abs(integrate_density(st, spec, ATOMIC, lambda r: r**2 - m2)) <= 1e-14 * m2
+
+    @pytest.mark.filterwarnings("error")
+    def test_divergent_integrand_raises(self):
+        # chi^2 exp(2.2 r) grows like r^2 exp(0.2 r): no cutoff up to 320/beta holds it
+        st = state_from_label("1s")
+        with pytest.raises(ToleranceNotMetError, match="widest cutoff"):
+            integrate_density(st, ScreeningSpec(delta=0.0), ATOMIC, lambda r: np.exp(2.2 * r))
 
 
 class TestFirstOrderNumeric:
@@ -179,6 +215,11 @@ class TestSuperpotentialNumeric:
         rs = np.array([400.0, 1000.0])
         got = superpotential_first_numeric(st, spec, ATOMIC)(rs)
         np.testing.assert_allclose(got, superpotential_first(st, spec, ATOMIC)(rs), rtol=1e-9)
+
+    def test_negative_radius_refused(self):
+        w_num = superpotential_first_numeric(state_from_label("1s"), ScreeningSpec(delta=0.1), ATOMIC)
+        with pytest.raises(ValidationError, match="nonnegative"):
+            w_num(-1.0)
 
     def test_excited_states_refused(self):
         with pytest.raises(ValidationError):

@@ -298,6 +298,28 @@ class TestAgainstBisection:
         assert e_h < -1.0
         assert abs(rf.energy - _romberg(*(e for e, _ in levels))) <= 3.0 * floor
 
+    @pytest.mark.parametrize("label, r_max", [("1s", 40.0), ("2s", 60.0)])
+    def test_iteration_cap(self, monkeypatch, label, r_max):
+        # at step 0.5 inverse iteration runs out of its 8 steps unsettled
+        # (1s on the grids of 19 and 39 points, 2s on its start grid); the
+        # ladder still lands on the Romberg value of full bisection
+        st = state_from_label(label)
+        cfg = SolverConfig(step=0.5, r_max=r_max)
+        pot = lambda r: effective_potential(r, ScreeningSpec(delta=0.0), st.ell, ATOMIC)
+        settled, refine = [], ecsc.radial._refine
+
+        def spy(*args):
+            out = refine(*args)
+            settled.append(out[2])
+            return out
+
+        monkeypatch.setattr(ecsc.radial, "_refine", spy)
+        rf = solve_bound_state(pot, st, ATOMIC, cfg)
+        assert not all(settled)
+        assert rf.node_count == st.n
+        levels = _bisection_levels(pot, ATOMIC, cfg, st.n)
+        assert abs(rf.energy - _romberg(*(e for e, _ in levels))) <= 1e-13
+
     def test_start_on_8h(self):
         # 40008 = 8 x 5001 intervals: the start grid is 8h itself
         pot = lambda r: -1.0 / r
