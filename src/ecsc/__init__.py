@@ -1,7 +1,7 @@
 """Bound states of the exponential-cosine-screened Coulomb potential.
 
 Closed-form perturbative energies and wavefunctions, a quadrature engine
-that cross-checks every closed form, an independent tridiagonal
+that cross-checks every closed form, an independent Lagrange-mesh
 eigensolver, and a CLI that reproduces the bundled reference tables.
 """
 

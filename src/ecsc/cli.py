@@ -11,6 +11,7 @@ from math import isfinite
 import numpy as np
 
 from .core import (
+    MAX_INTERVALS,
     ScreeningSpec,
     SecondOrderVariant,
     ValidationError,
@@ -20,7 +21,7 @@ from .core import (
 from .coulomb import coulomb_beta
 from .perturbation import ground_wavefunction, moderated_validity_radius, total_energy
 from .potential import effective_potential
-from .radial import MAX_INTERVALS, NoBoundStateError, default_solver_config, solve_bound_state
+from .radial import MAX_BOX_SCALE, NoBoundStateError, default_solver_config, solve_bound_state
 from .tables import TABLES, render_text, reproduce_table, scan_delta
 
 
@@ -96,10 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_variant(p_or)
     p_or.add_argument("--delta", type=float, required=True)
     p_or.add_argument("--g", type=float, default=1.0, help="cosine factor (0 gives pure Yukawa)")
-    p_or.add_argument("--step", type=float, default=None,
-                      help="override the finest grid spacing h; --out samples on 2h")
-    p_or.add_argument("--rmax", type=float, default=None, help="override grid cutoff")
-    p_or.add_argument("--out", default=None, help="dump the wavefunction as two-column text")
+    p_or.add_argument("--rmax", type=float, default=None, help="override the box cutoff")
+    p_or.add_argument("--out", default=None,
+                      help="dump the wavefunction at the mesh points as two-column text")
 
     return parser
 
@@ -169,11 +169,12 @@ def _cmd_oracle(args) -> int:
     state = state_from_label(args.state)
     spec = ScreeningSpec(delta=args.delta, strength=args.A, g=args.g)
     config = default_solver_config(state, spec, units)
-    config = replace(
-        config,
-        step=config.step if args.step is None else args.step,
-        r_max=config.r_max if args.rmax is None else args.rmax,
-    )
+    if args.rmax is not None:
+        widest = MAX_BOX_SCALE * config.r_max
+        if not args.rmax <= widest:
+            raise ValidationError(f"--rmax must be at most {widest:g}, {MAX_BOX_SCALE:g} times "
+                                  "the default box: the mesh does not resolve a wider one")
+        config = replace(config, r_max=args.rmax)
     potential = lambda r: effective_potential(r, spec, state.ell, units)
     try:
         rf = solve_bound_state(potential, state, units, config)

@@ -11,6 +11,10 @@ from numbers import Integral
 import numpy as np
 
 
+#: largest number of scan steps or wavefunction samples any command allocates
+MAX_INTERVALS = 2**22
+
+
 class ValidationError(ValueError):
     """An argument lies outside what the package accepts or what a closed form covers."""
 

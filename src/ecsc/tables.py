@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from .core import (
     ATOMIC,
     HBAR2M,
+    MAX_INTERVALS,
     QuantumState,
     ScreeningSpec,
     SecondOrderVariant,
@@ -49,12 +50,7 @@ from .quadrature import (
     first_order_energy_numeric,
     second_order_energy_numeric,
 )
-from .radial import (
-    MAX_INTERVALS,
-    NoBoundStateError,
-    default_solver_config,
-    solve_bound_state,
-)
+from .radial import NoBoundStateError, default_solver_config, solve_bound_state
 
 # --- frozen reference data -------------------------------------------------
 # each row follows its table's ``columns``; None marks a value not published

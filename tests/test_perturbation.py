@@ -336,6 +336,15 @@ class TestGroundWavefunction:
         psi, _ = ground_wavefunction(1, ScreeningSpec(delta=0.08), ATOMIC)
         assert psi(r_turn) < psi(4.0)
 
+    def test_validity_radius_without_a_decaying_stretch(self):
+        # at delta = 0.7, just below the critical screening of 1s, the
+        # moderated exponent never falls again past the peak 1/beta = 1, so
+        # the closed form is valid only up to the peak itself
+        spec = ScreeningSpec(delta=0.7)
+        rs = np.linspace(1.0, 200.0, 1000)
+        assert np.all(1.0 / rs + wavefunction_polynomial(0, spec, ATOMIC).deriv()(rs) >= 0.0)
+        assert moderated_validity_radius(0, spec, ATOMIC) == 1.0
+
     @pytest.mark.parametrize("ell", [0, 1, 2])
     def test_moderating_function_consistency(self, ell):
         # exp(-(sqrt(2m)/hbar) int (W1+W2)) equals exp(P(r) + beta r) up to a

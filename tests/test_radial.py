@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import eval_legendre
 
-import ecsc.radial
 from ecsc import (
     ATOMIC,
     HBAR2M,
@@ -22,9 +22,9 @@ from ecsc import (
     total_energy,
 )
 from ecsc.cli import main
+from ecsc.radial import MAX_BOX_SCALE
 
 SQ2 = math.sqrt(2.0)
-EPS = np.finfo(float).eps
 
 
 def _bisection_level(v, c, n):
@@ -35,17 +35,13 @@ def _bisection_level(v, c, n):
     )[0])
 
 
-def _bisection_levels(potential, units, config, n):
-    """Reference eigenvalue n on the grids h, 2h, 4h and 8h, each with its
-    roundoff floor eps kinetic / (s h)^2 / 8."""
-    h = config.step
-    v = potential(h * np.arange(1, 8 * round(config.r_max / (8.0 * h))))
+def _bisection_levels(potential, units, h, r_max, n):
+    """Reference eigenvalue n of the three-point Laplacian with chi = 0 at 0
+    and r_max, on the grids h, 2h, 4h and 8h."""
+    v = potential(h * np.arange(1, 8 * round(r_max / (8.0 * h))))
     kinetic = units.hbar**2 / units.mass
-    out = []
-    for stride in (1, 2, 4, 8):
-        c = 0.5 * kinetic / (stride * h) ** 2
-        out.append((_bisection_level(v[stride - 1::stride], c, n), EPS * 2.0 * c / 8.0))
-    return out
+    return [_bisection_level(v[stride - 1::stride], 0.5 * kinetic / (stride * h) ** 2, n)
+            for stride in (1, 2, 4, 8)]
 
 
 def _romberg(e_h, e_2h, e_4h, e_8h):
@@ -55,29 +51,36 @@ def _romberg(e_h, e_2h, e_4h, e_8h):
     return (16.0 * r_h - r_2h) / 15.0
 
 
+def _mesh_norm(rf):
+    """Gauss-Lobatto quadrature of values^2 over the mesh rf.grid of [0, r_max]."""
+    order, r_max = rf.grid.size - 1, rf.grid[-1]
+    p = eval_legendre(order, 2.0 * rf.grid / r_max - 1.0)
+    return 0.5 * r_max * np.sum(2.0 / (order * (order + 1) * p**2) * rf.values**2)
+
+
 class TestSolverConfig:
     def test_default_grid_scales_with_state(self):
         cfg1 = default_solver_config(state_from_label("1s"), ScreeningSpec(delta=0.0), ATOMIC)
         cfg4 = default_solver_config(state_from_label("4f"), ScreeningSpec(delta=0.0), ATOMIC)
-        assert cfg1.r_max / cfg1.step >= 2000
-        assert cfg4.r_max > cfg1.r_max and cfg4.step > cfg1.step
+        # 40 N Coulomb lengths of N a each
+        assert (cfg1.r_max, cfg4.r_max) == (40.0, 640.0)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            SolverConfig(step=0.0, r_max=10.0)
+            SolverConfig(r_max=0.0)
         with pytest.raises(ValidationError):
-            SolverConfig(step=1.0, r_max=2.0)
+            SolverConfig(r_max=-2.0)
         with pytest.raises(ValidationError):
-            SolverConfig(step=1e-3, r_max=10.0, energy_abs_tol=0.0)
+            SolverConfig(r_max=10.0, energy_abs_tol=0.0)
         with pytest.raises(ValidationError):
-            SolverConfig(step=1e-3, r_max=math.inf)
+            SolverConfig(r_max=math.inf)
         with pytest.raises(ValidationError):
-            SolverConfig(step=math.nan, r_max=10.0)
+            SolverConfig(r_max=math.nan)
 
 
 class TestPotentialInput:
     def test_potential_must_return_grid_shaped_finite_values(self):
-        cfg = SolverConfig(step=1e-2, r_max=10.0)
+        cfg = SolverConfig(r_max=10.0)
         st = QuantumState(0, 0)
         with pytest.raises(ValidationError):
             solve_bound_state(lambda r: -1.0, st, ATOMIC, cfg)
@@ -87,22 +90,17 @@ class TestPotentialInput:
             solve_bound_state(lambda r: np.where(r > 5.0, np.nan, -1.0 / r), st, ATOMIC, cfg)
 
     def test_grid_must_resolve_the_nodes(self):
-        cfg = SolverConfig(step=1.0, r_max=16.0)
+        # only the largest mesh, of 819 interior points, holds level 600;
+        # the error estimate needs two meshes
+        cfg = SolverConfig(r_max=16.0)
         with pytest.raises(ValidationError):
-            solve_bound_state(lambda r: -1.0 / r, QuantumState(3, 0), ATOMIC, cfg)
+            solve_bound_state(lambda r: -1.0 / r, QuantumState(600, 0), ATOMIC, cfg)
 
-    def test_coarsest_grid_of_one_point(self):
-        # 16 intervals leave the 8h grid a single interior point
-        cfg = SolverConfig(step=1.0, r_max=16.0)
-        with pytest.raises(ValidationError):
-            solve_bound_state(lambda r: -1.0 / r, QuantumState(0, 0), ATOMIC, cfg)
-        assert solve_bound_state(lambda r: -1.0 / r, QuantumState(0, 0), ATOMIC,
-                                 SolverConfig(step=1.0, r_max=24.0)).node_count == 0
-
-    def test_coarsest_grid_of_one_point_is_a_usage_error(self, capsys):
-        assert main(["oracle", "--state", "1s", "--delta", "0", "--step", "1", "--rmax", "16"]) == 2
+    def test_box_too_small_is_a_usage_error(self, capsys):
+        # (2/r_max)^2 hbar^2/2m is finite, the kinetic matrix of order 48 is not
+        assert main(["oracle", "--state", "1s", "--delta", "0", "--rmax", "1e-152"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: grid too coarse") and "Traceback" not in err
+        assert err.startswith("error: r_max = 1e-152 is too small") and "Traceback" not in err
 
 
 class TestCoulombLimit:
@@ -131,7 +129,7 @@ class TestCoulombLimit:
 
 
 class TestRomberg:
-    """The second Richardson column: Coulomb levels to 5e-14, amplitudes to 1e-9."""
+    """Coulomb levels to 5e-14 and amplitudes to 1e-9."""
 
     @pytest.mark.parametrize("label", ["1s", "2s", "2p", "3s", "3p", "3d", "4s", "4p", "4d", "4f"])
     def test_coulomb_energy(self, solve, label):
@@ -147,7 +145,7 @@ class TestRomberg:
         want *= np.sign(np.dot(want, rf.values[1:]))  # the solver's largest lobe is positive
         assert rf.values[0] == 0.0
         assert np.max(np.abs(rf.values[1:] - want)) <= 1e-9
-        assert np.trapezoid(rf.values**2, rf.grid) == pytest.approx(1.0, abs=1e-12)
+        assert _mesh_norm(rf) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestScreenedStates:
@@ -176,15 +174,30 @@ class TestScreenedStates:
         assert rf.node_count == 2
         assert rf.values[0] == 0.0
         assert abs(rf.values[-1]) < 1e-12 * np.max(np.abs(rf.values))
-        norm = np.trapezoid(rf.values**2, rf.grid)
-        assert norm == pytest.approx(1.0, abs=1e-6)
+        assert _mesh_norm(rf) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("label, delta, g", [
+        ("1s", 0.05, 1.0), ("3s", 0.06, 1.0), ("4s", 0.04, 1.0), ("4p", 0.06, 0.0),
+    ])
+    def test_widest_box_keeps_the_level(self, label, delta, g):
+        # a wider box can only lower a level; the last three are reported
+        # unbound on a box of 8 to 15 times the default
+        st = state_from_label(label)
+        spec = ScreeningSpec(delta=delta, g=g)
+        pot = lambda r: effective_potential(r, spec, st.ell, ATOMIC)
+        cfg = default_solver_config(st, spec, ATOMIC)
+        want = solve_bound_state(pot, st, ATOMIC, cfg).energy
+        rf = solve_bound_state(pot, st, ATOMIC, SolverConfig(r_max=MAX_BOX_SCALE * cfg.r_max))
+        assert rf.converged and rf.node_count == st.n
+        assert rf.energy <= want + cfg.energy_abs_tol
 
     def test_grid_refinement_stability(self, solve):
         st = state_from_label("1s")
         spec = ScreeningSpec(delta=0.05)
         pot = lambda r: effective_potential(r, spec, 0, ATOMIC)
+        # a box 1.5 times as wide: no mesh point in common
         coarse = default_solver_config(st, spec, ATOMIC)
-        fine = SolverConfig(step=coarse.step / 2.0, r_max=coarse.r_max)
+        fine = SolverConfig(r_max=1.5 * coarse.r_max)
         e_coarse = solve_bound_state(pot, st, ATOMIC, coarse).energy
         e_fine = solve_bound_state(pot, st, ATOMIC, fine).energy
         assert abs(e_coarse - e_fine) < 1e-8
@@ -211,7 +224,7 @@ class TestBracketing:
         assert abs(rf.energy - -0.4008785) < 1e-5
 
     def test_repulsive_potential(self):
-        cfg = SolverConfig(step=1e-3, r_max=40.0)
+        cfg = SolverConfig(r_max=40.0)
         with pytest.raises(NoBoundStateError):
             solve_bound_state(lambda r: 1.0 / r, QuantumState(0, 0), ATOMIC, cfg)
 
@@ -235,11 +248,19 @@ class TestErrorEstimate:
         assert abs(rf.energy - want) <= rf.error_estimate <= tol
         assert rf.converged
 
+    def test_level_at_the_largest_order(self):
+        # 1s at A = 250 in a box of 40 a needs order 820, where eigh's own
+        # eigenvalue is good to eps |h|, some 3e-9; the quotient's rounding
+        # error is far below the 1e-9 target
+        rf = solve_bound_state(lambda r: -250.0 / r, QuantumState(0, 0), ATOMIC,
+                               SolverConfig(r_max=40.0))
+        assert rf.grid.size == 821
+        assert rf.converged and abs(rf.energy - -31250.0) <= rf.error_estimate
+
     @pytest.mark.parametrize("delta", [0.0, 0.01])
     def test_target_scales_with_the_level(self, solve, delta):
-        # 1s at A = 16 in hbar2m units lies near E = -64, where the roundoff
-        # floor of the estimate is some 4e-9; the default target is 1e-9 in
-        # units of m A^2 / hbar^2, so it scales with the level
+        # 1s at A = 16 in hbar2m units lies near E = -64; the default target
+        # is 1e-9 in units of m A^2 / hbar^2, so it scales with the level
         st = state_from_label("1s")
         spec = ScreeningSpec(delta=delta, strength=16.0)
         assert default_solver_config(st, spec, HBAR2M).energy_abs_tol == pytest.approx(128e-9)
@@ -250,7 +271,9 @@ class TestErrorEstimate:
 
 
 class TestAgainstBisection:
-    """Inverse iteration lands within two roundoff floors of full bisection."""
+    """The mesh level matches the box's level by independent means: full
+    LAPACK bisection of the three-point Laplacian on an explicit step of 4e-3
+    Coulomb lengths, Romberg-extrapolated over the grids h-8h."""
 
     @pytest.mark.parametrize("label, strength, delta, g, units, r_max", [
         ("1s", 1.0, 0.0, 1.0, ATOMIC, None),
@@ -263,71 +286,20 @@ class TestAgainstBisection:
         ("1s", 1.0, 1.0, 0.0, ATOMIC, None),
     ], ids=["coulomb-1s", "coulomb-2s", "coulomb-3d", "coulomb-4f", "A16-hbar2m-1s",
             "screened-1s", "screened-2s", "yukawa-1s"])
-    def test_grid_levels(self, monkeypatch, label, strength, delta, g, units, r_max):
+    def test_grid_levels(self, label, strength, delta, g, units, r_max):
         st = state_from_label(label)
         spec = ScreeningSpec(delta=delta, strength=strength, g=g)
         cfg = default_solver_config(st, spec, units)
         if r_max is not None:
-            cfg = SolverConfig(step=cfg.step, r_max=r_max, energy_abs_tol=cfg.energy_abs_tol)
+            cfg = SolverConfig(r_max=r_max, energy_abs_tol=cfg.energy_abs_tol)
         pot = lambda r: effective_potential(r, spec, st.ell, units)
-        found, refine = {}, ecsc.radial._refine  # grid size -> last eigenvalue refined on it
-
-        def spy(v, *args):
-            out = refine(v, *args)
-            found[v.size] = out[0]
-            return out
-
-        monkeypatch.setattr(ecsc.radial, "_refine", spy)
+        step = 4e-3 * st.principal * units.hbar**2 / (units.mass * strength)
         rf = solve_bound_state(pot, st, units, cfg)
-        sizes = sorted(found, reverse=True)[:4]
-        for size, (want, floor) in zip(sizes, _bisection_levels(pot, units, cfg, st.n)):
-            assert abs(found[size] - want) <= 2.0 * floor
-        assert rf.energy == _romberg(*(found[size] for size in sizes))
+        want = _romberg(*_bisection_levels(pot, units, step, cfg.r_max, st.n))
+        # 1e-11 in units of m A^2 / hbar^2: the reference's roundoff grows with
+        # the level, some 6e-11 at A = 16 in hbar2m units (E = -64)
+        assert abs(rf.energy - want) <= 1e-2 * cfg.energy_abs_tol
         assert rf.node_count == st.n
-
-    def test_level_the_start_grid_cannot_see(self):
-        # a deep well 5h wide between the samples of the grids 8h and coarser
-        # binds a level below the Coulomb 1s; the ladder, started on 32h, must
-        # notice the extra node on 4h and take the well's level there
-        pot = lambda r: -1.0 / r - 1e3 * (np.abs(r - 1.012) < 0.0025)
-        cfg = SolverConfig(step=1e-3, r_max=40.0)
-        rf = solve_bound_state(pot, QuantumState(0, 0), ATOMIC, cfg)
-        levels = _bisection_levels(pot, ATOMIC, cfg, 0)
-        e_h, floor = levels[0]
-        assert rf.node_count == 0
-        assert e_h < -1.0
-        assert abs(rf.energy - _romberg(*(e for e, _ in levels))) <= 3.0 * floor
-
-    @pytest.mark.parametrize("label, r_max", [("1s", 40.0), ("2s", 60.0)])
-    def test_iteration_cap(self, monkeypatch, label, r_max):
-        # at step 0.5 inverse iteration runs out of its 8 steps unsettled
-        # (1s on the grids of 19 and 39 points, 2s on its start grid); the
-        # ladder still lands on the Romberg value of full bisection
-        st = state_from_label(label)
-        cfg = SolverConfig(step=0.5, r_max=r_max)
-        pot = lambda r: effective_potential(r, ScreeningSpec(delta=0.0), st.ell, ATOMIC)
-        settled, refine = [], ecsc.radial._refine
-
-        def spy(*args):
-            out = refine(*args)
-            settled.append(out[2])
-            return out
-
-        monkeypatch.setattr(ecsc.radial, "_refine", spy)
-        rf = solve_bound_state(pot, st, ATOMIC, cfg)
-        assert not all(settled)
-        assert rf.node_count == st.n
-        levels = _bisection_levels(pot, ATOMIC, cfg, st.n)
-        assert abs(rf.energy - _romberg(*(e for e, _ in levels))) <= 1e-13
-
-    def test_start_on_8h(self):
-        # 40008 = 8 x 5001 intervals: the start grid is 8h itself
-        pot = lambda r: -1.0 / r
-        st = QuantumState(0, 0)
-        odd = solve_bound_state(pot, st, ATOMIC, SolverConfig(step=1e-3, r_max=40.008))
-        ladder = solve_bound_state(pot, st, ATOMIC, SolverConfig(step=1e-3, r_max=40.0))
-        assert odd.node_count == 0
-        assert abs(odd.energy - ladder.energy) <= odd.error_estimate + ladder.error_estimate
 
 
 def _grid_arrays_held(tb) -> list[str]:
@@ -345,7 +317,7 @@ class TestUnboundTraceback:
     cyclic collector runs; none of them may hold a grid-sized array."""
 
     def test_repulsive_potential(self):
-        cfg = SolverConfig(step=1e-3, r_max=40.0)
+        cfg = SolverConfig(r_max=40.0)
         with pytest.raises(NoBoundStateError) as exc:
             solve_bound_state(lambda r: 1.0 / r, QuantumState(0, 0), ATOMIC, cfg)
         assert _grid_arrays_held(exc.value.__traceback__) == []

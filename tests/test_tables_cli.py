@@ -16,7 +16,7 @@ from ecsc import (
     state_from_label,
 )
 from ecsc.cli import main
-from ecsc.radial import MAX_INTERVALS
+from ecsc.core import MAX_INTERVALS
 from ecsc.tables import TABLES, TableResult
 
 
@@ -295,11 +295,10 @@ class TestCli:
         line = capsys.readouterr().out.splitlines()[0]
         assert "numeric energy" in line and "converged=True" in line
         assert 0.0 < float(line.split("error_estimate=")[1]) <= 1e-9
-        assert len(out.read_text().splitlines()) > 1000
 
-    @pytest.mark.parametrize("grid", [[], ["--step", "2.5e-4"]])
+    @pytest.mark.parametrize("grid", [[], ["--rmax", "10"]])
     def test_oracle_deep_level_converges(self, capsys, grid):
-        # E near -64: the default target scales with the level, and a grid
+        # E near -64: the default target scales with the level, and a box
         # override keeps it
         assert main(["oracle", "--state", "1s", "--A", "16", "--units", "hbar2m",
                      "--delta", "0.01", *grid]) == 0
@@ -337,16 +336,25 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("argv", [
-        ["oracle", "--state", "1s", "--delta", "0.05", "--step", "1e-7"],
         ["oracle", "--state", "1s", "--delta", "0.05", "--rmax", "1e9"],
+        # bound at -0.4501, but on this box the mesh would miss the well and
+        # report a box state as unbound
+        ["oracle", "--state", "1s", "--delta", "0.05", "--rmax", "1e5"],
         ["wavefunction", "--state", "1s", "--delta", "0.05", "--points", "1000000000"],
         ["scan", "--state", "1s", "--delta-start", "0", "--delta-end", "0.1",
          "--steps", "1000000000"],
-    ], ids=["step", "rmax", "points", "steps"])
+    ], ids=["rmax", "rmax-unresolved", "points", "steps"])
     def test_oversized_grids_are_a_usage_error(self, capsys, argv):
-        # rejected before anything of that size is allocated
+        # rejected before anything of that size is allocated or solved
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_oracle_widest_box(self, capsys):
+        # four times the default box of 40 Coulomb lengths is the widest allowed
+        assert main(["oracle", "--state", "1s", "--delta", "0.05", "--rmax", "160"]) == 0
+        assert "numeric energy  -0.4501174664" in capsys.readouterr().out
+        assert main(["oracle", "--state", "1s", "--delta", "0.05", "--rmax", "160.001"]) == 2
+        assert capsys.readouterr().err.startswith("error: --rmax must be at most 160,")
 
     def test_only_the_cli_opens_files(self):
         package = Path(ecsc.__file__).parent
