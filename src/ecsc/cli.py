@@ -181,7 +181,7 @@ def _cmd_oracle(args) -> int:
     except NoBoundStateError as exc:
         print(f"no bound state: {exc}", file=sys.stderr)
         return 1
-    print(f"numeric energy  {rf.energy:+.10g}   nodes={rf.node_count} "
+    print(f"numeric energy  {rf.energy:+.10g}   nodes={rf.node_count} mesh={rf.grid.size - 1} "
           f"converged={rf.converged} error_estimate={rf.error_estimate:.1e}")
     if spec.g == 1.0:
         analytic = total_energy(state, spec, units, SecondOrderVariant(args.variant)).total

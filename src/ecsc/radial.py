@@ -1,17 +1,23 @@
 """Numerical radial bound-state solver, independent of the perturbation theory.
 
 The radial equation -(hbar^2/2m) chi'' + V_eff(r) chi = E chi is solved in
-the box [0, r_max] with chi = 0 at both ends, on a Lagrange mesh: the
-Gauss-Lobatto-Legendre points of order N mapped onto the box (D. Baye,
-Phys. Rep. 565 (2015) 1).  In the basis of the N - 1 interior Lagrange
-functions the kinetic matrix is exact and the potential is diagonal, its
-values at the mesh points, so the level with n nodes is eigenvalue n of one
-dense symmetric matrix.  The energy is the eigenvector's Rayleigh quotient
-with its kinetic part summed as squares.  The order grows through
-48 1.5^k up to 820 until two orders agree to ``energy_abs_tol``; their
-difference, plus the quotient's rounding error (eps times the sum of the
-absolute values of its terms), is the error estimate.  The amplitude is the
-eigenvector at the mesh points.
+the box [0, r_max] with chi = 0 at both ends, on a graded Lagrange mesh: the
+Gauss-Lobatto-Legendre points x of order N mapped onto the box by
+r = r_max (e^(a t) - 1)/(e^a - 1), t = (1 + x)/2 and a = 3, which crowds
+them toward the origin (D. Baye, Phys. Rep. 565 (2015) 1, on mapped
+meshes).  In the basis of the N - 1 interior Lagrange functions, each
+scaled by 1/sqrt(w_i J_i) with J = (dr/dx)/r_max, the kinetic matrix is
+the mesh's Gauss approximation of the exact one and the potential is
+diagonal, its values at the mesh points, so the level with n nodes is
+eigenvalue n of one dense symmetric matrix.  The energy is the
+eigenvector's Rayleigh quotient with its kinetic part summed as squares
+under the weights w/J.  The order grows through 28 1.5^k up to 718 until
+two orders agree to ``energy_abs_tol``; their difference, plus the
+quotient's rounding error (eps times the sum of the absolute values of its
+terms), is the error estimate.  Every level of
+:func:`default_solver_config`'s box tried (1s-4f, Coulomb, ECSC and Yukawa
+at every bound screening) converged at order 42.  The amplitude is
+u_i/sqrt(r_max w_i J_i), u the eigenvector.
 
 The orders do not grow with r_max, so the mesh near the origin coarsens as
 the box widens.  On boxes up to ``MAX_BOX_SCALE`` times
@@ -37,11 +43,14 @@ from .core import QuantumState, ScreeningSpec, UnitSystem, ValidationError
 
 _EPS = float(np.finfo(float).eps)
 #: mesh orders N tried in turn
-_ORDERS = tuple(round(48 * 1.5**k) for k in range(8))
+_ORDERS = tuple(round(28 * 1.5**k) for k in range(9))
+#: grading a of the map from the Gauss-Lobatto points to the box
+_GRADING = 3.0
 #: widest box, as a multiple of default_solver_config's, that the orders
 #: resolve: Coulomb-limit, ECSC and Yukawa 1s-4f levels at every bound
-#: screening stayed bound at 6 times the default box; one (ECSC 4s at
-#: delta = 0.04) did not at 8
+#: screening stayed bound at 6 times the default box; ECSC 4s at
+#: delta = 0.04 did not at 8, and the verdict is not monotone in the width
+#: (bound again at 10 and 12, unbound at 15 and 16, bound at 32)
 MAX_BOX_SCALE = 4.0
 
 
@@ -76,9 +85,10 @@ def default_solver_config(
 
     The cutoff is a multiple of the state's Coulomb length
     N hbar^2/(m A); a Coulomb level 1s-4f then comes out within 5e-14 of
-    exact, and one level costs about 1-5 ms.  The convergence target is
-    1e-9 in units of m A^2/hbar^2, because the roundoff floor of the
-    estimate scales with that energy; at A = 1 in atomic units it is 1e-9.
+    exact at mesh order 42, and one level costs about 0.6-0.8 ms on a 2-CPU
+    x86-64 machine.  The convergence target is 1e-9 in units of
+    m A^2/hbar^2, because the roundoff floor of the estimate scales with
+    that energy; at A = 1 in atomic units it is 1e-9.
     """
     length = state.principal * units.hbar**2 / (units.mass * spec.strength)
     return SolverConfig(
@@ -92,9 +102,10 @@ class RadialFunction:
     """A solved bound state: normalized amplitude samples and metadata.
 
     ``grid`` is the mesh: 0, the interior points and r_max.  ``values`` is
-    the amplitude there, zero at both ends, with unit norm under the mesh's
-    Gauss-Lobatto quadrature.  ``node_count`` counts its sign changes where
-    it exceeds 1e-6 of its largest magnitude.
+    the amplitude there, zero at both ends, with unit norm under the graded
+    mesh's quadrature: the sum of w_i (dr/dx)_i values_i^2 over the mesh,
+    w the Gauss-Lobatto weights.  ``node_count`` counts its sign changes
+    where it exceeds 1e-6 of its largest magnitude.
     ``error_estimate`` estimates |energy - exact level| at the given cutoff
     r_max: the spread of the last two orders plus the quotient's rounding
     error.  It is blind to the cutoff itself: Yukawa 1s at screening 1.0
@@ -113,24 +124,30 @@ class RadialFunction:
 
 @cache
 def _mesh(order: int):
-    """The Gauss-Lobatto mesh of order ``order`` on [-1, 1]: interior points,
-    all weights, the derivatives of the normalised interior Lagrange
-    functions at every point and the kinetic matrix -d^2/dx^2 between those
-    functions."""
+    """The graded Gauss-Lobatto mesh of order ``order`` on [0, 1]: interior
+    points s = r/r_max, all weights w on [-1, 1], the Jacobian J = ds/dx at
+    every point, the derivatives of the normalised interior Lagrange
+    functions at every point and the Gauss approximation of the kinetic
+    matrix -d^2/ds^2 between those functions."""
     # the interior points are the zeros of P'_N, a Jacobi polynomial P^(1,1)_(N-1)
     x = np.concatenate(([-1.0], roots_jacobi(order - 1, 1.0, 1.0)[0], [1.0]))
     p = eval_legendre(order, x)
     w = 2.0 / (order * (order + 1) * p**2)
+    # s = (e^(a t) - 1)/(e^a - 1) with t = (1 + x)/2, to full relative
+    # precision near the origin, where the potential is largest
+    at = 0.5 * _GRADING * (1.0 + x)
+    s = np.expm1(at) / np.expm1(_GRADING)
+    jac = 0.5 * _GRADING * np.exp(at) / np.expm1(_GRADING)
     # d_ij: derivative of Lagrange function j at point i
     gap = x[:, None] - x
     np.fill_diagonal(gap, 1.0)
     d = p[:, None] / (p * gap)
     np.fill_diagonal(d, 0.0)
     d[0, 0], d[-1, -1] = -order * (order + 1) / 4.0, order * (order + 1) / 4.0
-    grad = d[:, 1:-1] / np.sqrt(w[1:-1])
-    # sum_k w_k grad_ki grad_kj is exact: the integrand has degree 2N - 2
-    kinetic = grad.T @ (w[:, None] * grad)
-    mesh = x[1:-1], w, grad, kinetic
+    grad = d[:, 1:-1] / np.sqrt((w * jac)[1:-1])
+    # the Gauss approximation: 1/J is not a polynomial, so the sum is not exact
+    kinetic = grad.T @ ((w / jac)[:, None] * grad)
+    mesh = s[1:-1], w, jac, grad, kinetic
     for array in mesh:  # every caller shares them
         array.flags.writeable = False
     return mesh
@@ -149,15 +166,15 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
     if len(orders) < 2:
         raise ValidationError(f"no two meshes of up to {_ORDERS[-1]} points hold a level "
                               f"with {n} nodes")
-    # -(hbar^2/2m) d^2/dr^2 = -(hbar^2/2m) (2/r_max)^2 d^2/dx^2
-    scale = units.hbar**2 / (2.0 * units.mass) * (2.0 / r_max) ** 2
+    # -(hbar^2/2m) d^2/dr^2 = -(hbar^2/2m) r_max^-2 d^2/ds^2
+    scale = units.hbar**2 / (2.0 * units.mass * r_max**2)
     previous = None
     for order in orders:
-        x, w, grad, kinetic = _mesh(order)
+        s, w, jac, grad, kinetic = _mesh(order)
         # the largest entry of a positive definite matrix is on its diagonal
         if not isfinite(scale * float(np.max(np.diagonal(kinetic)))):
             raise ValidationError(f"r_max = {r_max:g} is too small: the kinetic matrix overflows")
-        r = 0.5 * r_max * (1.0 + x)
+        r = r_max * s
         v = np.asarray(potential(r), dtype=float)
         if v.shape != r.shape:
             raise ValidationError(
@@ -174,9 +191,9 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
         # the Rayleigh quotient with its kinetic part a sum of squares: eigh's
         # eigenvalue is good only to about eps |h|, this to eps times the sum
         # of the absolute values of the terms it adds up
-        g = grad @ u
-        energy = float(scale * np.dot(w, g * g) + np.dot(v, u * u))
-        roundoff = _EPS * float(scale * np.dot(w, np.abs(g) * (np.abs(grad) @ np.abs(u)))
+        g, weight = grad @ u, w / jac
+        energy = float(scale * np.dot(weight, g * g) + np.dot(v, u * u))
+        roundoff = _EPS * float(scale * np.dot(weight, np.abs(g) * (np.abs(grad) @ np.abs(u)))
                                 + np.dot(np.abs(v), u * u))
         if previous is not None:
             estimate = abs(energy - previous) + roundoff
@@ -187,7 +204,7 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
         return (f"level n={n}, l={state.ell} lies at E = {energy:.3g} +- {estimate:.1g} on the "
                 f"mesh to r_max = {r_max:g}: a box-quantised continuum state, not bound")
 
-    chi = u / np.sqrt(0.5 * r_max * w[1:-1])
+    chi = u / np.sqrt(r_max * (w * jac)[1:-1])
     if chi[np.argmax(np.abs(chi))] < 0:
         chi = -chi
     return RadialFunction(

@@ -22,7 +22,7 @@ from ecsc import (
     total_energy,
 )
 from ecsc.cli import main
-from ecsc.radial import MAX_BOX_SCALE
+from ecsc.radial import _GRADING, _ORDERS, MAX_BOX_SCALE, _mesh
 
 SQ2 = math.sqrt(2.0)
 
@@ -52,10 +52,13 @@ def _romberg(e_h, e_2h, e_4h, e_8h):
 
 
 def _mesh_norm(rf):
-    """Gauss-Lobatto quadrature of values^2 over the mesh rf.grid of [0, r_max]."""
+    """Gauss-Lobatto quadrature of values^2 over the graded mesh rf.grid of
+    [0, r_max], its points mapped back to x in [-1, 1]."""
     order, r_max = rf.grid.size - 1, rf.grid[-1]
-    p = eval_legendre(order, 2.0 * rf.grid / r_max - 1.0)
-    return 0.5 * r_max * np.sum(2.0 / (order * (order + 1) * p**2) * rf.values**2)
+    t = np.log1p(np.expm1(_GRADING) * rf.grid / r_max) / _GRADING
+    weight = 2.0 / (order * (order + 1) * eval_legendre(order, 2.0 * t - 1.0) ** 2)
+    jac = 0.5 * _GRADING * np.exp(_GRADING * t) / np.expm1(_GRADING)
+    return r_max * np.sum(weight * jac * rf.values**2)
 
 
 class TestSolverConfig:
@@ -90,14 +93,14 @@ class TestPotentialInput:
             solve_bound_state(lambda r: np.where(r > 5.0, np.nan, -1.0 / r), st, ATOMIC, cfg)
 
     def test_grid_must_resolve_the_nodes(self):
-        # only the largest mesh, of 819 interior points, holds level 600;
+        # only the largest mesh, of 717 interior points, holds level 600;
         # the error estimate needs two meshes
         cfg = SolverConfig(r_max=16.0)
         with pytest.raises(ValidationError):
             solve_bound_state(lambda r: -1.0 / r, QuantumState(600, 0), ATOMIC, cfg)
 
     def test_box_too_small_is_a_usage_error(self, capsys):
-        # (2/r_max)^2 hbar^2/2m is finite, the kinetic matrix of order 48 is not
+        # hbar^2/(2m r_max^2) is finite, the kinetic matrix of order 28 is not
         assert main(["oracle", "--state", "1s", "--delta", "0", "--rmax", "1e-152"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: r_max = 1e-152 is too small") and "Traceback" not in err
@@ -249,12 +252,13 @@ class TestErrorEstimate:
         assert rf.converged
 
     def test_level_at_the_largest_order(self):
-        # 1s at A = 250 in a box of 40 a needs order 820, where eigh's own
-        # eigenvalue is good to eps |h|, some 3e-9; the quotient's rounding
-        # error is far below the 1e-9 target
+        # 1s at A = 250 in a box of 240 a (60000 Coulomb lengths) is 1e-2 off
+        # at order 319, so the first two orders that agree are 478 and 718; at
+        # 718 eigh's own eigenvalue is good to eps |h|, some 2e-9, and the
+        # quotient's rounding error is far below the 1e-9 target
         rf = solve_bound_state(lambda r: -250.0 / r, QuantumState(0, 0), ATOMIC,
-                               SolverConfig(r_max=40.0))
-        assert rf.grid.size == 821
+                               SolverConfig(r_max=240.0))
+        assert rf.grid.size == _ORDERS[-1] + 1 == 719
         assert rf.converged and abs(rf.energy - -31250.0) <= rf.error_estimate
 
     @pytest.mark.parametrize("delta", [0.0, 0.01])
@@ -268,6 +272,30 @@ class TestErrorEstimate:
         rf = solve(st, 16.0, delta, HBAR2M)
         assert rf.converged
         assert abs(rf.energy - total_energy(st, spec, HBAR2M).total) <= rf.error_estimate
+
+
+class TestMesh:
+    @pytest.mark.parametrize("order", _ORDERS)
+    def test_invariants(self, order):
+        s, w, jac, grad, kinetic = _mesh(order)
+        assert np.all(jac > 0.0) and np.all(np.diff(s) > 0.0)
+        # the integral of dr over the box is r_max
+        assert np.sum(w * jac) == pytest.approx(1.0, abs=1e-14)
+        assert np.max(np.abs(kinetic - kinetic.T)) <= 1e-15 * np.max(np.abs(kinetic))
+        # positive definite, with the lowest level of -d^2/ds^2 on [0, 1]
+        assert np.linalg.eigvalsh(kinetic)[0] == pytest.approx(math.pi**2, rel=1e-10)
+
+    @pytest.mark.parametrize("label, delta, g", [
+        *((label, 0.0, 1.0) for label in ["1s", "2s", "2p", "3s", "3p", "3d", "4s", "4p", "4d",
+                                          "4f"]),
+        ("1s", 0.1, 0.0), ("1s", 0.5, 0.0), ("1s", 1.0, 0.0), ("1s", 0.7, 1.0),
+    ])
+    def test_default_box_levels_converge_by_order_63(self, solve, label, delta, g):
+        # the graded mesh resolves every default-box level at order 42 or 63
+        st = state_from_label(label)
+        rf = solve(st, 1.0, delta, ATOMIC, g=g)
+        assert rf.converged and rf.node_count == st.n
+        assert rf.grid.size - 1 <= 63
 
 
 class TestAgainstBisection:

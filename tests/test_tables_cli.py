@@ -296,6 +296,16 @@ class TestCli:
         assert "numeric energy" in line and "converged=True" in line
         assert 0.0 < float(line.split("error_estimate=")[1]) <= 1e-9
 
+    @pytest.mark.parametrize("argv, order", [
+        (["--state", "1s", "--delta", "0.05"], 42),
+        # four times the default box of 640 Coulomb lengths
+        (["--state", "4s", "--delta", "0", "--rmax", "2560"], 63),
+    ], ids=["default-box", "widest-box"])
+    def test_oracle_reports_the_mesh_order(self, capsys, argv, order):
+        assert main(["oracle", *argv]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert f" mesh={order} " in line
+
     @pytest.mark.parametrize("grid", [[], ["--rmax", "10"]])
     def test_oracle_deep_level_converges(self, capsys, grid):
         # E near -64: the default target scales with the level, and a box
