@@ -11,7 +11,7 @@ from math import isfinite
 import numpy as np
 
 from .core import (
-    MAX_INTERVALS,
+    MAX_SAMPLES,
     ScreeningSpec,
     SecondOrderVariant,
     ValidationError,
@@ -145,8 +145,8 @@ def _cmd_wavefunction(args) -> int:
     if state.n != 0:
         raise ValidationError(
             "the analytic moderated wavefunction is available for n = 0 levels only")
-    if not 1 <= args.points <= MAX_INTERVALS:
-        raise ValidationError(f"--points must be between 1 and {MAX_INTERVALS}, got {args.points}")
+    if not 1 <= args.points <= MAX_SAMPLES:
+        raise ValidationError(f"--points must be between 1 and {MAX_SAMPLES}, got {args.points}")
     if args.rmax is not None and not (isfinite(args.rmax) and args.rmax > 0.0):
         raise ValidationError(f"--rmax must be positive and finite, got {args.rmax}")
     spec = ScreeningSpec(delta=args.delta, strength=args.A)

@@ -12,7 +12,7 @@ import numpy as np
 
 
 #: largest number of scan steps or wavefunction samples any command allocates
-MAX_INTERVALS = 2**22
+MAX_SAMPLES = 2**22
 
 
 class ValidationError(ValueError):

@@ -23,7 +23,6 @@ from math import comb, factorial, sqrt
 from numbers import Integral
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 from .core import QuantumState, ScreeningSpec, UnitSystem, ValidationError, check_positive_radius
 
@@ -31,12 +30,20 @@ from .core import QuantumState, ScreeningSpec, UnitSystem, ValidationError, chec
 def laguerre(n: int, k: int, x):
     """Associated Laguerre polynomial L_n^k(x); accepts scalars or arrays.
 
-    Evaluated by scipy's recurrence; the exact rational coefficients live in
+    Evaluated by the three-term recurrence
+    (j + 1) L_(j+1) = (2j + 1 + k - x) L_j - (j + k) L_(j-1) from L_0 = 1 and
+    L_1 = 1 + k - x; the exact rational coefficients live in
     :func:`_moment_fraction`, where exact arithmetic is needed.
     """
     if not (isinstance(n, Integral) and isinstance(k, Integral)) or n < 0 or k < 0:
         raise ValidationError(f"need integers n >= 0 and k >= 0, got (n={n!r}, k={k!r})")
-    return eval_genlaguerre(n, k, x)
+    x = np.asarray(x, dtype=float)
+    if n == 0:
+        return np.ones_like(x)[()]
+    previous, current = 1.0, 1.0 + k - x
+    for j in range(1, n):
+        previous, current = current, ((2 * j + 1 + k - x) * current - (j + k) * previous) / (j + 1)
+    return current
 
 
 def coulomb_energy(state: QuantumState, spec: ScreeningSpec, units: UnitSystem) -> float:

@@ -36,7 +36,7 @@ is the default because it reproduces the reference tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, sqrt
+from math import sqrt
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -320,18 +320,19 @@ def ground_wavefunction(
     Returns (psi, poly) where psi(r) = norm * r^(ell+1) * exp(P(r)) and poly
     is the ``Polynomial`` P.  By default the Coulomb normalization constant
     is kept, so psi is not exactly unit-normalized once delta > 0;
-    pass ``renormalize=True`` to rescale numerically (useful for plotting).
+    pass ``renormalize=True`` to rescale numerically (useful for plotting)
+    by a 200-point Gauss-Legendre rule on [0, min(60/beta, validity radius)].
     The closed form is asymptotic: see :func:`moderated_validity_radius`.
     """
     state = QuantumState(0, ell)
     poly = wavefunction_polynomial(ell, spec, units)
     scale = coulomb_norm(state, spec, units)
     if renormalize:
-        from scipy.integrate import quad  # deferred: only this branch needs QUADPACK
         beta = coulomb_beta(state, spec, units)
         r_stop = min(60.0 / beta, moderated_validity_radius(ell, spec, units))
-        density = lambda x: (x ** (ell + 1) * exp(poly(x))) ** 2
-        val, _ = quad(density, 0.0, r_stop, limit=200)
+        t, w = np.polynomial.legendre.leggauss(200)
+        x = 0.5 * r_stop * (t + 1.0)
+        val = 0.5 * r_stop * np.dot(w, (x ** (ell + 1) * np.exp(poly(x))) ** 2)
         scale = 1.0 / sqrt(val)
 
     def psi(r):

@@ -62,9 +62,10 @@ def effective_potential(r, spec: ScreeningSpec, ell: int, units: UnitSystem):
     """Screened potential plus the centrifugal barrier hbar^2 l(l+1)/(2 m r^2)."""
     if ell < 0:
         raise ValidationError(f"ell must be >= 0, got {ell}")
-    arr = check_positive_radius(r)
-    barrier = units.hbar**2 * ell * (ell + 1) / (2.0 * units.mass * arr**2)
-    out = evaluate_potential(arr, spec) + barrier
+    # evaluate_potential rejects r <= 0 before the barrier divides by r^2
+    screened = evaluate_potential(r, spec)
+    arr = np.asarray(r, dtype=float)
+    out = screened + units.hbar**2 * ell * (ell + 1) / (2.0 * units.mass * arr**2)
     return out if out.ndim else float(out)
 
 

@@ -35,7 +35,6 @@ from functools import lru_cache
 from math import sqrt
 
 import numpy as np
-from scipy.special import roots_laguerre
 
 from .core import QuantumState, ScreeningSpec, UnitSystem, ValidationError
 from .coulomb import coulomb_beta, coulomb_norm, laguerre
@@ -111,9 +110,14 @@ def _converge(g, rules):
 
 @lru_cache(maxsize=None)
 def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    # Gauss-Laguerre nodes on [0, inf), the weight exp(-x) folded into the weights
-    x, w = roots_laguerre(nodes)
-    return x, w * np.exp(x)
+    # Gauss-Laguerre nodes on [0, inf), the weight exp(-x) folded into the
+    # weights: the eigenvalues of the Jacobi matrix of L_n (Golub and Welsch,
+    # Math. Comp. 23 (1969) 221), each polished by one Newton step with
+    # L_n' = -L^(1)_(n-1); w exp(x) = 1/(x (L^(1)_(n-1)(x) exp(-x/2))^2)
+    x = np.linalg.eigvalsh(np.diag(2.0 * np.arange(nodes) + 1.0)
+                           + np.diag(np.arange(1.0, nodes), -1))
+    x += laguerre(nodes, 0, x) / laguerre(nodes - 1, 1, x)
+    return x, 1.0 / (x * (laguerre(nodes - 1, 1, x) * np.exp(-0.5 * x)) ** 2)
 
 
 def integrate_density_with_error(

@@ -9,9 +9,10 @@ meshes).  In the basis of the N - 1 interior Lagrange functions, each
 scaled by 1/sqrt(w_i J_i) with J = (dr/dx)/r_max, the kinetic matrix is
 the mesh's Gauss approximation of the exact one and the potential is
 diagonal, its values at the mesh points, so the level with n nodes is
-eigenvalue n of one dense symmetric matrix.  The energy is the
-eigenvector's Rayleigh quotient with its kinetic part summed as squares
-under the weights w/J.  The order grows through 28 1.5^k up to 718 until
+eigenvalue n of one dense symmetric matrix, and its eigenvector follows
+from one step of inverse iteration.  The energy is the eigenvector's
+Rayleigh quotient with its kinetic part summed as squares under the
+weights w/J.  The order grows through 28 1.5^k up to 718 until
 two orders agree to ``energy_abs_tol``; their difference, plus the
 quotient's rounding error (eps times the sum of the absolute values of its
 terms), is the error estimate.  Every level of
@@ -36,8 +37,6 @@ from functools import cache
 from math import isfinite
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.special import eval_legendre, roots_jacobi
 
 from .core import QuantumState, ScreeningSpec, UnitSystem, ValidationError
 
@@ -122,6 +121,21 @@ class RadialFunction:
     error_estimate: float = float("nan")
 
 
+def _gauss_lobatto(order: int):
+    """The Gauss-Lobatto-Legendre points x of order N = ``order``, -1 and 1
+    included, and the Legendre polynomial P_N there by its three-term
+    recurrence."""
+    # the interior points are the zeros of P'_N, a Jacobi polynomial P^(1,1)_(N-1):
+    # the eigenvalues of its Jacobi matrix (Golub and Welsch, Math. Comp. 23 (1969) 221)
+    k = np.arange(1.0, order - 1)
+    jacobi = np.diag(np.sqrt(k * (k + 2.0) / ((2.0 * k + 1.0) * (2.0 * k + 3.0))), -1)
+    x = np.concatenate(([-1.0], np.linalg.eigvalsh(jacobi), [1.0]))
+    previous, p = 1.0, x
+    for j in range(1, order):
+        previous, p = p, ((2 * j + 1) * x * p - j * previous) / (j + 1)
+    return x, p
+
+
 @cache
 def _mesh(order: int):
     """The graded Gauss-Lobatto mesh of order ``order`` on [0, 1]: interior
@@ -129,9 +143,7 @@ def _mesh(order: int):
     every point, the derivatives of the normalised interior Lagrange
     functions at every point and the Gauss approximation of the kinetic
     matrix -d^2/ds^2 between those functions."""
-    # the interior points are the zeros of P'_N, a Jacobi polynomial P^(1,1)_(N-1)
-    x = np.concatenate(([-1.0], roots_jacobi(order - 1, 1.0, 1.0)[0], [1.0]))
-    p = eval_legendre(order, x)
+    x, p = _gauss_lobatto(order)
     w = 2.0 / (order * (order + 1) * p**2)
     # s = (e^(a t) - 1)/(e^a - 1) with t = (1 + x)/2, to full relative
     # precision near the origin, where the potential is largest
@@ -186,9 +198,14 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
         if not np.any(v < 0.0):
             return "effective potential is nowhere negative on the mesh; nothing is bound"
         h = scale * kinetic
-        h[np.diag_indices(order - 1)] += v
-        u = eigh(h, subset_by_index=[n, n])[1][:, 0]
-        # the Rayleigh quotient with its kinetic part a sum of squares: eigh's
+        diagonal = np.diag_indices(order - 1)
+        h[diagonal] += v
+        # eigenvalue n, then its eigenvector by one step of inverse iteration
+        # from the vector of ones: (h - lambda) u = 1, normalised
+        h[diagonal] -= np.linalg.eigvalsh(h)[n]
+        u = np.linalg.solve(h, np.ones(order - 1))
+        u /= np.linalg.norm(u)
+        # the Rayleigh quotient with its kinetic part a sum of squares: the
         # eigenvalue is good only to about eps |h|, this to eps times the sum
         # of the absolute values of the terms it adds up
         g, weight = grad @ u, w / jac

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from .core import (
     ATOMIC,
     HBAR2M,
-    MAX_INTERVALS,
+    MAX_SAMPLES,
     QuantumState,
     ScreeningSpec,
     SecondOrderVariant,
@@ -392,8 +392,8 @@ def scan_delta(
     variant: SecondOrderVariant = SecondOrderVariant.TRUNCATED,
 ) -> ScanResult:
     """One ComparisonRow per screening value on a uniform grid of ``steps`` points."""
-    if not 1 <= steps <= MAX_INTERVALS:
-        raise ValidationError(f"steps must be between 1 and {MAX_INTERVALS}, got {steps}")
+    if not 1 <= steps <= MAX_SAMPLES:
+        raise ValidationError(f"steps must be between 1 and {MAX_SAMPLES}, got {steps}")
     if delta_start < 0.0 or delta_end < delta_start:
         raise ValidationError("need 0 <= delta_start <= delta_end")
     if steps == 1:

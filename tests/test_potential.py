@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -113,6 +114,13 @@ class TestEffectivePotential:
     def test_negative_ell_rejected(self):
         with pytest.raises(ValidationError):
             effective_potential(1.0, ScreeningSpec(delta=0.1), -1, ATOMIC)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, [1.0, 0.0]], ids=["zero", "negative", "array"])
+    def test_nonpositive_radius_rejected_before_the_barrier(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no division by zero in the barrier first
+            with pytest.raises(ValidationError):
+                effective_potential(bad, ScreeningSpec(delta=0.1), 2, ATOMIC)
 
 
 class TestPerturbationRemainder:

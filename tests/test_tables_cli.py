@@ -16,7 +16,7 @@ from ecsc import (
     state_from_label,
 )
 from ecsc.cli import main
-from ecsc.core import MAX_INTERVALS
+from ecsc.core import MAX_SAMPLES
 from ecsc.tables import TABLES, TableResult
 
 
@@ -225,7 +225,7 @@ class TestScanDelta:
             scan_delta(state_from_label("1s"), 1.0, ATOMIC, 0.0, 0.1, 0)
         # rejected before the list of screening values is built
         with pytest.raises(ValidationError):
-            scan_delta(state_from_label("1s"), 1.0, ATOMIC, 0.0, 0.1, MAX_INTERVALS + 1)
+            scan_delta(state_from_label("1s"), 1.0, ATOMIC, 0.0, 0.1, MAX_SAMPLES + 1)
 
 
 class TestCli:
