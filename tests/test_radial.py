@@ -22,7 +22,7 @@ from ecsc import (
     total_energy,
 )
 from ecsc.cli import main
-from ecsc.radial import _GRADING, _ORDERS, MAX_BOX_SCALE, _gauss_lobatto, _mesh
+from ecsc.radial import _GRADING, _ORDERS, MAX_BOX_SCALE, _gauss_lobatto, _mesh, _prolong
 
 SQ2 = math.sqrt(2.0)
 
@@ -51,6 +51,14 @@ def _romberg(e_h, e_2h, e_4h, e_8h):
     return (16.0 * r_h - r_2h) / 15.0
 
 
+def _eigvalsh_calls(monkeypatch) -> list:
+    """Patch numpy's eigvalsh to record the order of every matrix it is given."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: calls.append(a.shape[0] + 1) or eigvalsh(a))
+    return calls
+
+
 def _mesh_norm(rf):
     """Gauss-Lobatto quadrature of values^2 over the graded mesh rf.grid of
     [0, r_max], its points mapped back to x in [-1, 1]."""
@@ -75,6 +83,9 @@ class TestSolverConfig:
             SolverConfig(r_max=-2.0)
         with pytest.raises(ValidationError):
             SolverConfig(r_max=10.0, energy_abs_tol=0.0)
+        with pytest.raises(ValidationError):
+            # an infinite target would call every level converged
+            SolverConfig(r_max=240.0, energy_abs_tol=math.inf)
         with pytest.raises(ValidationError):
             SolverConfig(r_max=math.inf)
         with pytest.raises(ValidationError):
@@ -131,7 +142,7 @@ class TestCoulombLimit:
         assert abs(rf.energy - want) <= 1e-6 * abs(want)
 
 
-class TestRomberg:
+class TestCoulombLevels:
     """Coulomb levels to 5e-14 and amplitudes to 1e-9."""
 
     @pytest.mark.parametrize("label", ["1s", "2s", "2p", "3s", "3p", "3d", "4s", "4p", "4d", "4f"])
@@ -149,6 +160,18 @@ class TestRomberg:
         assert rf.values[0] == 0.0
         assert np.max(np.abs(rf.values[1:] - want)) <= 1e-9
         assert _mesh_norm(rf) == pytest.approx(1.0, abs=1e-12)
+
+
+    def test_amplitude_where_levels_crowd(self, solve):
+        # N = 18, l = 13: the neighbouring levels of order 94 lie some 1e-4
+        # away, so the order-63 eigenvector refined by one step keeps 2.7e-10
+        # of the peak in error; the last step, shifted to the energy found,
+        # leaves 1.4e-12
+        st = QuantumState(4, 13)
+        rf = solve(st, 1.0, 0.0, ATOMIC)
+        want = coulomb_wavefunction(st, ScreeningSpec(delta=0.0), ATOMIC, rf.grid[1:])
+        want *= np.sign(np.dot(want, rf.values[1:]))
+        assert np.max(np.abs(rf.values[1:] - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 class TestScreenedStates:
@@ -254,8 +277,9 @@ class TestErrorEstimate:
     def test_level_at_the_largest_order(self):
         # 1s at A = 250 in a box of 240 a (60000 Coulomb lengths) is 1e-2 off
         # at order 319, so the first two orders that agree are 478 and 718; at
-        # 718 eigh's own eigenvalue is good to eps |h|, some 2e-9, and the
-        # quotient's rounding error is far below the 1e-9 target
+        # 718 an eigenvalue of h is good only to eps |h|, some 2e-9, and the
+        # Rayleigh quotient of the refined eigenvector is far closer to the
+        # level; its rounding error is far below the 1e-9 target
         rf = solve_bound_state(lambda r: -250.0 / r, QuantumState(0, 0), ATOMIC,
                                SolverConfig(r_max=240.0))
         assert rf.grid.size == _ORDERS[-1] + 1 == 719
@@ -300,12 +324,46 @@ class TestMesh:
                                           "4f"]),
         ("1s", 0.1, 0.0), ("1s", 0.5, 0.0), ("1s", 1.0, 0.0), ("1s", 0.7, 1.0),
     ])
-    def test_default_box_levels_converge_by_order_63(self, solve, label, delta, g):
-        # the graded mesh resolves every default-box level at order 42 or 63
+    def test_default_box_levels_converge_by_order_63(self, solve, label, delta, g, monkeypatch):
+        # the graded mesh resolves every default-box level at order 42 or 63;
+        # once the meshes are cached, only the first order takes eigvalsh
         st = state_from_label(label)
+        solve(st, 1.0, delta, ATOMIC, g=g)
+        calls = _eigvalsh_calls(monkeypatch)
         rf = solve(st, 1.0, delta, ATOMIC, g=g)
         assert rf.converged and rf.node_count == st.n
         assert rf.grid.size - 1 <= 63
+        assert calls == [_ORDERS[0]]
+
+    @pytest.mark.parametrize("fine, coarse", zip(_ORDERS[1:], _ORDERS))
+    @pytest.mark.parametrize("f", [lambda x: (1.0 - x**2) * x**5, lambda x: 1.0 - x**2],
+                             ids=["x5", "x0"])
+    def test_prolong_interpolates_polynomials(self, fine, coarse, f):
+        # a polynomial of degree at most the coarse order that vanishes at
+        # x = -1 and 1 is its own Lagrange interpolant; the second is 1 at
+        # x = 0, which both meshes of an even pair hold, each only to rounding
+        def scaled(order):
+            x = _gauss_lobatto(order)[0][1:-1]
+            _, w, jac, _, _ = _mesh(order)
+            return f(x) * np.sqrt((w * jac)[1:-1])
+
+        assert np.max(np.abs(_prolong(fine, coarse) @ scaled(coarse) - scaled(fine))) <= 1e-12
+
+    def test_refined_vector_of_another_level_is_refused(self, monkeypatch):
+        # 3s at delta = 0.04 in 4 times the default box: order 28's energy
+        # lies nearer a level of order 42 with 4 nodes, so order 42 takes
+        # eigvalsh again; order 63 refines and converges
+        st = state_from_label("3s")
+        spec = ScreeningSpec(delta=0.04)
+        pot = lambda r: effective_potential(r, spec, st.ell, ATOMIC)
+        cfg = SolverConfig(r_max=4.0 * default_solver_config(st, spec, ATOMIC).r_max)
+        solve_bound_state(pot, st, ATOMIC, cfg)
+        calls = _eigvalsh_calls(monkeypatch)
+        rf = solve_bound_state(pot, st, ATOMIC, cfg)
+        assert calls == [28, 42] and rf.grid.size - 1 == 63
+        assert rf.converged and rf.node_count == 2
+        # the level computed with eigvalsh at every order
+        assert rf.energy == pytest.approx(-0.01882306333417838, rel=1e-15)
 
 
 class TestAgainstBisection:
