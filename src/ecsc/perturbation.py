@@ -312,6 +312,14 @@ def moderated_validity_radius(ell: int, spec: ScreeningSpec, units: UnitSystem) 
     return float(rs[decaying[0] + turned[0]]) if turned.size else float("inf")
 
 
+def _norm_integral(ell: int, poly: Polynomial, r_stop: float, points: int) -> float:
+    """Integral of (r^(ell+1) exp(P(r)))^2 over [0, r_stop] by the
+    ``points``-point Gauss-Legendre rule."""
+    t, w = np.polynomial.legendre.leggauss(points)
+    x = 0.5 * r_stop * (t + 1.0)
+    return float(0.5 * r_stop * np.dot(w, (x ** (ell + 1) * np.exp(poly(x))) ** 2))
+
+
 def ground_wavefunction(
     ell: int, spec: ScreeningSpec, units: UnitSystem, renormalize: bool = False
 ):
@@ -322,6 +330,10 @@ def ground_wavefunction(
     is kept, so psi is not exactly unit-normalized once delta > 0;
     pass ``renormalize=True`` to rescale numerically (useful for plotting)
     by a 200-point Gauss-Legendre rule on [0, min(60/beta, validity radius)].
+    Raises ValidationError when a 300-point rule on the same interval
+    differs from it by more than 1e-10 relative: far past critical
+    screening the density piles up against the validity radius, and no
+    fixed rule resolves it (hbar2m 4f at delta = 0.15).
     The closed form is asymptotic: see :func:`moderated_validity_radius`.
     """
     state = QuantumState(0, ell)
@@ -330,9 +342,12 @@ def ground_wavefunction(
     if renormalize:
         beta = coulomb_beta(state, spec, units)
         r_stop = min(60.0 / beta, moderated_validity_radius(ell, spec, units))
-        t, w = np.polynomial.legendre.leggauss(200)
-        x = 0.5 * r_stop * (t + 1.0)
-        val = 0.5 * r_stop * np.dot(w, (x ** (ell + 1) * np.exp(poly(x))) ** 2)
+        val, check = (_norm_integral(ell, poly, r_stop, points) for points in (200, 300))
+        if not abs(val - check) <= 1e-10 * check:
+            raise ValidationError(
+                f"cannot renormalize the l={ell} wavefunction at delta={spec.delta:g}: "
+                f"200- and 300-point rules give {val:.6g} and {check:.6g}"
+            )
         scale = 1.0 / sqrt(val)
 
     def psi(r):

@@ -64,6 +64,8 @@ def effective_potential(r, spec: ScreeningSpec, ell: int, units: UnitSystem):
         raise ValidationError(f"ell must be >= 0, got {ell}")
     # evaluate_potential rejects r <= 0 before the barrier divides by r^2
     screened = evaluate_potential(r, spec)
+    if ell == 0:  # no barrier, and no 0/0 where r^2 underflows
+        return screened
     arr = np.asarray(r, dtype=float)
     out = screened + units.hbar**2 * ell * (ell + 1) / (2.0 * units.mass * arr**2)
     return out if out.ndim else float(out)

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import isfinite
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -96,10 +96,11 @@ def default_solver_config(
 
     The cutoff is a multiple of the state's Coulomb length
     N hbar^2/(m A); a Coulomb level 1s-4f then comes out within 5e-14 of
-    exact at mesh order 42, and one level costs about 0.5-0.7 ms on a 2-CPU
-    x86-64 machine.  The convergence target is 1e-9 in units of
-    m A^2/hbar^2, because the roundoff floor of the estimate scales with
-    that energy; at A = 1 in atomic units it is 1e-9.
+    exact at mesh order 42, and one level costs about 0.25-0.55 ms on a
+    shared 2-CPU x86-64 machine, as the host's load varies.  The
+    convergence target is 1e-9 in units of m A^2/hbar^2, because the
+    roundoff floor of the estimate scales with that energy; at A = 1 in
+    atomic units it is 1e-9.
     """
     length = state.principal * units.hbar**2 / (units.mass * spec.strength)
     return SolverConfig(
@@ -190,6 +191,15 @@ def _terms(order: int):
 
 
 @cache
+def _box(order: int):
+    """The order-``order`` mesh on [0, 1] with both ends: 0, s and 1, so that
+    r_max times it is the grid with its ends exact."""
+    box = np.concatenate(([0.0], _mesh(order)[0], [1.0]))
+    box.flags.writeable = False
+    return box
+
+
+@cache
 def _prolong(fine: int, coarse: int):
     """The matrix that takes an eigenvector of the order-``coarse`` mesh to
     the order-``fine`` mesh: entry (i, j) is coarse Lagrange function j at fine
@@ -213,8 +223,8 @@ def _prolong(fine: int, coarse: int):
 
 
 def _count_interior_nodes(values: np.ndarray) -> int:
-    big = 1e-6 * np.max(np.abs(values))
-    sig = values[np.abs(values) > big]
+    magnitude = np.abs(values)
+    sig = values[magnitude > 1e-6 * magnitude.max()]
     return int(np.count_nonzero(np.signbit(sig[1:]) != np.signbit(sig[:-1])))
 
 
@@ -240,33 +250,37 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
                 f"potential returned shape {v.shape} on a mesh of shape {r.shape}; "
                 "it must accept and return arrays"
             )
-        if not np.all(np.isfinite(v)):
+        lowest = v.min()  # nan if any value is nan
+        if not (isfinite(lowest) and isfinite(v.max())):
             raise ValidationError("potential is not finite on the mesh")
-        if not np.any(v < 0.0):
+        if not lowest < 0.0:
             return "effective potential is nowhere negative on the mesh; nothing is bound"
         h = scale * kinetic
         diagonal = h.reshape(-1)[::order]  # a view of h's diagonal
-        unshifted = diagonal + v
+        diagonal += v
         if coarse is not None:
             # the coarser order's eigenvector on this mesh, refined by one
             # step of inverse iteration shifted to that order's energy
-            diagonal[:] = unshifted - energy
+            unshifted = diagonal.copy()
+            diagonal -= energy
             u = np.linalg.solve(h, _prolong(order, coarse) @ u)
         if coarse is None or _count_interior_nodes(u / root_wj) != n:
             # the first order, or a shift nearer another level: eigenvalue n,
             # then its eigenvector by one step of inverse iteration from the
             # vector of ones, (h - lambda) u = 1
-            diagonal[:] = unshifted
+            if coarse is not None:
+                diagonal[:] = unshifted
             diagonal -= np.linalg.eigvalsh(h)[n]
             u = np.linalg.solve(h, np.ones(order - 1))
-        u /= np.linalg.norm(u)
+        u /= sqrt(u @ u)
         # the Rayleigh quotient with its kinetic part a sum of squares: an
         # eigenvalue is good only to about eps |h|, this to eps times the sum
         # of the absolute values of the terms it adds up
         g = grad @ u
-        previous, energy = energy, float(scale * np.dot(weight, g * g) + np.dot(v, u * u))
-        roundoff = _EPS * float(scale * np.dot(weight, np.abs(g) * (abs_grad @ np.abs(u)))
-                                + np.dot(np.abs(v), u * u))
+        density = u * u
+        previous, energy = energy, float(scale * (weight @ (g * g)) + v @ density)
+        roundoff = _EPS * float(scale * (weight @ (np.abs(g) * (abs_grad @ np.abs(u))))
+                                + np.abs(v) @ density)
         if previous is not None:
             estimate = abs(energy - previous) + roundoff
             if estimate <= config.energy_abs_tol:
@@ -281,12 +295,14 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
     # the nearest other level, up to 1e-9 of its peak where levels crowd
     diagonal[:] = unshifted - energy
     u = np.linalg.solve(h, u)
-    chi = u / (np.linalg.norm(u) * np.sqrt(r_max) * root_wj)
+    chi = u / (sqrt(u @ u) * sqrt(r_max) * root_wj)
     if chi[np.argmax(np.abs(chi))] < 0:
         chi = -chi
+    values = np.zeros(order + 1)
+    values[1:-1] = chi
     return RadialFunction(
-        grid=np.concatenate(([0.0], r, [r_max])),
-        values=np.pad(chi, 1),
+        grid=r_max * _box(order),
+        values=values,
         node_count=_count_interior_nodes(chi),
         energy=energy,
         converged=estimate <= config.energy_abs_tol,

@@ -328,6 +328,16 @@ class TestGroundWavefunction:
         val, _ = quad(lambda r: psi(r) ** 2, 0.0, min(r_stop, 120.0), limit=300)
         assert val == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("units, ell, delta", [(ATOMIC, 3, 0.2), (HBAR2M, 3, 0.15)],
+                             ids=["atomic-4f", "hbar2m-4f"])
+    def test_renormalization_refused_where_the_rules_disagree(self, units, ell, delta):
+        # the 200- and 300-point rules differ by 2.9e-8 and 0.35 relative here
+        with pytest.raises(ValidationError, match="cannot renormalize"):
+            ground_wavefunction(ell, ScreeningSpec(delta=delta), units, renormalize=True)
+        # the closed form with its Coulomb normalisation is still available
+        psi, _ = ground_wavefunction(ell, ScreeningSpec(delta=delta), units)
+        assert math.isfinite(psi(1.0))
+
     def test_validity_radius(self):
         # infinite in the Coulomb limit, finite and beyond the bulk for delta > 0
         assert moderated_validity_radius(0, ScreeningSpec(delta=0.0), ATOMIC) == math.inf

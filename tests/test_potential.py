@@ -115,6 +115,16 @@ class TestEffectivePotential:
         with pytest.raises(ValidationError):
             effective_potential(1.0, ScreeningSpec(delta=0.1), -1, ATOMIC)
 
+    @pytest.mark.parametrize("r", [1e-170, [1e-170, 1.0]], ids=["scalar", "array"])
+    def test_s_wave_where_r_squared_underflows(self, r):
+        # r^2 is 0 at r = 1e-170: the s-wave has no barrier to divide 0 by it
+        spec = ScreeningSpec(delta=0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = effective_potential(r, spec, 0, ATOMIC)
+        np.testing.assert_array_equal(got, evaluate_potential(r, spec))
+        assert np.ravel(got)[0] == pytest.approx(-1e170, rel=1e-15)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, [1.0, 0.0]], ids=["zero", "negative", "array"])
     def test_nonpositive_radius_rejected_before_the_barrier(self, bad):
         with warnings.catch_warnings():

@@ -22,7 +22,7 @@ from ecsc import (
     total_energy,
 )
 from ecsc.cli import main
-from ecsc.radial import _GRADING, _ORDERS, MAX_BOX_SCALE, _gauss_lobatto, _mesh, _prolong
+from ecsc.radial import _GRADING, _ORDERS, MAX_BOX_SCALE, _box, _gauss_lobatto, _mesh, _prolong
 
 SQ2 = math.sqrt(2.0)
 
@@ -51,11 +51,12 @@ def _romberg(e_h, e_2h, e_4h, e_8h):
     return (16.0 * r_h - r_2h) / 15.0
 
 
-def _eigvalsh_calls(monkeypatch) -> list:
-    """Patch numpy's eigvalsh to record the order of every matrix it is given."""
-    calls, eigvalsh = [], np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda a: calls.append(a.shape[0] + 1) or eigvalsh(a))
+def _linalg_calls(monkeypatch, name: str) -> list:
+    """Patch the numpy.linalg function ``name`` to record the mesh order of
+    every matrix it is given."""
+    calls, function = [], getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name,
+                        lambda a, *rest: calls.append(a.shape[0] + 1) or function(a, *rest))
     return calls
 
 
@@ -102,6 +103,19 @@ class TestPotentialInput:
             solve_bound_state(lambda r: -1.0 / r[:-1], st, ATOMIC, cfg)
         with pytest.raises(ValidationError):
             solve_bound_state(lambda r: np.where(r > 5.0, np.nan, -1.0 / r), st, ATOMIC, cfg)
+
+        def one_point(value):
+            def potential(r):
+                v = -1.0 / r
+                v[v.size // 2] = value
+                return v
+            return potential
+
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError, match="not finite"):
+                solve_bound_state(one_point(value), st, ATOMIC, cfg)
+        with pytest.raises(NoBoundStateError, match="nowhere negative"):
+            solve_bound_state(np.zeros_like, st, ATOMIC, cfg)
 
     def test_grid_must_resolve_the_nodes(self):
         # only the largest mesh, of 717 interior points, holds level 600;
@@ -318,22 +332,41 @@ class TestMesh:
         assert np.max(np.abs(kinetic - kinetic.T)) <= 1e-15 * np.max(np.abs(kinetic))
         # positive definite, with the lowest level of -d^2/ds^2 on [0, 1]
         assert np.linalg.eigvalsh(kinetic)[0] == pytest.approx(math.pi**2, rel=1e-10)
+        # the grid's ends: 0 and 1, shared by every caller
+        box = _box(order)
+        assert not box.flags.writeable
+        assert box[0] == 0.0 and box[-1] == 1.0 and np.array_equal(box[1:-1], s)
 
     @pytest.mark.parametrize("label, delta, g", [
         *((label, 0.0, 1.0) for label in ["1s", "2s", "2p", "3s", "3p", "3d", "4s", "4p", "4d",
                                           "4f"]),
         ("1s", 0.1, 0.0), ("1s", 0.5, 0.0), ("1s", 1.0, 0.0), ("1s", 0.7, 1.0),
     ])
-    def test_default_box_levels_converge_by_order_63(self, solve, label, delta, g, monkeypatch):
+    def test_default_box_levels_converge_by_order_63(self, label, delta, g, monkeypatch):
         # the graded mesh resolves every default-box level at order 42 or 63;
-        # once the meshes are cached, only the first order takes eigvalsh
+        # once the meshes are cached, a level evaluates the potential at two
+        # orders, takes eigvalsh at the first only and solves three systems
         st = state_from_label(label)
-        solve(st, 1.0, delta, ATOMIC, g=g)
-        calls = _eigvalsh_calls(monkeypatch)
-        rf = solve(st, 1.0, delta, ATOMIC, g=g)
+        spec = ScreeningSpec(delta=delta, g=g)
+        cfg = default_solver_config(st, spec, ATOMIC)
+        potential_calls = []
+
+        def pot(r):
+            potential_calls.append(r.size)
+            return effective_potential(r, spec, st.ell, ATOMIC)
+
+        solve_bound_state(pot, st, ATOMIC, cfg)
+        potential_calls.clear()
+        calls = _linalg_calls(monkeypatch, "eigvalsh")
+        solves = _linalg_calls(monkeypatch, "solve")
+        rf = solve_bound_state(pot, st, ATOMIC, cfg)
         assert rf.converged and rf.node_count == st.n
         assert rf.grid.size - 1 <= 63
         assert calls == [_ORDERS[0]]
+        assert len(potential_calls) == 2 and len(solves) == 3
+        # the ends of the grid and the zeros of the amplitude there are exact
+        assert rf.grid[0] == 0.0 and rf.grid[-1] == cfg.r_max
+        assert rf.values[0] == rf.values[-1] == 0.0
 
     @pytest.mark.parametrize("fine, coarse", zip(_ORDERS[1:], _ORDERS))
     @pytest.mark.parametrize("f", [lambda x: (1.0 - x**2) * x**5, lambda x: 1.0 - x**2],
@@ -358,7 +391,7 @@ class TestMesh:
         pot = lambda r: effective_potential(r, spec, st.ell, ATOMIC)
         cfg = SolverConfig(r_max=4.0 * default_solver_config(st, spec, ATOMIC).r_max)
         solve_bound_state(pot, st, ATOMIC, cfg)
-        calls = _eigvalsh_calls(monkeypatch)
+        calls = _linalg_calls(monkeypatch, "eigvalsh")
         rf = solve_bound_state(pot, st, ATOMIC, cfg)
         assert calls == [28, 42] and rf.grid.size - 1 == 63
         assert rf.converged and rf.node_count == 2

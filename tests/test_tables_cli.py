@@ -274,6 +274,12 @@ class TestCli:
         assert main(["wavefunction", "--state", "2s", "--A", "1", "--delta", "0.05"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_unresolved_renormalization_is_a_usage_error(self, capsys):
+        assert main(["wavefunction", "--state", "4f", "--units", "hbar2m", "--delta", "0.15",
+                     "--renormalize"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot renormalize") and "Traceback" not in err
+
     def test_programming_errors_are_not_usage_errors(self, monkeypatch):
         def broken(*args, **kwargs):
             raise KeyError("internal")
