@@ -21,6 +21,7 @@ from .core import (
 from .coulomb import coulomb_beta
 from .perturbation import ground_wavefunction, moderated_validity_radius, total_energy
 from .potential import effective_potential
+from .quadrature import ToleranceNotMetError
 from .radial import MAX_BOX_SCALE, NoBoundStateError, default_solver_config, solve_bound_state
 from .tables import TABLES, render_text, reproduce_table, scan_delta
 
@@ -205,6 +206,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except ToleranceNotMetError as exc:
+        print(f"error: quadrature did not converge: {exc}", file=sys.stderr)
+        return 1
     except (ValidationError, ArithmeticError) as exc:
         prefix = "out of floating-point range: " if isinstance(exc, ArithmeticError) else ""
         print(f"error: {prefix}{exc}", file=sys.stderr)

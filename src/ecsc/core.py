@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from math import isfinite
+from math import inf, isfinite
 from numbers import Integral
 
 import numpy as np
@@ -59,10 +59,12 @@ def make_unit_system(text: str) -> UnitSystem:
 
 
 def check_positive_radius(r) -> np.ndarray:
-    """``r`` as a float array, or ValidationError if any entry is not positive."""
+    """``r`` as a float array, or ValidationError if any entry is not positive
+    and finite (nan fails both comparisons; an empty array passes)."""
     arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValidationError("radius must be positive (Coulomb singularity at r = 0)")
+    if not (arr.min(initial=inf) > 0.0 and arr.max(initial=0.0) < inf):
+        raise ValidationError("radius must be positive and finite "
+                              "(Coulomb singularity at r = 0)")
     return arr
 
 

@@ -21,6 +21,17 @@ while the outermost panel exceeds that bound; the other ("gauss") supplies
 Gauss-Laguerre rules of 118 and 150 nodes in x = 2 beta r.  Every integrand
 f maps an array of radii to an array of values, and is called once per rule.
 
+Both schemes' rules are fixed in x (the adaptive panels span [0, 80 2^w]),
+where the density has no units:
+
+    chi^2(r) dr = ratio x^(2 ell + 2) L_n^(2 ell + 1)(x)^2 exp(-x) dx,
+
+with ratio the exact rational part of norm^2.  Each rule's nodes and chi^2 dr
+weights are therefore built once per (n, ell, rule), on first use, and serve
+every strength and unit.  Formed as one exponential, they stay finite where
+the separate factors r^(2 ell + 2) and (2 beta)^(2 ell + 3) would overflow or
+underflow: at extreme units of length, or at high ell.
+
 The cumulative W1 construction divides by chi^2 and is therefore only
 offered for the node-free ground level; for excited states the caller
 passes a closed-form hierarchy superpotential to
@@ -32,12 +43,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+from math import log, sqrt
 
 import numpy as np
 
 from .core import QuantumState, ScreeningSpec, UnitSystem, ValidationError
-from .coulomb import coulomb_beta, coulomb_norm, laguerre
+from .coulomb import _norm_ratio, coulomb_beta, laguerre
+from .coulomb import coulomb_norm  # noqa: F401  perfbench/tracing.py traces it under this module
 
 
 class ToleranceNotMetError(RuntimeError):
@@ -120,6 +132,28 @@ def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, 1.0 / (x * (laguerre(nodes - 1, 1, x) * np.exp(-0.5 * x)) ** 2)
 
 
+@lru_cache(maxsize=None)
+def _density_rule(n: int, ell: int, rule) -> tuple[np.ndarray, np.ndarray]:
+    # read-only x nodes of ``rule`` (a Gauss-Laguerre node count, or an adaptive
+    # (widening, panels) pair on [0, 2 _R_MAX_FACTOR 2^widening]) and chi^2 dr
+    # times the weights there (see the module docstring); ln ratio is taken
+    # exactly, as the log of its numerator minus that of its denominator
+    if isinstance(rule, tuple):
+        widening, panels = rule
+        span = 2.0 * _R_MAX_FACTOR * 2**widening
+        t, w = _panel_rule(panels)
+        x, w = span * t, span * w
+    else:
+        x, w = _laguerre_rule(rule)
+    ratio = _norm_ratio(n, ell)
+    log_ratio = log(ratio.numerator) - log(ratio.denominator)
+    lag = laguerre(n, 2 * ell + 1, x)
+    density = np.exp((2 * ell + 2) * np.log(x) - x + log_ratio) * lag**2 * w
+    x.setflags(write=False)
+    density.setflags(write=False)
+    return x, density
+
+
 def integrate_density_with_error(
     state: QuantumState,
     spec: ScreeningSpec,
@@ -136,23 +170,22 @@ def integrate_density_with_error(
     finite, or when chi^2 f is not negligible at the widest adaptive
     cutoff, 320/beta.
     """
-    beta, norm = coulomb_beta(state, spec, units), coulomb_norm(state, spec, units)
+    beta = coulomb_beta(state, spec, units)
 
-    def chi2_f(r):
-        x = 2.0 * beta * r
-        lag = laguerre(state.n, 2 * state.ell + 1, x)
-        return norm**2 * r ** (2 * state.ell + 2) * lag**2 * np.exp(-x) * f(r)
+    def rules(keys):
+        # each rule's radii and chi^2 dr weights, built once per level and rule
+        for key in keys:
+            x, density = _density_rule(state.n, state.ell, key)
+            yield x / (2.0 * beta), density
 
     if (qspec or _DEFAULT_SPEC).scheme == "gauss":
-        # the Gauss-Laguerre rules in x = 2 beta r, mapped to r
-        rules = ((x / (2.0 * beta), w / (2.0 * beta)) for x, w in map(_laguerre_rule, _GAUSS_NODES))
-        val, err, *_ = _converge(chi2_f, rules)
+        val, err, *_ = _converge(f, rules(_GAUSS_NODES))
         return float(val), float(err)
     for widening in range(_MAX_WIDENINGS + 1):
-        cutoff = _R_MAX_FACTOR * 2**widening / beta
-        val, err, tol, terms = _converge(chi2_f, _panel_rules(0.0, cutoff))
+        val, err, tol, terms = _converge(f, rules((widening, p) for p in _PANEL_COUNTS))
         if np.abs(terms[-_PANEL_POINTS:]).sum() <= tol:  # the outermost panel
             return float(val), float(err)
+    cutoff = _R_MAX_FACTOR * 2**widening / beta
     raise ToleranceNotMetError(
         f"integrand is not negligible at the widest cutoff r = {cutoff:.6g}", val, err
     )

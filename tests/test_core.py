@@ -151,6 +151,31 @@ class TestEnergyBreakdown:
         assert bd.total == bd.e0
 
 
+_SPEC = ScreeningSpec(delta=0.1)
+_RADIUS_TAKERS = {
+    "evaluate_potential": lambda r: ecsc.evaluate_potential(r, _SPEC),
+    "effective_potential": lambda r: ecsc.effective_potential(r, _SPEC, 1, ATOMIC),
+    "coulomb_wavefunction": lambda r: ecsc.coulomb_wavefunction(
+        state_from_label("2p"), _SPEC, ATOMIC, r),
+    "ground_wavefunction": lambda r: ecsc.ground_wavefunction(0, _SPEC, ATOMIC)[0](r),
+}
+
+
+class TestRadiusCheck:
+    @pytest.mark.filterwarnings("error")  # refused before any arithmetic warns
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("shape", ["scalar", "array"])
+    @pytest.mark.parametrize("taker", sorted(_RADIUS_TAKERS))
+    def test_bad_radius_rejected(self, taker, shape, bad):
+        r = bad if shape == "scalar" else np.array([0.5, bad, 2.0])
+        with pytest.raises(ValidationError, match="radius must be positive and finite"):
+            _RADIUS_TAKERS[taker](r)
+
+    @pytest.mark.parametrize("taker", sorted(_RADIUS_TAKERS))
+    def test_empty_array_passes(self, taker):
+        assert _RADIUS_TAKERS[taker](np.array([])).shape == (0,)
+
+
 class TestErrorTypes:
     def test_one_value_error_type(self):
         # rejected arguments raise ValidationError; the other two report results

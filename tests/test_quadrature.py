@@ -11,7 +11,7 @@ import pytest
 from scipy.special import roots_laguerre
 
 import ecsc
-
+import ecsc.quadrature
 from ecsc import (
     ATOMIC,
     HBAR2M,
@@ -21,7 +21,9 @@ from ecsc import (
     SecondOrderVariant,
     ToleranceNotMetError,
     ValidationError,
+    coulomb_beta,
     coulomb_energy,
+    coulomb_wavefunction,
     first_order_energy_numeric,
     first_order_shift,
     integrate_density,
@@ -36,7 +38,15 @@ from ecsc import (
     superpotential_first,
     superpotential_first_numeric,
 )
-from ecsc.quadrature import _GAUSS_NODES, _laguerre_rule
+from ecsc.quadrature import (
+    _GAUSS_NODES,
+    _MAX_WIDENINGS,
+    _PANEL_COUNTS,
+    _R_MAX_FACTOR,
+    _density_rule,
+    _laguerre_rule,
+    _panel_rule,
+)
 
 SQ2 = math.sqrt(2.0)
 GAUSS = QuadratureSpec(scheme="gauss")
@@ -139,6 +149,76 @@ class TestIntegrateDensity:
         with pytest.raises(ToleranceNotMetError):
             integrate_density_with_error(st, ScreeningSpec(delta=0.0), ATOMIC,
                                          lambda r: value, QuadratureSpec(scheme=scheme))
+
+
+def _x_weights(rule):
+    """The weights in x = 2 beta r of a density rule key."""
+    if isinstance(rule, tuple):
+        widening, panels = rule
+        return 2.0 * _R_MAX_FACTOR * 2**widening * _panel_rule(panels)[1]
+    return _laguerre_rule(rule)[1]
+
+
+class TestDensityCache:
+    """chi^2 dr is cached per (n, ell, rule) in the unit-free x = 2 beta r."""
+
+    RULES = (*_GAUSS_NODES, (0, _PANEL_COUNTS[0]), (0, 8), (_MAX_WIDENINGS, _PANEL_COUNTS[-1]))
+
+    def test_arrays_are_read_only(self):
+        for rule in self.RULES:
+            for arr in _density_rule(1, 2, rule):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+
+    @pytest.mark.parametrize("units,strength", [(ATOMIC, 1.0), (HBAR2M, 8.0)])
+    def test_matches_the_density_in_r(self, units, strength):
+        # node by node to 1e-13 of the rule's whole mass: the relative gap of
+        # a far node is the rounding of exp(-x) at x up to 640, some 1e-13 itself
+        spec = ScreeningSpec(delta=0.1, strength=strength)
+        for n in range(3):
+            for ell in range(4):
+                st = QuantumState(n, ell)
+                two_beta = 2.0 * coulomb_beta(st, spec, units)
+                for rule in self.RULES:
+                    x, density = _density_rule(n, ell, rule)
+                    chi = coulomb_wavefunction(st, spec, units, x / two_beta)
+                    want = chi**2 * _x_weights(rule) / two_beta
+                    assert np.max(np.abs(density - want)) <= 1e-13 * want.sum()
+
+    @pytest.mark.parametrize("qspec", [None, GAUSS])
+    def test_warm_integral_calls_no_laguerre(self, qspec, monkeypatch):
+        st, spec = state_from_label("3d"), ScreeningSpec(delta=0.1)
+        integrate_density(st, spec, ATOMIC, lambda r: r**2, qspec)
+        calls = []
+        real = ecsc.quadrature.laguerre
+        monkeypatch.setattr(ecsc.quadrature, "laguerre", lambda *a: calls.append(a) or real(*a))
+        got = integrate_density(st, spec, HBAR2M, lambda r: r**2, qspec)
+        assert calls == []
+        assert got == pytest.approx(radial_moment(st, spec, HBAR2M, 2), rel=1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("qspec", [None, GAUSS])
+    @pytest.mark.parametrize("strength", [1e-20, 1e20])
+    def test_extreme_length_units(self, strength, qspec):
+        # (2 beta)^17 and r^16 leave the float range here; x^16 does not
+        st = QuantumState(0, 7)
+        spec = ScreeningSpec(delta=0.05 * strength / st.principal, strength=strength)
+        e1 = first_order_energy_numeric(st, spec, ATOMIC, qspec)
+        assert e1 == pytest.approx(first_order_shift(st, spec, ATOMIC), rel=1e-10)
+        w1 = superpotential_first(st, spec, ATOMIC)
+        e2 = second_order_energy_numeric(st, spec, ATOMIC, w1, qspec)
+        assert e2 == pytest.approx(second_order_shift(st, spec, ATOMIC), rel=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("qspec", [None, GAUSS])
+    @pytest.mark.parametrize("ell", [40, 60])
+    def test_high_angular_momentum(self, ell, qspec):
+        # norm^2 underflows and r^(2 ell + 2) overflows a float here
+        st = QuantumState(0, ell)
+        spec = ScreeningSpec(delta=0.05 / st.principal)
+        e1 = first_order_energy_numeric(st, spec, ATOMIC, qspec)
+        assert e1 == pytest.approx(first_order_shift(st, spec, ATOMIC), rel=1e-10)
 
 
 class TestCutoff:
@@ -402,6 +482,24 @@ class TestLayering:
         # ast.walk reaches imports deferred into function bodies too
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert [m for m in _imported_modules(tree) if m.split(".")[0] == "scipy"] == []
+
+    def test_import_fills_no_cache(self):
+        # rules, meshes and densities are built on first use, not at import
+        src = str(Path(ecsc.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        code = ("import sys, ecsc, ecsc.cli; "
+                "caches = {f'{m.__name__}.{name}': f.cache_info().currsize "
+                "for m in list(sys.modules.values()) if m.__name__.startswith('ecsc') "
+                "for name, f in vars(m).items() if hasattr(f, 'cache_info')}; "
+                "print(sorted(caches)); print(sorted(k for k, v in caches.items() if v))")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        found, filled = run.stdout.splitlines()
+        for cache in ("quadrature._density_rule", "quadrature._laguerre_rule",
+                      "quadrature._panel_rule", "radial._mesh", "radial._prolong"):
+            assert f"'ecsc.{cache}'" in found
+        assert filled == "[]"
 
     def test_import_loads_no_scipy(self):
         src = str(Path(ecsc.__file__).parent.parent)

@@ -10,6 +10,7 @@ import ecsc
 from ecsc import (
     ATOMIC,
     SecondOrderVariant,
+    ToleranceNotMetError,
     ValidationError,
     reproduce_table,
     scan_delta,
@@ -287,6 +288,24 @@ class TestCli:
         monkeypatch.setattr(ecsc.cli, "total_energy", broken)
         with pytest.raises(KeyError):
             main(["energy", "--state", "1s", "--delta", "0.1"])
+
+    def test_unconverged_quadrature_is_reported(self, capsys, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ToleranceNotMetError("no two rules agree up to 5120 nodes", 0.0, 1.0)
+
+        monkeypatch.setattr(ecsc.tables, "first_order_energy_numeric", stalled)
+        assert main(["scan", "--state", "1s", "--delta-start", "0.1", "--delta-end", "0.1",
+                     "--steps", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: quadrature did not converge: no two rules agree up to 5120 nodes\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_scan_at_extreme_length_units(self, capsys):
+        # beta = 2.5e-41: the density is formed in x = 2 beta r, so no factor overflows
+        assert main(["scan", "--state", "4f", "--A", "1e-40", "--delta-start", "5e-42",
+                     "--delta-end", "5e-42", "--steps", "1", "--format", "csv"]) == 0
+        analytic, quadrature = capsys.readouterr().out.splitlines()[1].split(",")[2:4]
+        assert float(quadrature) == pytest.approx(float(analytic), rel=1e-9)
 
     @pytest.mark.parametrize("option", [("--points", "0"), ("--points", "-3"),
                                         ("--rmax", "-1"), ("--rmax", "nan")])
