@@ -43,7 +43,6 @@ from .perturbation import (
 from .potential import (
     effective_potential,
     evaluate_potential,
-    perturbation_remainder,
     series_coefficient,
 )
 from .quadrature import (
@@ -53,7 +52,6 @@ from .quadrature import (
     integrate_density,
     integrate_density_with_error,
     second_order_energy_numeric,
-    superpotential_first_numeric,
 )
 from .radial import (
     NoBoundStateError,

@@ -26,12 +26,8 @@ from math import factorial
 from numbers import Integral
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .core import ScreeningSpec, UnitSystem, ValidationError, check_positive_radius
-
-#: truncation orders accepted by perturbation_remainder (V_2 = 0, so 2 is never needed)
-_REMAINDER_ORDERS = (1, 3, 4, 5)
 
 
 @lru_cache(maxsize=None)
@@ -70,21 +66,3 @@ def effective_potential(r, spec: ScreeningSpec, ell: int, units: UnitSystem):
     out = screened + units.hbar**2 * ell * (ell + 1) / (2.0 * units.mass * arr**2)
     return out if out.ndim else float(out)
 
-
-def perturbation_remainder(r, spec: ScreeningSpec, max_order: int = 4):
-    """Truncated perturbation dV(r) = -A sum_{i=1..max_order} V_i delta^i r^(i-1).
-
-    Only the g = 1 expansion is implemented; the default truncation keeps the
-    terms through r^3, which is the working set of the closed-form theory.
-    """
-    if spec.g != 1.0:
-        raise ValidationError(
-            f"the small-delta expansion is only available for g = 1, got g = {spec.g}"
-        )
-    if not isinstance(max_order, Integral) or max_order not in _REMAINDER_ORDERS:
-        raise ValidationError(f"max_order must be one of {_REMAINDER_ORDERS}, got {max_order}")
-    arr = check_positive_radius(r)
-    coeffs = [-spec.strength * float(series_coefficient(i)) * spec.delta**i
-              for i in range(1, max_order + 1)]
-    out = polyval(arr, coeffs)
-    return out if out.ndim else float(out)

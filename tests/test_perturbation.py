@@ -233,6 +233,25 @@ class TestSuperpotentials:
         r = np.linspace(0.05, 20.0, 100)
         assert np.all(w1(r) < 0.0)
 
+    def test_w1_ground_riccati_identity(self):
+        # first order of the Riccati equation, times r to make it polynomial:
+        # r (2 W0 W1 - (hbar/sqrt(2m)) W1') == r (-(A delta^3/3) r^2 - E1), with
+        # r W0 = -(hbar/sqrt(2m)) (ell+1) + sqrt(m/2) A r / ((ell+1) hbar)
+        r = Polynomial((0.0, 1.0))
+        for units, strength in ((ATOMIC, 1.0), (HBAR2M, 8.0)):
+            hb, m = units.hbar, units.mass
+            k = hb / math.sqrt(2.0 * m)
+            spec = ScreeningSpec(delta=0.1, strength=strength)
+            for ell in range(4):
+                st = QuantumState(0, ell)
+                r_w0 = Polynomial((-k * (ell + 1), math.sqrt(m / 2.0) * strength / ((ell + 1) * hb)))
+                w1 = superpotential_first(st, spec, units)
+                lhs = 2.0 * r_w0 * w1 - k * r * w1.deriv()
+                e1 = first_order_shift(st, spec, units)
+                rhs = r * Polynomial((-e1, 0.0, -strength * spec.delta**3 / 3.0))
+                scale = np.max(np.abs(rhs.coef))
+                assert np.max(np.abs((lhs - rhs).coef)) <= 1e-14 * scale
+
     def test_w1_hierarchy_constant_positive(self):
         # the excited-level hierarchy has a positive value at the origin
         spec = ScreeningSpec(delta=0.1)

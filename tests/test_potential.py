@@ -12,7 +12,6 @@ from ecsc import (
     ValidationError,
     effective_potential,
     evaluate_potential,
-    perturbation_remainder,
     series_coefficient,
 )
 
@@ -132,41 +131,3 @@ class TestEffectivePotential:
             with pytest.raises(ValidationError):
                 effective_potential(bad, ScreeningSpec(delta=0.1), 2, ATOMIC)
 
-
-class TestPerturbationRemainder:
-    def test_zero_screening(self):
-        assert perturbation_remainder(3.7, ScreeningSpec(delta=0.0)) == 0.0
-
-    def test_constant_term_only(self):
-        got = perturbation_remainder(1.0, ScreeningSpec(delta=0.1), max_order=1)
-        assert got == pytest.approx(0.1, abs=1e-15)
-
-    def test_fourth_order_example(self):
-        got = perturbation_remainder(2.0, ScreeningSpec(delta=0.1), max_order=4)
-        want = 0.1 - (0.001 / 3.0) * 4.0 + (0.0001 / 6.0) * 8.0
-        assert got == pytest.approx(want, abs=1e-15)
-        assert want == pytest.approx(0.0988000, abs=5e-8)
-
-    def test_remainder_against_potential_difference(self):
-        # dV should track V(r) + A/r once enough orders are kept
-        spec = ScreeningSpec(delta=0.05, strength=2.0)
-        for r in (0.5, 1.0, 2.0):
-            truncated = perturbation_remainder(r, spec, max_order=5)
-            exact = evaluate_potential(r, spec) + spec.strength / r
-            assert truncated == pytest.approx(exact, rel=1e-6)
-
-    def test_requires_cosine_factor_one(self):
-        with pytest.raises(ValidationError):
-            perturbation_remainder(1.0, ScreeningSpec(delta=0.1, g=0.0))
-
-    @pytest.mark.parametrize("order", [0, 2, 6])
-    def test_order_whitelist(self, order):
-        with pytest.raises(ValidationError):
-            perturbation_remainder(1.0, ScreeningSpec(delta=0.1), max_order=order)
-
-    def test_non_integer_order(self):
-        # 4.0 == 4 would pass the whitelist and fail later with a TypeError
-        spec = ScreeningSpec(delta=0.1)
-        with pytest.raises(ValidationError):
-            perturbation_remainder(1.0, spec, 4.0)
-        assert perturbation_remainder(1.0, spec, np.int64(4)) == perturbation_remainder(1.0, spec, 4)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import roots_laguerre
+from scipy.special import eval_genlaguerre, roots_genlaguerre
 
 import ecsc
 import ecsc.quadrature
@@ -36,55 +36,64 @@ from ecsc import (
     second_order_terms,
     state_from_label,
     superpotential_first,
-    superpotential_first_numeric,
 )
-from ecsc.quadrature import (
-    _GAUSS_NODES,
-    _MAX_WIDENINGS,
-    _PANEL_COUNTS,
-    _R_MAX_FACTOR,
-    _density_rule,
-    _laguerre_rule,
-    _panel_rule,
-)
+from ecsc.coulomb import _moment_fraction, _norm_ratio
+from ecsc.quadrature import _density_rule
 
 SQ2 = math.sqrt(2.0)
 GAUSS = QuadratureSpec(scheme="gauss")
 
 
+def _one_rule(qspec):
+    # the default spec and QuadratureSpec("gauss") both name the one density
+    # rule, which the integrals apply without being passed a spec
+    assert (qspec or QuadratureSpec()) == GAUSS
+
+
 class TestQuadratureSpec:
     def test_defaults(self):
         q = QuadratureSpec()
-        assert q.scheme == "adaptive"
+        assert q.scheme == "gauss"
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            QuadratureSpec(scheme="monte-carlo")
+        for scheme in ("monte-carlo", "adaptive"):
+            with pytest.raises(ValidationError):
+                QuadratureSpec(scheme=scheme)
+
+
+def _scipy_rule(n, ell):
+    """scipy's x nodes and weights of the (n + 3)- and (n + 4)-point
+    generalized Gauss-Laguerre rules with alpha = 2 ell + 2, concatenated."""
+    x, w = zip(*(roots_genlaguerre(m, 2 * ell + 2) for m in (n + 3, n + 4)))
+    return np.concatenate(x), np.concatenate(w)
 
 
 class TestGaussLaguerreRule:
-    @pytest.mark.parametrize("nodes", _GAUSS_NODES)
-    def test_against_scipy(self, nodes):
-        # the gaps to scipy are at most 1.1e-13 relative in the nodes and
-        # 1.7e-12 relative in w exp(x), both at 150 nodes; the bounds leave a factor of 2
-        x, folded = _laguerre_rule(nodes)
-        want_x, want_w = roots_laguerre(nodes)
-        assert np.max(np.abs(x - want_x) / want_x) <= 2.2e-13
-        want = want_w * np.exp(want_x)
-        assert np.max(np.abs(folded - want) / want) <= 3.4e-12
+    @pytest.mark.parametrize("ell", range(11))
+    def test_against_scipy(self, ell):
+        # the gaps to scipy are at most 1.2e-15 relative in the nodes and
+        # 6.3e-15 in the chi^2 dx weights, whose rules each sum to 1
+        for n in range(4):
+            x, density = _density_rule(n, ell)
+            want_x, want_w = _scipy_rule(n, ell)
+            want = float(_norm_ratio(n, ell)) * want_w * eval_genlaguerre(n, 2 * ell + 1, want_x) ** 2
+            assert np.max(np.abs(x - want_x) / want_x) <= 5e-15
+            assert np.max(np.abs(density - want)) <= 3e-14
 
 
 class TestIntegrateDensity:
     @pytest.mark.parametrize("qspec", [None, GAUSS])
     def test_normalization(self, qspec):
+        _one_rule(qspec)
         st = state_from_label("1s")
-        got = integrate_density(st, ScreeningSpec(delta=0.1), ATOMIC, lambda r: 1.0, qspec)
+        got = integrate_density(st, ScreeningSpec(delta=0.1), ATOMIC, lambda r: 1.0)
         assert got == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("qspec", [None, GAUSS])
     def test_ground_mean_square(self, qspec):
+        _one_rule(qspec)
         st = state_from_label("1s")
-        got = integrate_density(st, ScreeningSpec(delta=0.1), ATOMIC, lambda r: r**2, qspec)
+        got = integrate_density(st, ScreeningSpec(delta=0.1), ATOMIC, lambda r: r**2)
         assert got == pytest.approx(3.0, abs=3e-10)
 
     def test_2s_mean_square(self):
@@ -100,17 +109,21 @@ class TestIntegrateDensity:
             got = integrate_density(st, spec, HBAR2M, lambda r: r**k)
             assert got == pytest.approx(radial_moment(st, spec, HBAR2M, k), rel=1e-10)
 
-    def test_error_estimate_brackets_refinement(self):
-        # each scheme's estimate bounds its distance to the exact integral
-        # (1/2) integral r^4 (1 - r/2)^2 exp(-1.05 r) dr
+    # 2s in atomic units: <r^6> = 292320, and with chi^2 = r^2 (1 - r/2)^2 exp(-r) / 2,
+    # <exp(-r/20)> = (1/2) integral r^2 (1 - r/2)^2 exp(-21 r/20) dr
+    @pytest.mark.parametrize("f, exact", [
+        (lambda r: r**6, Fraction(292320)),
+        (lambda r: np.exp(-0.05 * r),
+         (2 / Fraction(21, 20) ** 3 - 6 / Fraction(21, 20) ** 4 + 6 / Fraction(21, 20) ** 5) / 2),
+    ], ids=["r6", "exp"])
+    def test_non_polynomial_integrand_raises(self, f, exact):
+        # the two rules disagree; the best estimate is the finer one, within
+        # the error estimate of the exact integral
         st = state_from_label("2s")
-        spec = ScreeningSpec(delta=0.05)
-        f = lambda r: r**2 * np.exp(-0.05 * r)
-        q = Fraction(21, 20)
-        exact = (96 / q**5 - 480 / q**6 + 720 / q**7) / 8
-        for qspec in (None, GAUSS):
-            val, err = integrate_density_with_error(st, spec, ATOMIC, f, qspec)
-            assert abs(Fraction(val) - exact) <= err
+        with pytest.raises(ToleranceNotMetError, match="not a polynomial") as exc:
+            integrate_density_with_error(st, ScreeningSpec(delta=0.05), ATOMIC, f)
+        assert math.isfinite(exc.value.best_estimate)
+        assert abs(Fraction(exc.value.best_estimate) - exact) <= exc.value.error_estimate
 
     def test_tolerance_failure_carries_best_estimate(self):
         st = state_from_label("1s")
@@ -124,76 +137,72 @@ class TestIntegrateDensity:
     @pytest.mark.parametrize("strength", [1.0, 0.1, 0.01])
     def test_acceptance_is_scale_free(self, qspec, strength):
         # the same cancelling integral with every length 1, 10 and 100 times
-        # longer: it converges at the roundoff floor in every unit
+        # longer: it is accepted on the roundoff floor in every unit
+        _one_rule(qspec)
         st = QuantumState(2, 3)
         spec = ScreeningSpec(delta=0.0, strength=strength)
         m2 = radial_moment(st, spec, ATOMIC, 2)
-        got = integrate_density(st, spec, ATOMIC, lambda r: r**2 - m2, qspec)
+        got = integrate_density(st, spec, ATOMIC, lambda r: r**2 - m2)
         assert abs(got) <= 1e-14 * m2
 
     @pytest.mark.parametrize("qspec", [None, GAUSS])
     def test_integrand_takes_arrays_a_few_times(self, qspec):
+        # once, in fact: on the nodes of both rules
+        _one_rule(qspec)
         seen = []
 
         def f(r):
-            seen.append(type(r))
+            seen.append(r)
             return r**2
 
-        integrate_density(state_from_label("3d"), ScreeningSpec(delta=0.1), ATOMIC, f, qspec)
-        assert set(seen) == {np.ndarray} and 1 <= len(seen) <= 6
+        st = state_from_label("3d")
+        integrate_density(st, ScreeningSpec(delta=0.1), ATOMIC, f)
+        (r,) = seen
+        assert isinstance(r, np.ndarray) and r.shape == (2 * st.n + 7,)
 
-    @pytest.mark.parametrize("scheme", ["adaptive", "gauss"])
+    @pytest.mark.parametrize("scheme", ["gauss"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_integrand_raises(self, scheme, value):
+        _one_rule(QuadratureSpec(scheme=scheme))
         st = state_from_label("1s")
-        with pytest.raises(ToleranceNotMetError):
-            integrate_density_with_error(st, ScreeningSpec(delta=0.0), ATOMIC,
-                                         lambda r: value, QuadratureSpec(scheme=scheme))
-
-
-def _x_weights(rule):
-    """The weights in x = 2 beta r of a density rule key."""
-    if isinstance(rule, tuple):
-        widening, panels = rule
-        return 2.0 * _R_MAX_FACTOR * 2**widening * _panel_rule(panels)[1]
-    return _laguerre_rule(rule)[1]
+        with pytest.raises(ToleranceNotMetError, match="not finite"):
+            integrate_density_with_error(st, ScreeningSpec(delta=0.0), ATOMIC, lambda r: value)
 
 
 class TestDensityCache:
-    """chi^2 dr is cached per (n, ell, rule) in the unit-free x = 2 beta r."""
-
-    RULES = (*_GAUSS_NODES, (0, _PANEL_COUNTS[0]), (0, 8), (_MAX_WIDENINGS, _PANEL_COUNTS[-1]))
+    """chi^2 dr is cached per (n, ell) in the unit-free x = 2 beta r."""
 
     def test_arrays_are_read_only(self):
-        for rule in self.RULES:
-            for arr in _density_rule(1, 2, rule):
+        for n, ell in ((0, 0), (1, 2), (3, 60)):
+            for arr in _density_rule(n, ell):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0] = 1.0
 
     @pytest.mark.parametrize("units,strength", [(ATOMIC, 1.0), (HBAR2M, 8.0)])
     def test_matches_the_density_in_r(self, units, strength):
-        # node by node to 1e-13 of the rule's whole mass: the relative gap of
-        # a far node is the rounding of exp(-x) at x up to 640, some 1e-13 itself
+        # each weight is chi^2 dr at r = x / (2 beta) over x^(2 ell + 2) exp(-x) dx,
+        # times scipy's weight: node by node within 3.0e-15 (each rule sums to 1)
         spec = ScreeningSpec(delta=0.1, strength=strength)
         for n in range(3):
             for ell in range(4):
                 st = QuantumState(n, ell)
                 two_beta = 2.0 * coulomb_beta(st, spec, units)
-                for rule in self.RULES:
-                    x, density = _density_rule(n, ell, rule)
-                    chi = coulomb_wavefunction(st, spec, units, x / two_beta)
-                    want = chi**2 * _x_weights(rule) / two_beta
-                    assert np.max(np.abs(density - want)) <= 1e-13 * want.sum()
+                _, density = _density_rule(n, ell)
+                want_x, want_w = _scipy_rule(n, ell)
+                chi = coulomb_wavefunction(st, spec, units, want_x / two_beta)
+                want = chi**2 * want_w * np.exp(want_x) / want_x ** (2 * ell + 2) / two_beta
+                assert np.max(np.abs(density - want)) <= 2e-14
 
     @pytest.mark.parametrize("qspec", [None, GAUSS])
     def test_warm_integral_calls_no_laguerre(self, qspec, monkeypatch):
+        _one_rule(qspec)
         st, spec = state_from_label("3d"), ScreeningSpec(delta=0.1)
-        integrate_density(st, spec, ATOMIC, lambda r: r**2, qspec)
+        integrate_density(st, spec, ATOMIC, lambda r: r**2)
         calls = []
         real = ecsc.quadrature.laguerre
         monkeypatch.setattr(ecsc.quadrature, "laguerre", lambda *a: calls.append(a) or real(*a))
-        got = integrate_density(st, spec, HBAR2M, lambda r: r**2, qspec)
+        got = integrate_density(st, spec, HBAR2M, lambda r: r**2)
         assert calls == []
         assert got == pytest.approx(radial_moment(st, spec, HBAR2M, 2), rel=1e-10)
 
@@ -204,7 +213,7 @@ class TestDensityCache:
         # (2 beta)^17 and r^16 leave the float range here; x^16 does not
         st = QuantumState(0, 7)
         spec = ScreeningSpec(delta=0.05 * strength / st.principal, strength=strength)
-        e1 = first_order_energy_numeric(st, spec, ATOMIC, qspec)
+        e1 = first_order_energy_numeric(st, spec, ATOMIC)
         assert e1 == pytest.approx(first_order_shift(st, spec, ATOMIC), rel=1e-10)
         w1 = superpotential_first(st, spec, ATOMIC)
         e2 = second_order_energy_numeric(st, spec, ATOMIC, w1, qspec)
@@ -217,15 +226,44 @@ class TestDensityCache:
         # norm^2 underflows and r^(2 ell + 2) overflows a float here
         st = QuantumState(0, ell)
         spec = ScreeningSpec(delta=0.05 / st.principal)
-        e1 = first_order_energy_numeric(st, spec, ATOMIC, qspec)
+        e1 = first_order_energy_numeric(st, spec, ATOMIC)
         assert e1 == pytest.approx(first_order_shift(st, spec, ATOMIC), rel=1e-10)
+        w1 = superpotential_first(st, spec, ATOMIC)
+        e2 = second_order_energy_numeric(st, spec, ATOMIC, w1, qspec)
+        assert e2 == pytest.approx(second_order_shift(st, spec, ATOMIC), rel=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("units,strength", [(ATOMIC, 1.0), (HBAR2M, 8.0)])
+    @pytest.mark.parametrize("scale", [1.0, 1e20, 1e-20])
+    def test_matches_exact_moment_sums(self, units, strength, scale):
+        # chi^2 times a polynomial of degree <= 4, n <= 3, ell <= 60: within
+        # 1e-13 of integral chi^2 |f| of the exact Fraction sum; r^k - <r^k>
+        # cancels to the rounding of <r^k>; the largest gap seen was 1.1e-14
+        spec = ScreeningSpec(delta=0.0, strength=strength * scale)
+        polys = ((0, 0, 1), (0, 0, 0, 1), (1, 1, 1, 1, 1))
+        for n in range(4):
+            for ell in range(61):
+                st = QuantumState(n, ell)
+                two_beta = Fraction(2.0 * coulomb_beta(st, spec, units))
+                mom = [_moment_fraction(n, ell, k) / two_beta**k for k in range(5)]
+                # (f, exact integral, integral chi^2 |f| or a bound on it)
+                cases = [(lambda r, c=c: np.polynomial.polynomial.polyval(r, c),
+                          sum(ck * mom[k] for k, ck in enumerate(c)),
+                          sum(ck * mom[k] for k, ck in enumerate(c))) for c in polys]
+                for k in range(1, 5):
+                    m = float(mom[k])
+                    cases.append((lambda r, k=k, m=m: r**k - m, mom[k] - Fraction(m), 2 * mom[k]))
+                for f, exact, absolute in cases:
+                    got = integrate_density(st, spec, units, f)
+                    assert abs(Fraction(got) - exact) <= 1e-13 * absolute, (n, ell, f)
 
 
 class TestCutoff:
-    """The adaptive cutoff widens from 40/beta while chi^2 f is not negligible there."""
+    """The rule has no cutoff: a wide level is integrated exactly, and an
+    integrand that grows exponentially is refused."""
 
     def test_wide_level_moment(self):
-        # (5,5) spreads past 40/beta: cut there, <r^4> is 1.1e-9 low
+        # (5,5) spreads furthest of the levels tested, past r = 40/beta
         st = QuantumState(5, 5)
         spec = ScreeningSpec(delta=0.1)
         got = integrate_density(st, spec, ATOMIC, lambda r: r**4)
@@ -239,9 +277,9 @@ class TestCutoff:
 
     @pytest.mark.filterwarnings("error")
     def test_divergent_integrand_raises(self):
-        # chi^2 exp(2.2 r) grows like r^2 exp(0.2 r): no cutoff up to 320/beta holds it
+        # chi^2 exp(2.2 r) grows like r^2 exp(0.2 r): its integral diverges
         st = state_from_label("1s")
-        with pytest.raises(ToleranceNotMetError, match="widest cutoff"):
+        with pytest.raises(ToleranceNotMetError, match="not a polynomial"):
             integrate_density(st, ScreeningSpec(delta=0.0), ATOMIC, lambda r: np.exp(2.2 * r))
 
 
@@ -272,57 +310,6 @@ class TestFirstOrderNumeric:
                     assert abs(num - closed) <= 1e-10 * abs(closed)
 
 
-class TestSuperpotentialNumeric:
-    def test_matches_closed_form(self):
-        for ell in (0, 1):
-            for delta in (0.05, 0.1):
-                st = QuantumState(0, ell)
-                spec = ScreeningSpec(delta=delta)
-                w_num = superpotential_first_numeric(st, spec, ATOMIC)
-                w_closed = superpotential_first(st, spec, ATOMIC)
-                for r in (0.3, 1.0, 2.0, 5.0, 9.0):
-                    assert w_num(r) == pytest.approx(w_closed(r), abs=1e-9)
-
-    def test_frozen_ground_value(self):
-        # -(delta^3/(3 sqrt 2)) r (r + 2) at r = 1
-        st = state_from_label("1s")
-        w_num = superpotential_first_numeric(st, ScreeningSpec(delta=0.1), ATOMIC)
-        assert w_num(1.0) == pytest.approx(-7.0710678118654754e-4, abs=1e-9)
-
-    def test_origin_limit(self):
-        st = state_from_label("1s")
-        w_num = superpotential_first_numeric(st, ScreeningSpec(delta=0.1), ATOMIC)
-        assert w_num(0.0) == 0.0
-        assert abs(w_num(1e-4)) < 1e-7
-
-    def test_past_the_cutoff(self):
-        # the tail integral spans [r, r + 40/beta], so W1 holds at and beyond r = 40/beta
-        st = state_from_label("1s")
-        spec = ScreeningSpec(delta=0.1)
-        rs = np.array([30.0, 39.0, 45.0])
-        got = superpotential_first_numeric(st, spec, ATOMIC)(rs)
-        assert isinstance(got, np.ndarray)
-        np.testing.assert_allclose(got, superpotential_first(st, spec, ATOMIC)(rs), rtol=1e-9)
-
-    @pytest.mark.filterwarnings("error")
-    def test_where_chi2_underflows(self):
-        # chi^2 underflows past 2 beta r ~ 708 (r ~ 354 here): W1 stays finite
-        st = state_from_label("1s")
-        spec = ScreeningSpec(delta=0.1)
-        rs = np.array([400.0, 1000.0])
-        got = superpotential_first_numeric(st, spec, ATOMIC)(rs)
-        np.testing.assert_allclose(got, superpotential_first(st, spec, ATOMIC)(rs), rtol=1e-9)
-
-    def test_negative_radius_refused(self):
-        w_num = superpotential_first_numeric(state_from_label("1s"), ScreeningSpec(delta=0.1), ATOMIC)
-        with pytest.raises(ValidationError, match="nonnegative"):
-            w_num(-1.0)
-
-    def test_excited_states_refused(self):
-        with pytest.raises(ValidationError):
-            superpotential_first_numeric(state_from_label("2s"), ScreeningSpec(delta=0.1), ATOMIC)
-
-
 class TestSecondOrderNumeric:
     def test_ground_with_closed_w(self):
         st = state_from_label("1s")
@@ -330,15 +317,6 @@ class TestSecondOrderNumeric:
         w1 = superpotential_first(st, spec, ATOMIC)
         got = second_order_energy_numeric(st, spec, ATOMIC, w1)
         assert got == pytest.approx(1.2141666666666667e-4, abs=1e-10)
-
-    def test_ground_with_numeric_w(self):
-        # full numeric chain: cumulative-integral W fed back into the integral
-        st = state_from_label("1s")
-        spec = ScreeningSpec(delta=0.1)
-        w1 = superpotential_first_numeric(st, spec, ATOMIC)
-        got = second_order_energy_numeric(st, spec, ATOMIC, w1)
-        closed = second_order_shift(st, spec, ATOMIC)
-        assert got == pytest.approx(closed, rel=1e-9)
 
     def test_heavy_case(self):
         st = state_from_label("2p")
@@ -355,7 +333,7 @@ class TestSecondOrderNumeric:
 
     def test_cancelling_integrand(self):
         # the E2 integrand of this level nearly cancels at this delta; the
-        # panel doubling converges on its roundoff floor instead of stalling
+        # two rules agree on its roundoff floor
         st, delta = QuantumState(2, 3), 0.0872618
         spec = ScreeningSpec(delta=delta, strength=8.0)
         (row,) = scan_delta(st, 8.0, HBAR2M, delta, delta, 1).rows
@@ -458,11 +436,13 @@ def _imported_modules(tree: ast.AST):
 class TestLayering:
     # the three routes stay independent: none imports another or the tables,
     # and the eigensolver does not even use the Coulomb basis; the quadrature
-    # has one integrator, its panel-doubling rule, and no QUADPACK beside it
+    # has one rule, no QUADPACK beside it, and does not import the exact
+    # moments it is checked against
     @pytest.mark.parametrize(
         "route, forbidden",
         [
-            ("quadrature", ("ecsc.perturbation", "ecsc.radial", "ecsc.tables", "scipy.integrate")),
+            ("quadrature", ("ecsc.perturbation", "ecsc.radial", "ecsc.tables", "scipy.integrate",
+                            "ecsc.coulomb.radial_moment", "ecsc.coulomb._moment_fraction")),
             ("perturbation", ("ecsc.quadrature", "ecsc.radial", "ecsc.tables")),
             ("radial", ("ecsc.quadrature", "ecsc.perturbation", "ecsc.tables", "ecsc.coulomb")),
         ],
@@ -496,8 +476,7 @@ class TestLayering:
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         found, filled = run.stdout.splitlines()
-        for cache in ("quadrature._density_rule", "quadrature._laguerre_rule",
-                      "quadrature._panel_rule", "radial._mesh", "radial._prolong"):
+        for cache in ("quadrature._density_rule", "radial._mesh", "radial._prolong"):
             assert f"'ecsc.{cache}'" in found
         assert filled == "[]"
 
