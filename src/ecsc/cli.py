@@ -207,7 +207,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except ToleranceNotMetError as exc:
-        print(f"error: quadrature did not converge: {exc}", file=sys.stderr)
+        print(f"error: quadrature: {exc}", file=sys.stderr)
         return 1
     except (ValidationError, ArithmeticError) as exc:
         prefix = "out of floating-point range: " if isinstance(exc, ArithmeticError) else ""

@@ -21,16 +21,23 @@ another node count, and that order computes the eigenvalues as the first
 does.  The energy is the eigenvector's Rayleigh quotient with its kinetic
 part summed as squares under the weights w/J.  The difference of the last
 two orders, plus the quotient's rounding error (eps times the sum of the
-absolute values of its terms), is the error estimate.  Every level of
-:func:`default_solver_config`'s box tried (1s-4f, Coulomb, ECSC and Yukawa
-at every bound screening) converged at order 42, and each of 2555 such
-levels took the eigenvalues at order 28 only.  A refined eigenvector
+absolute values of its terms), is the mesh's error estimate.  On it, every
+level of :func:`default_solver_config`'s box tried (1s-4f, Coulomb, ECSC
+and Yukawa at every bound screening) stopped at order 42, and each of 2555
+such levels took the eigenvalues at order 28 only.  A refined eigenvector
 keeps about the coarser order's error times the energy change between the
 two orders over the distance to the nearest other level, up to 1e-9 of
 its largest magnitude where levels crowd (Coulomb N = 20, or a weakly bound
 level in a wide box).  So the last order's eigenvector u takes one more
 step of inverse iteration, shifted to its own energy, and the amplitude is
 u_i/sqrt(r_max w_i J_i).
+
+The wall at r_max raises a level by about (hbar^2/2m) chi'(r_max)^2/(2 kappa),
+kappa = sqrt(2 m |E|)/hbar, chi the normalised amplitude; the error estimate
+adds twice that.  Without the factor 2 the term came to 0.82-1.01 of
+E(r_max) - E(4 r_max) for 1s-3s Coulomb, ECSC and Yukawa levels in 0.15-0.3
+times the default box.  The order ladder and the unbound test use the
+mesh's estimate alone.
 
 The orders do not grow with r_max, so the mesh near the origin coarsens as
 the box widens.  On boxes up to ``MAX_BOX_SCALE`` times
@@ -46,7 +53,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import isfinite, sqrt
+from math import exp, expm1, isfinite, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +65,8 @@ _EPS = float(np.finfo(float).eps)
 _ORDERS = tuple(round(28 * 1.5**k) for k in range(9))
 #: grading a of the map from the Gauss-Lobatto points to the box
 _GRADING = 3.0
+#: J = ds/dx at the wall x = 1, the same at every order
+_WALL_JACOBIAN = 0.5 * _GRADING * exp(_GRADING) / expm1(_GRADING)
 #: widest box, as a multiple of default_solver_config's, that the orders
 #: resolve: Coulomb-limit, ECSC and Yukawa 1s-4f levels at every bound
 #: screening stayed bound at 6 times the default box; ECSC 4s at
@@ -118,10 +128,9 @@ class RadialFunction:
     mesh's quadrature: the sum of w_i (dr/dx)_i values_i^2 over the mesh,
     w the Gauss-Lobatto weights.  ``node_count`` counts its sign changes
     where it exceeds 1e-6 of its largest magnitude.
-    ``error_estimate`` estimates |energy - exact level| at the given cutoff
-    r_max: the spread of the last two orders plus the quotient's rounding
-    error.  It is blind to the cutoff itself: Yukawa 1s at screening 1.0
-    (A = 1, atomic units) is -0.0102852 at r_max = 40 and -0.0102858 at 80.
+    ``error_estimate`` estimates |energy - exact level|: the spread of the
+    last two orders, plus the quotient's rounding error, plus twice the rise
+    the wall at r_max gives the level (see the module docstring).
     ``converged`` says whether it is within the config's energy_abs_tol;
     ``error_estimate`` is nan when a caller builds the record without one.
     """
@@ -134,32 +143,38 @@ class RadialFunction:
     error_estimate: float = float("nan")
 
 
-def _gauss_lobatto(order: int):
-    """The Gauss-Lobatto-Legendre points x of order N = ``order``, -1 and 1
-    included, and the Legendre polynomial P_N there by its three-term
-    recurrence."""
+class _Mesh(NamedTuple):
+    """Every constant of the graded Gauss-Lobatto mesh of one order N on
+    [0, 1] that a solve reads.  Its arrays are read-only: every caller
+    shares them."""
+
+    x: np.ndarray  # the Gauss-Lobatto-Legendre points on [-1, 1], -1 and 1 included
+    p: np.ndarray  # the Legendre polynomial P_N at x
+    box: np.ndarray  # s = r/r_max at x: 0, the interior points and 1, the ends exact
+    weight: np.ndarray  # the Rayleigh quotient's weights w/J at every point
+    grad: np.ndarray  # (i, j): derivative of normalised interior Lagrange function j at point i
+    abs_grad: np.ndarray  # |grad|
+    root_wj: np.ndarray  # sqrt(w J) at the interior points
+    kinetic: np.ndarray  # the Gauss approximation of -d^2/ds^2 between those functions
+    kinetic_max: float  # its largest entry, which lies on its diagonal
+
+
+@cache
+def _mesh(order: int) -> _Mesh:
+    """The graded Gauss-Lobatto mesh of order N = ``order``, with w the
+    Gauss-Lobatto weights and J = ds/dx the Jacobian of the map."""
     # the interior points are the zeros of P'_N, a Jacobi polynomial P^(1,1)_(N-1):
     # the eigenvalues of its Jacobi matrix (Golub and Welsch, Math. Comp. 23 (1969) 221)
     k = np.arange(1.0, order - 1)
     jacobi = np.diag(np.sqrt(k * (k + 2.0) / ((2.0 * k + 1.0) * (2.0 * k + 3.0))), -1)
     x = np.concatenate(([-1.0], np.linalg.eigvalsh(jacobi), [1.0]))
     previous, p = 1.0, x
-    for j in range(1, order):
+    for j in range(1, order):  # P_N by its three-term recurrence
         previous, p = p, ((2 * j + 1) * x * p - j * previous) / (j + 1)
-    return x, p
-
-
-@cache
-def _mesh(order: int):
-    """The graded Gauss-Lobatto mesh of order ``order`` on [0, 1]: interior
-    points s = r/r_max, all weights w on [-1, 1], the Jacobian J = ds/dx at
-    every point, the derivatives of the normalised interior Lagrange
-    functions at every point and the Gauss approximation of the kinetic
-    matrix -d^2/ds^2 between those functions."""
-    x, p = _gauss_lobatto(order)
     w = 2.0 / (order * (order + 1) * p**2)
     # s = (e^(a t) - 1)/(e^a - 1) with t = (1 + x)/2, to full relative
-    # precision near the origin, where the potential is largest
+    # precision near the origin, where the potential is largest; x = -1 and 1
+    # give t = 0 and 1, so s = 0 and 1 exactly
     at = 0.5 * _GRADING * (1.0 + x)
     s = np.expm1(at) / np.expm1(_GRADING)
     jac = 0.5 * _GRADING * np.exp(at) / np.expm1(_GRADING)
@@ -169,34 +184,14 @@ def _mesh(order: int):
     d = p[:, None] / (p * gap)
     np.fill_diagonal(d, 0.0)
     d[0, 0], d[-1, -1] = -order * (order + 1) / 4.0, order * (order + 1) / 4.0
-    grad = d[:, 1:-1] / np.sqrt((w * jac)[1:-1])
+    root_wj = np.sqrt((w * jac)[1:-1])
+    grad = d[:, 1:-1] / root_wj
     # the Gauss approximation: 1/J is not a polynomial, so the sum is not exact
     kinetic = grad.T @ ((w / jac)[:, None] * grad)
-    mesh = s[1:-1], w, jac, grad, kinetic
-    for array in mesh:  # every caller shares them
+    arrays = x, p, s, w / jac, grad, np.abs(grad), root_wj, kinetic
+    for array in arrays:
         array.flags.writeable = False
-    return mesh
-
-
-@cache
-def _terms(order: int):
-    """Constants of the order-``order`` solve derived from :func:`_mesh`: the
-    quotient's weights w/J, |grad|, sqrt(w J) at the interior points and the
-    kinetic matrix's largest entry, which lies on its diagonal."""
-    _, w, jac, grad, kinetic = _mesh(order)
-    terms = w / jac, np.abs(grad), np.sqrt((w * jac)[1:-1])
-    for array in terms:
-        array.flags.writeable = False
-    return *terms, float(np.max(np.diagonal(kinetic)))
-
-
-@cache
-def _box(order: int):
-    """The order-``order`` mesh on [0, 1] with both ends: 0, s and 1, so that
-    r_max times it is the grid with its ends exact."""
-    box = np.concatenate(([0.0], _mesh(order)[0], [1.0]))
-    box.flags.writeable = False
-    return box
+    return _Mesh(*arrays, float(np.max(np.diagonal(kinetic))))
 
 
 @cache
@@ -213,11 +208,10 @@ def _prolong(fine: int, coarse: int):
     numerator of the first form, taken from the Legendre recurrence, is off
     by O(1) in l_j, while the barycentric ratio is not.
     """
-    x = _gauss_lobatto(fine)[0][1:-1]
-    xc, pc = _gauss_lobatto(coarse)
-    ratios = 1.0 / (pc * (x[:, None] - xc))
+    fine_mesh, coarse_mesh = _mesh(fine), _mesh(coarse)
+    ratios = 1.0 / (coarse_mesh.p * (fine_mesh.x[1:-1, None] - coarse_mesh.x))
     lagrange = ratios[:, 1:-1] / np.sum(ratios, axis=1, keepdims=True)
-    prolong = lagrange * _terms(fine)[2][:, None] / _terms(coarse)[2]
+    prolong = lagrange * fine_mesh.root_wj[:, None] / coarse_mesh.root_wj
     prolong.flags.writeable = False
     return prolong
 
@@ -239,11 +233,10 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
     scale = units.hbar**2 / (2.0 * units.mass * r_max**2)
     coarse = u = energy = None
     for order in orders:
-        s, _, _, grad, kinetic = _mesh(order)
-        weight, abs_grad, root_wj, kinetic_max = _terms(order)
-        if not isfinite(scale * kinetic_max):
+        mesh = _mesh(order)
+        if not isfinite(scale * mesh.kinetic_max):
             raise ValidationError(f"r_max = {r_max:g} is too small: the kinetic matrix overflows")
-        r = r_max * s
+        r = r_max * mesh.box[1:-1]
         v = np.asarray(potential(r), dtype=float)
         if v.shape != r.shape:
             raise ValidationError(
@@ -255,31 +248,29 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
             raise ValidationError("potential is not finite on the mesh")
         if not lowest < 0.0:
             return "effective potential is nowhere negative on the mesh; nothing is bound"
-        h = scale * kinetic
+        h = scale * mesh.kinetic
         diagonal = h.reshape(-1)[::order]  # a view of h's diagonal
-        diagonal += v
+        unshifted = diagonal + v
         if coarse is not None:
             # the coarser order's eigenvector on this mesh, refined by one
             # step of inverse iteration shifted to that order's energy
-            unshifted = diagonal.copy()
-            diagonal -= energy
+            diagonal[:] = unshifted - energy
             u = np.linalg.solve(h, _prolong(order, coarse) @ u)
-        if coarse is None or _count_interior_nodes(u / root_wj) != n:
+        if coarse is None or _count_interior_nodes(u / mesh.root_wj) != n:
             # the first order, or a shift nearer another level: eigenvalue n,
             # then its eigenvector by one step of inverse iteration from the
             # vector of ones, (h - lambda) u = 1
-            if coarse is not None:
-                diagonal[:] = unshifted
+            diagonal[:] = unshifted
             diagonal -= np.linalg.eigvalsh(h)[n]
             u = np.linalg.solve(h, np.ones(order - 1))
         u /= sqrt(u @ u)
         # the Rayleigh quotient with its kinetic part a sum of squares: an
         # eigenvalue is good only to about eps |h|, this to eps times the sum
         # of the absolute values of the terms it adds up
-        g = grad @ u
+        g = mesh.grad @ u
         density = u * u
-        previous, energy = energy, float(scale * (weight @ (g * g)) + v @ density)
-        roundoff = _EPS * float(scale * (weight @ (np.abs(g) * (abs_grad @ np.abs(u))))
+        previous, energy = energy, float(scale * (mesh.weight @ (g * g)) + v @ density)
+        roundoff = _EPS * float(scale * (mesh.weight @ (np.abs(g) * (mesh.abs_grad @ np.abs(u))))
                                 + np.abs(v) @ density)
         if previous is not None:
             estimate = abs(energy - previous) + roundoff
@@ -295,13 +286,18 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
     # the nearest other level, up to 1e-9 of its peak where levels crowd
     diagonal[:] = unshifted - energy
     u = np.linalg.solve(h, u)
-    chi = u / (sqrt(u @ u) * sqrt(r_max) * root_wj)
+    norm = sqrt(u @ u)
+    # twice the wall's rise (see the module docstring), in units of r_max:
+    # r_max^(3/2) chi'(r_max) = grad[-1] @ u/J(1) and kappa r_max = sqrt(-E/scale)
+    slope = float(mesh.grad[-1] @ u) / (norm * _WALL_JACOBIAN)
+    estimate += scale * slope**2 / sqrt(-energy / scale)
+    chi = u / (norm * sqrt(r_max) * mesh.root_wj)
     if chi[np.argmax(np.abs(chi))] < 0:
         chi = -chi
     values = np.zeros(order + 1)
     values[1:-1] = chi
     return RadialFunction(
-        grid=r_max * _box(order),
+        grid=r_max * mesh.box,
         values=values,
         node_count=_count_interior_nodes(chi),
         energy=energy,

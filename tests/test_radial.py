@@ -22,7 +22,7 @@ from ecsc import (
     total_energy,
 )
 from ecsc.cli import main
-from ecsc.radial import _GRADING, _ORDERS, MAX_BOX_SCALE, _box, _gauss_lobatto, _mesh, _prolong
+from ecsc.radial import _GRADING, _ORDERS, MAX_BOX_SCALE, _mesh, _prolong
 
 SQ2 = math.sqrt(2.0)
 
@@ -311,13 +311,38 @@ class TestErrorEstimate:
         assert rf.converged
         assert abs(rf.energy - total_energy(st, spec, HBAR2M).total) <= rf.error_estimate
 
+    @pytest.mark.parametrize("label, delta, g, box, ratio", [
+        ("1s", 1.0, 0.0, 1.0, 2.5), ("1s", 0.71, 1.0, 1.0, None),
+        ("1s", 0.0, 1.0, 0.2, 2.5), ("2p", 0.0, 1.0, 0.2, 2.5),
+    ], ids=["yukawa-1s", "ecsc-1s-0.71", "coulomb-1s-narrow", "coulomb-2p-narrow"])
+    def test_estimate_sees_the_box(self, label, delta, g, box, ratio):
+        # the wall at r_max raises each level by about as much as its box term
+        # without the factor 2; ECSC 1s at 0.71, 1.2e-5 below the continuum,
+        # falls 3.1e-4 in 4 times the box, against an estimate of 4.8e-3
+        st = state_from_label(label)
+        spec = ScreeningSpec(delta=delta, g=g)
+        pot = lambda r: effective_potential(r, spec, st.ell, ATOMIC)
+        r_max = box * default_solver_config(st, spec, ATOMIC).r_max
+        rf = solve_bound_state(pot, st, ATOMIC, SolverConfig(r_max=r_max))
+        wide = solve_bound_state(pot, st, ATOMIC, SolverConfig(r_max=4.0 * r_max))
+        gap = rf.energy - wide.energy
+        assert gap <= rf.error_estimate
+        if ratio is not None:
+            assert rf.error_estimate <= ratio * gap
+
+    def test_oracle_reports_the_box(self, capsys):
+        assert main(["oracle", "--state", "1s", "--delta", "0.71"]) == 0
+        numeric = capsys.readouterr().out.splitlines()[0]
+        assert "converged=False" in numeric
+        assert float(numeric.split("error_estimate=")[1].split()[0]) >= 3e-4
+
 
 class TestMesh:
     @pytest.mark.parametrize("order", _ORDERS)
     def test_gauss_lobatto_rule_against_scipy(self, order):
         # the gaps to scipy are at most 2.0e-15 in the points and 1.7e-12
         # relative in P_N, both at order 718; the bounds leave a factor of 2
-        x, p = _gauss_lobatto(order)
+        x, p = _mesh(order).x, _mesh(order).p
         assert (x[0], x[-1]) == (-1.0, 1.0)
         assert np.max(np.abs(x[1:-1] - roots_jacobi(order - 1, 1.0, 1.0)[0])) <= 4e-15
         want = eval_legendre(order, x)
@@ -325,17 +350,23 @@ class TestMesh:
 
     @pytest.mark.parametrize("order", _ORDERS)
     def test_invariants(self, order):
-        s, w, jac, grad, kinetic = _mesh(order)
-        assert np.all(jac > 0.0) and np.all(np.diff(s) > 0.0)
-        # the integral of dr over the box is r_max
-        assert np.sum(w * jac) == pytest.approx(1.0, abs=1e-14)
+        mesh = _mesh(order)
+        # every caller shares the record's arrays
+        arrays = [field for field in mesh if isinstance(field, np.ndarray)]
+        assert len(arrays) == len(mesh) - 1 and not any(a.flags.writeable for a in arrays)
+        # the grid's ends are exact
+        assert mesh.box[0] == 0.0 and mesh.box[-1] == 1.0 and np.all(np.diff(mesh.box) > 0.0)
+        assert np.all(mesh.weight > 0.0) and np.all(mesh.root_wj > 0.0)
+        # the integral of dr over the box is r_max: the sum of w J, with w J = w^2/(w/J)
+        w = 2.0 / (order * (order + 1) * mesh.p**2)
+        assert np.sum(w**2 / mesh.weight) == pytest.approx(1.0, abs=1e-14)
+        assert np.max(np.abs(mesh.root_wj**2 / (w**2 / mesh.weight)[1:-1] - 1.0)) <= 1e-14
+        assert np.array_equal(mesh.abs_grad, np.abs(mesh.grad))
+        kinetic = mesh.kinetic
+        assert mesh.kinetic_max == np.max(kinetic)
         assert np.max(np.abs(kinetic - kinetic.T)) <= 1e-15 * np.max(np.abs(kinetic))
         # positive definite, with the lowest level of -d^2/ds^2 on [0, 1]
         assert np.linalg.eigvalsh(kinetic)[0] == pytest.approx(math.pi**2, rel=1e-10)
-        # the grid's ends: 0 and 1, shared by every caller
-        box = _box(order)
-        assert not box.flags.writeable
-        assert box[0] == 0.0 and box[-1] == 1.0 and np.array_equal(box[1:-1], s)
 
     @pytest.mark.parametrize("label, delta, g", [
         *((label, 0.0, 1.0) for label in ["1s", "2s", "2p", "3s", "3p", "3d", "4s", "4p", "4d",
@@ -360,13 +391,20 @@ class TestMesh:
         calls = _linalg_calls(monkeypatch, "eigvalsh")
         solves = _linalg_calls(monkeypatch, "solve")
         rf = solve_bound_state(pot, st, ATOMIC, cfg)
-        assert rf.converged and rf.node_count == st.n
+        assert rf.node_count == st.n
         assert rf.grid.size - 1 <= 63
         assert calls == [_ORDERS[0]]
         assert len(potential_calls) == 2 and len(solves) == 3
         # the ends of the grid and the zeros of the amplitude there are exact
         assert rf.grid[0] == 0.0 and rf.grid[-1] == cfg.r_max
         assert rf.values[0] == rf.values[-1] == 0.0
+        if (label, delta, g) in [("1s", 1.0, 0.0), ("1s", 0.7, 1.0)]:
+            # the box raises these two shallow levels by more than the
+            # target, and their estimate covers the rise
+            wide = solve_bound_state(pot, st, ATOMIC, SolverConfig(r_max=4.0 * cfg.r_max))
+            assert rf.error_estimate >= rf.energy - wide.energy
+        else:
+            assert rf.converged
 
     @pytest.mark.parametrize("fine, coarse", zip(_ORDERS[1:], _ORDERS))
     @pytest.mark.parametrize("f", [lambda x: (1.0 - x**2) * x**5, lambda x: 1.0 - x**2],
@@ -376,9 +414,8 @@ class TestMesh:
         # x = -1 and 1 is its own Lagrange interpolant; the second is 1 at
         # x = 0, which both meshes of an even pair hold, each only to rounding
         def scaled(order):
-            x = _gauss_lobatto(order)[0][1:-1]
-            _, w, jac, _, _ = _mesh(order)
-            return f(x) * np.sqrt((w * jac)[1:-1])
+            mesh = _mesh(order)
+            return f(mesh.x[1:-1]) * mesh.root_wj
 
         assert np.max(np.abs(_prolong(fine, coarse) @ scaled(coarse) - scaled(fine))) <= 1e-12
 

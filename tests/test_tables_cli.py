@@ -291,13 +291,13 @@ class TestCli:
 
     def test_unconverged_quadrature_is_reported(self, capsys, monkeypatch):
         def stalled(*args, **kwargs):
-            raise ToleranceNotMetError("no two rules agree up to 5120 nodes", 0.0, 1.0)
+            raise ToleranceNotMetError("integral is not finite", 0.0, math.inf)
 
         monkeypatch.setattr(ecsc.tables, "first_order_energy_numeric", stalled)
         assert main(["scan", "--state", "1s", "--delta-start", "0.1", "--delta-end", "0.1",
                      "--steps", "1"]) == 1
         err = capsys.readouterr().err
-        assert err == "error: quadrature did not converge: no two rules agree up to 5120 nodes\n"
+        assert err == "error: quadrature: integral is not finite\n"
 
     @pytest.mark.filterwarnings("error")
     def test_scan_at_extreme_length_units(self, capsys):
