@@ -334,14 +334,16 @@ def ground_wavefunction(
     differs from it by more than 1e-10 relative: far past critical
     screening the density piles up against the validity radius, and no
     fixed rule resolves it (hbar2m 4f at delta = 0.15).
-    The closed form is asymptotic: see :func:`moderated_validity_radius`.
+    The closed form is asymptotic: psi raises ValidationError at any r past
+    :func:`moderated_validity_radius`, where it stops decaying.
     """
     state = QuantumState(0, ell)
     poly = wavefunction_polynomial(ell, spec, units)
     scale = coulomb_norm(state, spec, units)
+    r_valid = moderated_validity_radius(ell, spec, units)
     if renormalize:
         beta = coulomb_beta(state, spec, units)
-        r_stop = min(60.0 / beta, moderated_validity_radius(ell, spec, units))
+        r_stop = min(60.0 / beta, r_valid)
         val, check = (_norm_integral(ell, poly, r_stop, points) for points in (200, 300))
         if not abs(val - check) <= 1e-10 * check:
             raise ValidationError(
@@ -352,6 +354,10 @@ def ground_wavefunction(
 
     def psi(r):
         arr = check_positive_radius(r)
+        if arr.max(initial=0.0) > r_valid:
+            raise ValidationError(
+                f"r = {arr.max():g} lies past the validity radius r_c = {r_valid:g} of the "
+                f"l={ell} wavefunction at delta={spec.delta:g}, where it stops decaying")
         out = scale * arr ** (ell + 1) * np.exp(poly(arr))
         return out if out.ndim else float(out)
 

@@ -14,8 +14,9 @@ eigenvalue n of one dense symmetric matrix.  The order grows through
 first order computes the eigenvalues; its eigenvector follows from one step
 of inverse iteration.  Each finer order takes the previous order's
 eigenvector, evaluated exactly at its own points by the coarser Lagrange
-functions, through one step of inverse iteration shifted to the previous
-order's energy (B. N. Parlett, The Symmetric Eigenvalue Problem, ch. 4).
+functions (a matrix that each order's cached mesh record carries), through
+one step of inverse iteration shifted to the previous order's energy
+(B. N. Parlett, The Symmetric Eigenvalue Problem, ch. 4).
 Where that shift lies nearer another level, the step returns a vector of
 another node count, and that order computes the eigenvalues as the first
 does.  The energy is the eigenvector's Rayleigh quotient with its kinetic
@@ -145,8 +146,9 @@ class RadialFunction:
 
 class _Mesh(NamedTuple):
     """Every constant of the graded Gauss-Lobatto mesh of one order N on
-    [0, 1] that a solve reads.  Its arrays are read-only: every caller
-    shares them."""
+    [0, 1] that a solve reads, the prolongation from the order before it in
+    the ladder included.  Its arrays are read-only: every caller shares
+    them."""
 
     x: np.ndarray  # the Gauss-Lobatto-Legendre points on [-1, 1], -1 and 1 included
     p: np.ndarray  # the Legendre polynomial P_N at x
@@ -157,12 +159,14 @@ class _Mesh(NamedTuple):
     root_wj: np.ndarray  # sqrt(w J) at the interior points
     kinetic: np.ndarray  # the Gauss approximation of -d^2/ds^2 between those functions
     kinetic_max: float  # its largest entry, which lies on its diagonal
+    prolong: np.ndarray | None  # takes the previous order's eigenvector here; None at the first
 
 
 @cache
 def _mesh(order: int) -> _Mesh:
-    """The graded Gauss-Lobatto mesh of order N = ``order``, with w the
-    Gauss-Lobatto weights and J = ds/dx the Jacobian of the map."""
+    """The graded Gauss-Lobatto mesh of order N = ``order``, one of
+    ``_ORDERS``, with w the Gauss-Lobatto weights and J = ds/dx the Jacobian
+    of the map."""
     # the interior points are the zeros of P'_N, a Jacobi polynomial P^(1,1)_(N-1):
     # the eigenvalues of its Jacobi matrix (Golub and Welsch, Math. Comp. 23 (1969) 221)
     k = np.arange(1.0, order - 1)
@@ -188,32 +192,24 @@ def _mesh(order: int) -> _Mesh:
     grad = d[:, 1:-1] / root_wj
     # the Gauss approximation: 1/J is not a polynomial, so the sum is not exact
     kinetic = grad.T @ ((w / jac)[:, None] * grad)
+    prolong = None
+    if order != _ORDERS[0]:
+        # entry (i, j): the previous order's Lagrange function j at interior
+        # point i, times sqrt(w J) there over that at x_j, in the barycentric
+        # form l_j(x) = (1/(P_N(x_j) (x - x_j))) / sum_k 1/(P_N(x_k) (x - x_k)),
+        # N that order and k over all its points.  Both even orders of a pair
+        # hold x = 0 only to rounding (some 1e-16 apart); there the product form
+        # (x^2 - 1) P'_N(x)/(N (N + 1) P_N(x_j) (x - x_j)), P_N taken from the
+        # Legendre recurrence, is off by O(1) in l_j, the barycentric ratio is not
+        coarse = _mesh(_ORDERS[_ORDERS.index(order) - 1])
+        ratios = 1.0 / (coarse.p * (x[1:-1, None] - coarse.x))
+        prolong = ratios[:, 1:-1] / np.sum(ratios, axis=1, keepdims=True)
+        prolong = prolong * root_wj[:, None] / coarse.root_wj
+        prolong.flags.writeable = False
     arrays = x, p, s, w / jac, grad, np.abs(grad), root_wj, kinetic
     for array in arrays:
         array.flags.writeable = False
-    return _Mesh(*arrays, float(np.max(np.diagonal(kinetic))))
-
-
-@cache
-def _prolong(fine: int, coarse: int):
-    """The matrix that takes an eigenvector of the order-``coarse`` mesh to
-    the order-``fine`` mesh: entry (i, j) is coarse Lagrange function j at fine
-    interior point i, scaled by sqrt(w J) of the fine point over that of x_j.
-
-    With N = ``coarse``, l_j(x) = (x^2 - 1) P'_N(x)/(N (N + 1) P_N(x_j) (x - x_j)).
-    It is evaluated in the barycentric form
-    l_j(x) = (1/(P_N(x_j) (x - x_j))) / sum_k 1/(P_N(x_k) (x - x_k)),
-    k over every coarse point.  The two even orders of a neighbouring pair
-    both hold x = 0, each only to rounding (some 1e-16 apart).  There the
-    numerator of the first form, taken from the Legendre recurrence, is off
-    by O(1) in l_j, while the barycentric ratio is not.
-    """
-    fine_mesh, coarse_mesh = _mesh(fine), _mesh(coarse)
-    ratios = 1.0 / (coarse_mesh.p * (fine_mesh.x[1:-1, None] - coarse_mesh.x))
-    lagrange = ratios[:, 1:-1] / np.sum(ratios, axis=1, keepdims=True)
-    prolong = lagrange * fine_mesh.root_wj[:, None] / coarse_mesh.root_wj
-    prolong.flags.writeable = False
-    return prolong
+    return _Mesh(*arrays, float(np.max(np.diagonal(kinetic))), prolong)
 
 
 def _count_interior_nodes(values: np.ndarray) -> int:
@@ -231,7 +227,7 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
                               f"with {n} nodes")
     # -(hbar^2/2m) d^2/dr^2 = -(hbar^2/2m) r_max^-2 d^2/ds^2
     scale = units.hbar**2 / (2.0 * units.mass * r_max**2)
-    coarse = u = energy = None
+    u = energy = None
     for order in orders:
         mesh = _mesh(order)
         if not isfinite(scale * mesh.kinetic_max):
@@ -251,12 +247,12 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
         h = scale * mesh.kinetic
         diagonal = h.reshape(-1)[::order]  # a view of h's diagonal
         unshifted = diagonal + v
-        if coarse is not None:
+        if energy is not None:
             # the coarser order's eigenvector on this mesh, refined by one
             # step of inverse iteration shifted to that order's energy
             diagonal[:] = unshifted - energy
-            u = np.linalg.solve(h, _prolong(order, coarse) @ u)
-        if coarse is None or _count_interior_nodes(u / mesh.root_wj) != n:
+            u = np.linalg.solve(h, mesh.prolong @ u)
+        if energy is None or _count_interior_nodes(u / mesh.root_wj) != n:
             # the first order, or a shift nearer another level: eigenvalue n,
             # then its eigenvector by one step of inverse iteration from the
             # vector of ones, (h - lambda) u = 1
@@ -276,7 +272,6 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
             estimate = abs(energy - previous) + roundoff
             if estimate <= config.energy_abs_tol:
                 break
-        coarse = order
     if energy >= 0.0 or estimate >= -energy:
         return (f"level n={n}, l={state.ell} lies at E = {energy:.3g} +- {estimate:.1g} on the "
                 f"mesh to r_max = {r_max:g}: a box-quantised continuum state, not bound")

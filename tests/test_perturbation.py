@@ -365,6 +365,20 @@ class TestGroundWavefunction:
         psi, _ = ground_wavefunction(1, ScreeningSpec(delta=0.08), ATOMIC)
         assert psi(r_turn) < psi(4.0)
 
+    @pytest.mark.parametrize("ell, delta", [(1, 0.1), (0, 0.7)])
+    def test_psi_refused_past_validity_radius(self, ell, delta):
+        spec = ScreeningSpec(delta=delta)
+        r_c = moderated_validity_radius(ell, spec, ATOMIC)
+        psi, _ = ground_wavefunction(ell, spec, ATOMIC)
+        assert math.isfinite(psi(r_c))
+        for r in (np.nextafter(r_c, math.inf), np.array([0.5, 2.0 * r_c]), 400.0):
+            with pytest.raises(ValidationError, match=f"r_c = {r_c:g}"):
+                psi(r)
+
+    def test_coulomb_limit_has_no_validity_radius(self):
+        psi, _ = ground_wavefunction(0, ScreeningSpec(delta=0.0), ATOMIC)
+        assert psi(np.array([1.0, 1e3])).tolist() == [2.0 * math.exp(-1.0), 0.0]
+
     def test_validity_radius_without_a_decaying_stretch(self):
         # at delta = 0.7, just below the critical screening of 1s, the
         # moderated exponent never falls again past the peak 1/beta = 1, so

@@ -476,7 +476,7 @@ class TestLayering:
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         found, filled = run.stdout.splitlines()
-        for cache in ("quadrature._density_rule", "radial._mesh", "radial._prolong"):
+        for cache in ("quadrature._density_rule", "radial._mesh"):
             assert f"'ecsc.{cache}'" in found
         assert filled == "[]"
 

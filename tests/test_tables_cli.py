@@ -9,9 +9,12 @@ import pytest
 import ecsc
 from ecsc import (
     ATOMIC,
+    HBAR2M,
+    ScreeningSpec,
     SecondOrderVariant,
     ToleranceNotMetError,
     ValidationError,
+    moderated_validity_radius,
     reproduce_table,
     scan_delta,
     state_from_label,
@@ -312,6 +315,20 @@ class TestCli:
     def test_bad_wavefunction_arguments_are_a_usage_error(self, capsys, option):
         assert main(["wavefunction", "--state", "1s", "--delta", "0.05", *option]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv, ell, spec, units", [
+        (["--state", "2p", "--delta", "0.1", "--rmax", "400", "--points", "8"],
+         1, ScreeningSpec(delta=0.1), ATOMIC),
+        (["--state", "3d", "--A", "8", "--units", "hbar2m", "--delta", "0.2", "--rmax", "40",
+          "--points", "4"], 2, ScreeningSpec(delta=0.2, strength=8.0), HBAR2M),
+    ], ids=["2p", "3d-hbar2m"])
+    def test_wavefunction_past_validity_radius_is_a_usage_error(self, capsys, argv, ell, spec,
+                                                                 units):
+        # both printed inf or values above 1e16 with exit 0 before
+        r_c = moderated_validity_radius(ell, spec, units)
+        assert main(["wavefunction", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and f"r_c = {r_c:g}" in err
 
     def test_oracle_verb(self, capsys, tmp_path):
         out = tmp_path / "chi.txt"
