@@ -30,7 +30,6 @@ from .perturbation import (
     first_order_shift,
     ground_coefficients,
     ground_wavefunction,
-    moderated_validity_radius,
     second_order_coefficients,
     second_order_shift,
     second_order_terms,

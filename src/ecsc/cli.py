@@ -19,7 +19,7 @@ from .core import (
     state_from_label,
 )
 from .coulomb import coulomb_beta
-from .perturbation import ground_wavefunction, moderated_validity_radius, total_energy
+from .perturbation import ground_wavefunction, total_energy
 from .potential import effective_potential
 from .quadrature import ToleranceNotMetError
 from .radial import MAX_BOX_SCALE, NoBoundStateError, default_solver_config, solve_bound_state
@@ -140,7 +140,14 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+def _check_rmax(rmax) -> None:
+    """Refuse an ``--rmax`` that is given but not a positive finite radius."""
+    if rmax is not None and not (isfinite(rmax) and rmax > 0.0):
+        raise ValidationError(f"--rmax must be positive and finite, got {rmax}")
+
+
 def _cmd_wavefunction(args) -> int:
+    _check_rmax(args.rmax)
     units = make_unit_system(args.units)
     state = state_from_label(args.state)
     if state.n != 0:
@@ -148,15 +155,12 @@ def _cmd_wavefunction(args) -> int:
             "the analytic moderated wavefunction is available for n = 0 levels only")
     if not 1 <= args.points <= MAX_SAMPLES:
         raise ValidationError(f"--points must be between 1 and {MAX_SAMPLES}, got {args.points}")
-    if args.rmax is not None and not (isfinite(args.rmax) and args.rmax > 0.0):
-        raise ValidationError(f"--rmax must be positive and finite, got {args.rmax}")
     spec = ScreeningSpec(delta=args.delta, strength=args.A)
-    psi, poly = ground_wavefunction(state.ell, spec, units, renormalize=args.renormalize)
-    beta = coulomb_beta(state, spec, units)
+    psi, poly, r_c = ground_wavefunction(state.ell, spec, units, renormalize=args.renormalize)
     r_max = args.rmax
     if r_max is None:
         # stay inside the decaying window of the asymptotic closed form
-        r_max = min(25.0 / beta, moderated_validity_radius(state.ell, spec, units))
+        r_max = min(25.0 / coulomb_beta(state, spec, units), r_c)
     grid = np.linspace(r_max / args.points, r_max, args.points)
     _emit(render_text("csv", ("r", "psi"), zip(grid, psi(grid))), args.out)
     if args.out is not None:
@@ -166,6 +170,7 @@ def _cmd_wavefunction(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    _check_rmax(args.rmax)
     units = make_unit_system(args.units)
     state = state_from_label(args.state)
     spec = ScreeningSpec(delta=args.delta, strength=args.A, g=args.g)

@@ -285,33 +285,6 @@ def wavefunction_polynomial(ell: int, spec: ScreeningSpec, units: UnitSystem) ->
     return Polynomial(np.pad(exponent.coef, (0, 6 - exponent.coef.size)))
 
 
-def moderated_validity_radius(ell: int, spec: ScreeningSpec, units: UnitSystem) -> float:
-    """Radius beyond which the moderated ground wavefunction stops decaying.
-
-    The exponent polynomial carries a positive r^5 tail for delta > 0, so
-    the closed form is an asymptotic approximation valid only inside this
-    radius (infinite in the Coulomb limit).  Sampling or integrating the
-    wavefunction should stay within it.  Turning radii beyond 200 Coulomb
-    lengths are reported as infinite; the amplitude there is already
-    negligible.
-    """
-    state = QuantumState(0, ell)
-    if spec.delta == 0.0:
-        return float("inf")
-    poly = wavefunction_polynomial(ell, spec, units)
-    beta = coulomb_beta(state, spec, units)
-    peak = (ell + 1) / beta
-    rs = np.linspace(peak, 200.0 / beta, 20000)
-    rate = (ell + 1) / rs + poly.deriv()(rs)
-    # the first zero of the log-derivative is the peak itself; the breakdown
-    # is where the rate turns nonnegative again after the decaying stretch
-    decaying = np.nonzero(rate < 0.0)[0]
-    if decaying.size == 0:
-        return float(peak)
-    turned = np.nonzero(rate[decaying[0]:] >= 0.0)[0]
-    return float(rs[decaying[0] + turned[0]]) if turned.size else float("inf")
-
-
 def _norm_integral(ell: int, poly: Polynomial, r_stop: float, points: int) -> float:
     """Integral of (r^(ell+1) exp(P(r)))^2 over [0, r_stop] by the
     ``points``-point Gauss-Legendre rule."""
@@ -323,27 +296,45 @@ def _norm_integral(ell: int, poly: Polynomial, r_stop: float, points: int) -> fl
 def ground_wavefunction(
     ell: int, spec: ScreeningSpec, units: UnitSystem, renormalize: bool = False
 ):
-    """Moderated ground-state radial wavefunction for n = 0.
+    """Moderated ground-state radial wavefunction for n = 0, with its validity radius.
 
-    Returns (psi, poly) where psi(r) = norm * r^(ell+1) * exp(P(r)) and poly
-    is the ``Polynomial`` P.  By default the Coulomb normalization constant
-    is kept, so psi is not exactly unit-normalized once delta > 0;
-    pass ``renormalize=True`` to rescale numerically (useful for plotting)
-    by a 200-point Gauss-Legendre rule on [0, min(60/beta, validity radius)].
-    Raises ValidationError when a 300-point rule on the same interval
-    differs from it by more than 1e-10 relative: far past critical
-    screening the density piles up against the validity radius, and no
-    fixed rule resolves it (hbar2m 4f at delta = 0.15).
-    The closed form is asymptotic: psi raises ValidationError at any r past
-    :func:`moderated_validity_radius`, where it stops decaying.
+    Returns (psi, poly, r_c) where psi(r) = norm * r^(ell+1) * exp(P(r)),
+    poly is the ``Polynomial`` P and r_c the radius where psi stops
+    decaying.  P carries a positive r^5 tail for delta > 0, so the closed
+    form is asymptotic, valid only inside r_c: the first point past the peak
+    (ell+1)/beta, on 20000 points up to 200/beta, where the log-derivative
+    turns nonnegative again after the decaying stretch.  r_c is infinite at
+    delta = 0 and when no such turn lies within 200 Coulomb lengths (the
+    amplitude there is already negligible), and it is the peak itself when
+    nothing past the peak decays.  psi raises ValidationError at any r past r_c.
+    By default the Coulomb normalization constant is kept, so psi is not
+    exactly unit-normalized once delta > 0; pass ``renormalize=True`` to
+    rescale numerically (useful for plotting) by a 200-point
+    Gauss-Legendre rule on [0, min(60/beta, r_c)].  Raises ValidationError
+    when a 300-point rule on the same interval differs from it by more than
+    1e-10 relative: far past critical screening the density piles up
+    against r_c, and no fixed rule resolves it (hbar2m 4f at delta = 0.15).
     """
     state = QuantumState(0, ell)
     poly = wavefunction_polynomial(ell, spec, units)
+    beta = coulomb_beta(state, spec, units)
     scale = coulomb_norm(state, spec, units)
-    r_valid = moderated_validity_radius(ell, spec, units)
+    r_c = float("inf")
+    if spec.delta != 0.0:
+        peak = (ell + 1) / beta
+        rs = np.linspace(peak, 200.0 / beta, 20000)
+        rate = (ell + 1) / rs + poly.deriv()(rs)
+        # the first zero of the log-derivative is the peak itself; the breakdown
+        # is where the rate turns nonnegative again after the decaying stretch
+        decaying = np.nonzero(rate < 0.0)[0]
+        if decaying.size == 0:
+            r_c = float(peak)
+        else:
+            turned = np.nonzero(rate[decaying[0]:] >= 0.0)[0]
+            if turned.size:
+                r_c = float(rs[decaying[0] + turned[0]])
     if renormalize:
-        beta = coulomb_beta(state, spec, units)
-        r_stop = min(60.0 / beta, r_valid)
+        r_stop = min(60.0 / beta, r_c)
         val, check = (_norm_integral(ell, poly, r_stop, points) for points in (200, 300))
         if not abs(val - check) <= 1e-10 * check:
             raise ValidationError(
@@ -354,11 +345,11 @@ def ground_wavefunction(
 
     def psi(r):
         arr = check_positive_radius(r)
-        if arr.max(initial=0.0) > r_valid:
+        if arr.max(initial=0.0) > r_c:
             raise ValidationError(
-                f"r = {arr.max():g} lies past the validity radius r_c = {r_valid:g} of the "
+                f"r = {arr.max():g} lies past the validity radius r_c = {r_c:g} of the "
                 f"l={ell} wavefunction at delta={spec.delta:g}, where it stops decaying")
         out = scale * arr ** (ell + 1) * np.exp(poly(arr))
         return out if out.ndim else float(out)
 
-    return psi, poly
+    return psi, poly, r_c

@@ -111,13 +111,20 @@ def default_solver_config(
     shared 2-CPU x86-64 machine, as the host's load varies.  The
     convergence target is 1e-9 in units of m A^2/hbar^2, because the
     roundoff floor of the estimate scales with that energy; at A = 1 in
-    atomic units it is 1e-9.
+    atomic units it is 1e-9.  Raises ValidationError naming A, hbar and m
+    when either leaves the positive finite floats.
     """
     length = state.principal * units.hbar**2 / (units.mass * spec.strength)
-    return SolverConfig(
-        r_max=40.0 * state.principal * length,
-        energy_abs_tol=1e-9 * units.mass * spec.strength**2 / units.hbar**2,
-    )
+    r_max = 40.0 * state.principal * length
+    target = 1e-9 * units.mass * spec.strength**2 / units.hbar**2
+    try:
+        return SolverConfig(r_max=r_max, energy_abs_tol=target)
+    except ValidationError as exc:
+        quantity = (f"box 40 N^2 hbar^2/(m A) at {r_max:g}" if str(exc).startswith("r_max")
+                    else f"convergence target 1e-9 m A^2/hbar^2 at {target:g}")
+        raise ValidationError(
+            f"A = {spec.strength:g} with hbar = {units.hbar:g} and m = {units.mass:g} puts the "
+            f"solver's {quantity}, outside the positive finite floats") from None
 
 
 @dataclass(frozen=True)

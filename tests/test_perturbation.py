@@ -21,7 +21,6 @@ from ecsc import (
     second_order_coefficients,
     second_order_shift,
     second_order_terms,
-    moderated_validity_radius,
     state_from_label,
     superpotential_first,
     superpotential_second_ground,
@@ -329,7 +328,7 @@ class TestGroundWavefunction:
         assert poly.coef[2] == pytest.approx(delta**3 / 3.0, rel=1e-12, abs=0.0)
 
     def test_coulomb_limit_amplitude(self):
-        psi, _ = ground_wavefunction(0, ScreeningSpec(delta=0.0), ATOMIC)
+        psi, _, _ = ground_wavefunction(0, ScreeningSpec(delta=0.0), ATOMIC)
         assert psi(1.0) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-13)
 
     def test_leading_coefficients_example(self):
@@ -342,8 +341,7 @@ class TestGroundWavefunction:
 
     def test_renormalization_flag(self):
         spec = ScreeningSpec(delta=0.08)
-        psi, _ = ground_wavefunction(1, spec, ATOMIC, renormalize=True)
-        r_stop = moderated_validity_radius(1, spec, ATOMIC)
+        psi, _, r_stop = ground_wavefunction(1, spec, ATOMIC, renormalize=True)
         val, _ = quad(lambda r: psi(r) ** 2, 0.0, min(r_stop, 120.0), limit=300)
         assert val == pytest.approx(1.0, abs=1e-9)
 
@@ -354,29 +352,27 @@ class TestGroundWavefunction:
         with pytest.raises(ValidationError, match="cannot renormalize"):
             ground_wavefunction(ell, ScreeningSpec(delta=delta), units, renormalize=True)
         # the closed form with its Coulomb normalisation is still available
-        psi, _ = ground_wavefunction(ell, ScreeningSpec(delta=delta), units)
+        psi, _, _ = ground_wavefunction(ell, ScreeningSpec(delta=delta), units)
         assert math.isfinite(psi(1.0))
 
     def test_validity_radius(self):
         # infinite in the Coulomb limit, finite and beyond the bulk for delta > 0
-        assert moderated_validity_radius(0, ScreeningSpec(delta=0.0), ATOMIC) == math.inf
-        r_turn = moderated_validity_radius(1, ScreeningSpec(delta=0.08), ATOMIC)
+        assert ground_wavefunction(0, ScreeningSpec(delta=0.0), ATOMIC)[2] == math.inf
+        psi, _, r_turn = ground_wavefunction(1, ScreeningSpec(delta=0.08), ATOMIC)
         assert 10.0 < r_turn < 200.0
-        psi, _ = ground_wavefunction(1, ScreeningSpec(delta=0.08), ATOMIC)
         assert psi(r_turn) < psi(4.0)
 
     @pytest.mark.parametrize("ell, delta", [(1, 0.1), (0, 0.7)])
     def test_psi_refused_past_validity_radius(self, ell, delta):
         spec = ScreeningSpec(delta=delta)
-        r_c = moderated_validity_radius(ell, spec, ATOMIC)
-        psi, _ = ground_wavefunction(ell, spec, ATOMIC)
+        psi, _, r_c = ground_wavefunction(ell, spec, ATOMIC)
         assert math.isfinite(psi(r_c))
         for r in (np.nextafter(r_c, math.inf), np.array([0.5, 2.0 * r_c]), 400.0):
             with pytest.raises(ValidationError, match=f"r_c = {r_c:g}"):
                 psi(r)
 
     def test_coulomb_limit_has_no_validity_radius(self):
-        psi, _ = ground_wavefunction(0, ScreeningSpec(delta=0.0), ATOMIC)
+        psi, _, _ = ground_wavefunction(0, ScreeningSpec(delta=0.0), ATOMIC)
         assert psi(np.array([1.0, 1e3])).tolist() == [2.0 * math.exp(-1.0), 0.0]
 
     def test_validity_radius_without_a_decaying_stretch(self):
@@ -386,7 +382,7 @@ class TestGroundWavefunction:
         spec = ScreeningSpec(delta=0.7)
         rs = np.linspace(1.0, 200.0, 1000)
         assert np.all(1.0 / rs + wavefunction_polynomial(0, spec, ATOMIC).deriv()(rs) >= 0.0)
-        assert moderated_validity_radius(0, spec, ATOMIC) == 1.0
+        assert ground_wavefunction(0, spec, ATOMIC)[2] == 1.0
 
     @pytest.mark.parametrize("ell", [0, 1, 2])
     def test_moderating_function_consistency(self, ell):
@@ -418,7 +414,7 @@ class TestNegativeEll:
     @pytest.mark.parametrize(
         "helper",
         [ground_coefficients, superpotential_second_ground, wavefunction_polynomial,
-         moderated_validity_radius, ground_wavefunction],
+         ground_wavefunction],
     )
     def test_ground_helpers_reject(self, helper, delta, ell):
         with pytest.raises(ValidationError):

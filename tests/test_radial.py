@@ -12,13 +12,13 @@ from ecsc import (
     QuantumState,
     ScreeningSpec,
     SolverConfig,
+    UnitSystem,
     ValidationError,
     coulomb_energy,
     coulomb_wavefunction,
     default_solver_config,
     effective_potential,
     ground_wavefunction,
-    moderated_validity_radius,
     solve_bound_state,
     state_from_label,
     total_energy,
@@ -93,6 +93,16 @@ class TestSolverConfig:
             SolverConfig(r_max=math.inf)
         with pytest.raises(ValidationError):
             SolverConfig(r_max=math.nan)
+
+    @pytest.mark.parametrize("strength, scale", [
+        (1e-160, "convergence target 1e-9 m A^2/hbar^2 at 0,"),
+        (1e-310, "box 40 N^2 hbar^2/(m A) at inf,"),
+    ])
+    def test_default_names_the_scale_out_of_range(self, strength, scale):
+        spec = ScreeningSpec(delta=0.0, strength=strength)
+        with pytest.raises(ValidationError, match=r"^A = \S+ with hbar = 0.5 and m = 2 ") as exc:
+            default_solver_config(state_from_label("1s"), spec, UnitSystem(0.5, 2.0))
+        assert scale in str(exc.value)
 
 
 class TestPotentialInput:
@@ -467,8 +477,9 @@ class TestAnalyticWavefunction:
         r, chi = rf.grid[1:-1], rf.values[1:-1]
         weight = rf.grid[-1] * _mesh(rf.grid.size - 1).root_wj ** 2
         psi = np.zeros_like(r)
-        inside = r <= moderated_validity_radius(st.ell, spec, ATOMIC)
-        psi[inside] = ground_wavefunction(st.ell, spec, ATOMIC)[0](r[inside])
+        closed_form, _, r_c = ground_wavefunction(st.ell, spec, ATOMIC)
+        inside = r <= r_c
+        psi[inside] = closed_form(r[inside])
         infidelity = _infidelity(psi, chi, weight)
         assert infidelity <= 2.0 * self.SCALE[label] * delta**8 + 1e-14
         coulomb = _infidelity(coulomb_wavefunction(st, spec, ATOMIC, r), chi, weight)

@@ -4,6 +4,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ecsc
@@ -14,11 +15,14 @@ from ecsc import (
     SecondOrderVariant,
     ToleranceNotMetError,
     ValidationError,
-    moderated_validity_radius,
+    ground_wavefunction,
     reproduce_table,
     scan_delta,
+    second_order_energy_numeric,
     state_from_label,
+    superpotential_first,
 )
+from ecsc import perturbation
 from ecsc.cli import main
 from ecsc.core import MAX_SAMPLES
 from ecsc.tables import TABLES, TableResult
@@ -200,6 +204,19 @@ class TestScanDelta:
         res = scan_delta(state_from_label("2s"), 1.0, ATOMIC, 0.1, 0.1, 1)
         assert res.rows[0].quad_minus_analytic == pytest.approx(-168e-6, rel=1e-6)
 
+    def test_quadrature_column_carries_a_second_order_past_n2(self, capsys):
+        # for n >= 3 the closed form is first order only, but the column adds
+        # the E2 of the truncated hierarchy W1, so the difference is that E2
+        st, spec = state_from_label("4s"), ScreeningSpec(delta=0.01)
+        e2 = second_order_energy_numeric(
+            st, spec, ATOMIC, superpotential_first(st, spec, ATOMIC, truncated=True))
+        assert scan_delta(st, 1.0, ATOMIC, 0.01, 0.01, 1).rows[0].quad_minus_analytic == (
+            pytest.approx(e2, rel=1e-12))
+        assert main(["scan", "--state", "4s", "--delta-start", "0.01", "--delta-end", "0.01",
+                     "--steps", "1", "--format", "csv"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[7] == f"{e2:.6e}" == "2.979712e-05"
+
     def test_overscreened_row_is_recorded_not_fatal(self):
         res = scan_delta(state_from_label("3s"), 1.0, ATOMIC, 1.0, 1.0, 1, with_oracle=True)
         assert res.rows[0].oracle is None
@@ -325,10 +342,47 @@ class TestCli:
     def test_wavefunction_past_validity_radius_is_a_usage_error(self, capsys, argv, ell, spec,
                                                                  units):
         # both printed inf or values above 1e16 with exit 0 before
-        r_c = moderated_validity_radius(ell, spec, units)
+        r_c = ground_wavefunction(ell, spec, units)[2]
         assert main(["wavefunction", *argv]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and f"r_c = {r_c:g}" in err
+
+    def test_wavefunction_builds_the_exponent_and_scans_once(self, capsys, monkeypatch):
+        # the validity radius comes with psi, so the default window reuses it
+        builds, scans = [], []
+        build, linspace = perturbation.wavefunction_polynomial, np.linspace
+
+        def counted_build(*args):
+            builds.append(args)
+            return build(*args)
+
+        def counted_linspace(*args, **kw):
+            if args[2:] == (20000,):
+                scans.append(args)
+            return linspace(*args, **kw)
+
+        monkeypatch.setattr(perturbation, "wavefunction_polynomial", counted_build)
+        monkeypatch.setattr(np, "linspace", counted_linspace)
+        assert main(["wavefunction", "--state", "2p", "--delta", "0.1", "--points", "8"]) == 0
+        assert (len(builds), len(scans)) == (1, 1)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_oracle_rmax_must_be_positive_and_finite(self, capsys, value):
+        assert main(["oracle", "--state", "1s", "--delta", "0.1", f"--rmax={value}"]) == 2
+        assert capsys.readouterr().err.startswith("error: --rmax must be positive and finite")
+
+    @pytest.mark.parametrize("argv, scale", [
+        (["oracle", "--state", "1s", "--delta", "0", "--A", "1e-160"], "convergence target"),
+        (["scan", "--state", "1s", "--delta-start", "0", "--delta-end", "0", "--steps", "1",
+          "--with-oracle", "--A", "1e-200"], "convergence target"),
+        (["oracle", "--state", "1s", "--delta", "0", "--A", "1e-310"], "box"),
+    ], ids=["oracle-target", "scan-target", "oracle-box"])
+    def test_solver_scale_out_of_range_names_the_strength(self, capsys, argv, scale):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: A = {float(argv[-1]):g} with hbar = 1 and m = 1 ")
+        assert f"solver's {scale}" in err
+        assert "r_max" not in err and "energy_abs_tol" not in err
 
     def test_oracle_verb(self, capsys, tmp_path):
         out = tmp_path / "chi.txt"
