@@ -197,6 +197,14 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+def _inputs(args) -> str:
+    """The A, hbar, m and delta of a verb's arguments, as a message names them."""
+    units = make_unit_system(args.units)
+    delta = (f"delta = {args.delta:g}" if "delta" in args
+             else f"delta from {args.delta_start:g} to {args.delta_end:g}")
+    return f"A = {args.A:g}, hbar = {units.hbar:g}, m = {units.mass:g} and {delta}"
+
+
 _COMMANDS = {
     "energy": _cmd_energy,
     "table": _cmd_table,
@@ -214,9 +222,14 @@ def main(argv=None) -> int:
     except ToleranceNotMetError as exc:
         print(f"error: quadrature: {exc}", file=sys.stderr)
         return 1
-    except (ValidationError, ArithmeticError) as exc:
-        prefix = "out of floating-point range: " if isinstance(exc, ArithmeticError) else ""
-        print(f"error: {prefix}{exc}", file=sys.stderr)
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        # the shared scales are refused where they are formed, so this is a
+        # closed form's own power of hbar, m, A or delta; args[-1] drops an errno
+        print(f"error: out of floating-point range at {_inputs(args)}: {exc.args[-1]}",
+              file=sys.stderr)
         return 2
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from math import inf, isfinite
@@ -13,6 +14,8 @@ import numpy as np
 
 #: largest number of scan steps or wavefunction samples any command allocates
 MAX_SAMPLES = 2**22
+#: smallest positive float with full precision
+_NORMAL_MIN = sys.float_info.min
 
 
 class ValidationError(ValueError):
@@ -70,6 +73,25 @@ def check_positive_radius(r) -> np.ndarray:
 
 ATOMIC = make_unit_system("atomic")
 HBAR2M = make_unit_system("hbar2m")
+
+
+def coulomb_scales(strength: float, units: UnitSystem) -> tuple[float, float]:
+    """The Coulomb wavenumber m A/hbar^2 and energy m A^2/hbar^2, through which
+    alone the levels and wavefunctions depend on the units.  Raises
+    ValidationError naming A, hbar and m when forming either raises or gives no
+    normal positive float: a subnormal one has lost precision."""
+    quantity = "wavenumber m A/hbar^2"
+    try:
+        wavenumber = units.mass * strength / units.hbar**2
+        if _NORMAL_MIN <= wavenumber < inf:
+            quantity = "energy m A^2/hbar^2"
+            energy = units.mass * strength**2 / units.hbar**2
+            if _NORMAL_MIN <= energy < inf:
+                return wavenumber, energy
+    except ArithmeticError:
+        pass
+    raise ValidationError(f"A = {strength:g} with hbar = {units.hbar:g} and m = {units.mass:g} "
+                          f"puts the Coulomb {quantity} outside the normal floats")
 
 
 @dataclass(frozen=True, order=True)

@@ -24,7 +24,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import QuantumState, ScreeningSpec, UnitSystem, ValidationError, check_positive_radius
+from .core import (QuantumState, ScreeningSpec, UnitSystem, ValidationError, check_positive_radius,
+                   coulomb_scales)
 
 
 def laguerre(n: int, k: int, x):
@@ -49,12 +50,12 @@ def laguerre(n: int, k: int, x):
 def coulomb_energy(state: QuantumState, spec: ScreeningSpec, units: UnitSystem) -> float:
     """Unperturbed level E = -m A^2 / (2 hbar^2 (n + ell + 1)^2)."""
     big_n = state.principal
-    return -units.mass * spec.strength**2 / (2.0 * units.hbar**2 * big_n**2)
+    return -coulomb_scales(spec.strength, units)[1] / (2.0 * big_n**2)
 
 
 def coulomb_beta(state: QuantumState, spec: ScreeningSpec, units: UnitSystem) -> float:
     """Exponential decay rate beta = m A / ((n + ell + 1) hbar^2)."""
-    return units.mass * spec.strength / (state.principal * units.hbar**2)
+    return coulomb_scales(spec.strength, units)[0] / state.principal
 
 
 @lru_cache(maxsize=None)

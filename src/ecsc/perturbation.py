@@ -49,6 +49,7 @@ from .core import (
     UnitSystem,
     ValidationError,
     check_positive_radius,
+    coulomb_scales,
 )
 from .coulomb import coulomb_beta, coulomb_energy, coulomb_norm
 from .coulomb import radial_moment  # noqa: F401  perfbench/tracing.py traces it under this module
@@ -180,15 +181,12 @@ def ground_coefficients(ell: int, spec: ScreeningSpec, units: UnitSystem) -> Gro
     """The (a, b, c) parameter set entering W^(2) for n = 0."""
     QuantumState(0, ell)  # rejects ell < 0
     _require_expansion(spec)
-    hb, m = units.hbar, units.mass
-    a_s, d = spec.strength, spec.delta
-    lp = ell + 1
-    a = hb**2 * lp * (3 * ell + 7) * d**2 / (a_s * m) - 3.0 * a_s * m / (hb**2 * lp**2)
-    b = (
-        hb**4 * lp**2 * (8 * ell**2 + 37 * ell + 43) * d**2 / (2.0 * a_s**2 * m**2)
-        - 1.5 * (2 * ell + 5) / lp
-    )
-    c = hb**2 * lp**3 / (9.0 * a_s * m)
+    wavenumber = coulomb_scales(spec.strength, units)[0]
+    d, lp = spec.delta, ell + 1
+    a = lp * (3 * ell + 7) * d**2 / wavenumber - 3.0 * wavenumber / lp**2
+    b = (lp**2 * (8 * ell**2 + 37 * ell + 43) * d**2 / (2.0 * wavenumber**2)
+         - 1.5 * (2 * ell + 5) / lp)
+    c = lp**3 / (9.0 * wavenumber)
     return GroundCoefficients(a, b, c)
 
 
@@ -236,16 +234,11 @@ def superpotential_first(
     the route behind the TRUNCATED second-order closed forms.
     """
     _require_expansion(spec)
-    hb, m = units.hbar, units.mass
-    a_s, d = spec.strength, spec.delta
+    wavenumber = coulomb_scales(spec.strength, units)[0]
     big_n = state.principal
-    k = hb / sqrt(2.0 * m)
-    pref = -k * big_n * d**3 / 3.0
-    lin = hb**2 * big_n * (big_n + 1) / (a_s * m)
-    if state.n == 0 or truncated:
-        const = 0.0
-    else:
-        const = -2.0 * hb**4 * (big_n - 1) * big_n**2 / (a_s**2 * m**2)
+    pref = -units.hbar / sqrt(2.0 * units.mass) * big_n * spec.delta**3 / 3.0
+    lin = big_n * (big_n + 1) / wavenumber
+    const = 0.0 if state.n == 0 or truncated else -2.0 * (big_n - 1) * big_n**2 / wavenumber**2
     return Polynomial((pref * const, pref * lin, pref))
 
 
@@ -260,14 +253,12 @@ def superpotential_second_ground(ell: int, spec: ScreeningSpec, units: UnitSyste
     second-order energy shift.  At delta = 0 every coefficient is zero.
     """
     state = QuantumState(0, ell)
-    hb, m = units.hbar, units.mass
-    a_s, d = spec.strength, spec.delta
-    k = hb / sqrt(2.0 * m)
+    k = units.hbar / sqrt(2.0 * units.mass)
     gc = ground_coefficients(ell, spec, units)
-    cr = hb**2 * (ell + 1) * (ell + 2) / (a_s * m)
-    tail = -k * (ell + 1) / a_s * second_order_shift(state, spec, units)
-    scale = -k * gc.c * d**4 / 2.0
-    return Polynomial((tail, scale * gc.b * cr, scale * gc.b, scale * gc.a, scale * d**2))
+    cr = (ell + 1) * (ell + 2) / coulomb_scales(spec.strength, units)[0]
+    tail = -k * (ell + 1) / spec.strength * second_order_shift(state, spec, units)
+    scale = -k * gc.c * spec.delta**4 / 2.0
+    return Polynomial((tail, scale * gc.b * cr, scale * gc.b, scale * gc.a, scale * spec.delta**2))
 
 
 def wavefunction_polynomial(ell: int, spec: ScreeningSpec, units: UnitSystem) -> Polynomial:

@@ -52,14 +52,15 @@ barrier (see :func:`ecsc.potential.effective_potential`).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cache
-from math import exp, expm1, isfinite, sqrt
+from math import exp, expm1, isfinite, log, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import QuantumState, ScreeningSpec, UnitSystem, ValidationError
+from .core import QuantumState, ScreeningSpec, UnitSystem, ValidationError, coulomb_scales
 
 _EPS = float(np.finfo(float).eps)
 #: mesh orders N tried in turn
@@ -68,6 +69,8 @@ _ORDERS = tuple(round(28 * 1.5**k) for k in range(9))
 _GRADING = 3.0
 #: J = ds/dx at the wall x = 1, the same at every order
 _WALL_JACOBIAN = 0.5 * _GRADING * exp(_GRADING) / expm1(_GRADING)
+#: bounds every order's largest kinetic entry, which lies at 3.7-3.9 N^4
+_KINETIC_BOUND = 4.0 * _ORDERS[-1] ** 4
 #: widest box, as a multiple of default_solver_config's, that the orders
 #: resolve: Coulomb-limit, ECSC and Yukawa 1s-4f levels at every bound
 #: screening stayed bound at 6 times the default box; ECSC 4s at
@@ -105,26 +108,22 @@ def default_solver_config(
 ) -> SolverConfig:
     """Box and target scaled to the Coulomb level: cutoff 40 N Coulomb lengths.
 
-    The cutoff is a multiple of the state's Coulomb length
-    N hbar^2/(m A); a Coulomb level 1s-4f then comes out within 5e-14 of
-    exact at mesh order 42, and one level costs about 0.25-0.55 ms on a
-    shared 2-CPU x86-64 machine, as the host's load varies.  The
-    convergence target is 1e-9 in units of m A^2/hbar^2, because the
-    roundoff floor of the estimate scales with that energy; at A = 1 in
-    atomic units it is 1e-9.  Raises ValidationError naming A, hbar and m
-    when either leaves the positive finite floats.
+    The cutoff is a multiple of the state's Coulomb length N/k, k = m A/hbar^2
+    the wavenumber of :func:`ecsc.core.coulomb_scales`; a Coulomb level 1s-4f
+    then comes out within 5e-14 of exact at mesh order 42, and one level costs
+    about 0.25-0.55 ms on a shared 2-CPU x86-64 machine, as the host's load
+    varies.  The convergence target is 1e-9 times the Coulomb energy
+    m A^2/hbar^2, because the roundoff floor of the estimate scales with that
+    energy.  Raises ValidationError naming A, hbar and m when either scale is
+    not a normal float, or when the box is not finite.
     """
-    length = state.principal * units.hbar**2 / (units.mass * spec.strength)
-    r_max = 40.0 * state.principal * length
-    target = 1e-9 * units.mass * spec.strength**2 / units.hbar**2
-    try:
-        return SolverConfig(r_max=r_max, energy_abs_tol=target)
-    except ValidationError as exc:
-        quantity = (f"box 40 N^2 hbar^2/(m A) at {r_max:g}" if str(exc).startswith("r_max")
-                    else f"convergence target 1e-9 m A^2/hbar^2 at {target:g}")
+    wavenumber, energy = coulomb_scales(spec.strength, units)
+    r_max = 40.0 * state.principal * (state.principal / wavenumber)
+    if not r_max < np.inf:
         raise ValidationError(
             f"A = {spec.strength:g} with hbar = {units.hbar:g} and m = {units.mass:g} puts the "
-            f"solver's {quantity}, outside the positive finite floats") from None
+            "solver's box 40 N^2 hbar^2/(m A) outside the finite floats")
+    return SolverConfig(r_max=r_max, energy_abs_tol=1e-9 * energy)
 
 
 @dataclass(frozen=True)
@@ -165,7 +164,6 @@ class _Mesh(NamedTuple):
     abs_grad: np.ndarray  # |grad|
     root_wj: np.ndarray  # sqrt(w J) at the interior points
     kinetic: np.ndarray  # the Gauss approximation of -d^2/ds^2 between those functions
-    kinetic_max: float  # its largest entry, which lies on its diagonal
     prolong: np.ndarray | None  # takes the previous order's eigenvector here; None at the first
 
 
@@ -216,7 +214,7 @@ def _mesh(order: int) -> _Mesh:
     arrays = x, p, s, w / jac, grad, np.abs(grad), root_wj, kinetic
     for array in arrays:
         array.flags.writeable = False
-    return _Mesh(*arrays, float(np.max(np.diagonal(kinetic))), prolong)
+    return _Mesh(*arrays, prolong)
 
 
 def _count_interior_nodes(values: np.ndarray) -> int:
@@ -233,12 +231,18 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
         raise ValidationError(f"no two meshes of up to {_ORDERS[-1]} points hold a level "
                               f"with {n} nodes")
     # -(hbar^2/2m) d^2/dr^2 = -(hbar^2/2m) r_max^-2 d^2/ds^2
-    scale = units.hbar**2 / (2.0 * units.mass * r_max**2)
+    try:
+        scale = units.hbar**2 / (2.0 * units.mass * r_max**2)
+    except ArithmeticError:
+        scale = np.nan
+    if not (sys.float_info.min <= scale and scale * _KINETIC_BOUND < np.inf):
+        size = "small" if 2.0 * (log(units.hbar) - log(r_max)) > log(2.0 * units.mass) else "large"
+        raise ValidationError(
+            f"r_max = {r_max:g} is too {size} for hbar = {units.hbar:g} and m = {units.mass:g}: "
+            "the mesh's kinetic matrix hbar^2/(2 m r_max^2) d^2/ds^2 leaves the normal floats")
     u = energy = None
     for order in orders:
         mesh = _mesh(order)
-        if not isfinite(scale * mesh.kinetic_max):
-            raise ValidationError(f"r_max = {r_max:g} is too small: the kinetic matrix overflows")
         r = r_max * mesh.box[1:-1]
         v = np.asarray(potential(r), dtype=float)
         if v.shape != r.shape:

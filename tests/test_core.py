@@ -17,9 +17,16 @@ from ecsc import (
     SecondOrderVariant,
     UnitSystem,
     ValidationError,
+    coulomb_beta,
+    coulomb_energy,
+    default_solver_config,
+    ground_coefficients,
     make_unit_system,
     state_from_label,
+    superpotential_first,
+    superpotential_second_ground,
 )
+from ecsc.core import coulomb_scales
 
 
 class TestUnitSystem:
@@ -159,6 +166,66 @@ _RADIUS_TAKERS = {
         state_from_label("2p"), _SPEC, ATOMIC, r),
     "ground_wavefunction": lambda r: ecsc.ground_wavefunction(0, _SPEC, ATOMIC)[0](r),
 }
+
+
+class TestCoulombScales:
+    def test_values(self):
+        assert coulomb_scales(3.0, UnitSystem(2.0, 5.0)) == (5.0 * 3.0 / 4.0, 5.0 * 9.0 / 4.0)
+
+    @pytest.mark.parametrize("strength, units, quantity", [
+        (1e160, ATOMIC, "energy"),  # A^2 overflows
+        (1e-155, ATOMIC, "energy"),  # subnormal
+        (1e-200, HBAR2M, "energy"),  # underflows to 0
+        (1e-310, ATOMIC, "wavenumber"),
+        (1.0, UnitSystem(1e-200, 1.0), "wavenumber"),  # hbar^2 underflows: divides by zero
+        (1.0, UnitSystem(1e200, 1.0), "wavenumber"),  # hbar^2 overflows
+        (1.0, UnitSystem(1.0, 1e-309), "wavenumber"),
+    ])
+    def test_refuses_a_scale_that_is_not_a_normal_float(self, strength, units, quantity):
+        with pytest.raises(ValidationError) as exc:
+            coulomb_scales(strength, units)
+        assert str(exc.value).startswith(
+            f"A = {strength:g} with hbar = {units.hbar:g} and m = {units.mass:g} puts the "
+            f"Coulomb {quantity} ")
+
+    @pytest.mark.parametrize("units", [ATOMIC, HBAR2M, UnitSystem(1.0, 1.0)],
+                             ids=["atomic", "hbar2m", "hbar=m=1"])
+    def test_readers_keep_the_presets_bit_for_bit(self, units):
+        # each reader of coulomb_scales against the expression in hbar, m and A
+        # that it replaced: with hbar = 1 and m a power of two the two differ
+        # only by exact power-of-two scalings, so every preset table and scan
+        # keeps its bits
+        hb, m = units.hbar, units.mass
+        k = hb / math.sqrt(2.0 * m)
+        for a_s in (1.0, math.sqrt(2.0), 4.0, 8.0, 16.0, 24.0):
+            for d in (0.05, 0.2):
+                spec = ScreeningSpec(delta=d, strength=a_s)
+                for big_n in range(1, 5):
+                    pref = -k * big_n * d**3 / 3.0
+                    lin = hb**2 * big_n * (big_n + 1) / (a_s * m)
+                    const = -2.0 * hb**4 * (big_n - 1) * big_n**2 / (a_s**2 * m**2)
+                    for ell in range(big_n):
+                        state = QuantumState(big_n - ell - 1, ell)
+                        assert coulomb_energy(state, spec, units) == (
+                            -m * a_s**2 / (2.0 * hb**2 * big_n**2))
+                        assert coulomb_beta(state, spec, units) == m * a_s / (big_n * hb**2)
+                        config = default_solver_config(state, spec, units)
+                        assert config.r_max == 40.0 * big_n * (big_n * hb**2 / (m * a_s))
+                        assert config.energy_abs_tol == 1e-9 * m * a_s**2 / hb**2
+                        for truncated in (False, True):
+                            w1 = superpotential_first(state, spec, units, truncated)
+                            want = 0.0 if state.n == 0 or truncated else const
+                            assert w1.coef.tolist() == [pref * want, pref * lin, pref]
+                    ell, lp = big_n - 1, big_n
+                    gc = ground_coefficients(ell, spec, units)
+                    assert gc.a == (hb**2 * lp * (3 * ell + 7) * d**2 / (a_s * m)
+                                    - 3.0 * a_s * m / (hb**2 * lp**2))
+                    assert gc.b == (hb**4 * lp**2 * (8 * ell**2 + 37 * ell + 43) * d**2
+                                    / (2.0 * a_s**2 * m**2) - 1.5 * (2 * ell + 5) / lp)
+                    assert gc.c == hb**2 * lp**3 / (9.0 * a_s * m)
+                    cr = hb**2 * (ell + 1) * (ell + 2) / (a_s * m)
+                    w2 = superpotential_second_ground(ell, spec, units)
+                    assert w2.coef[1] == -k * gc.c * d**4 / 2.0 * gc.b * cr
 
 
 class TestRadiusCheck:

@@ -24,7 +24,7 @@ from ecsc import (
     total_energy,
 )
 from ecsc.cli import main
-from ecsc.radial import _GRADING, _ORDERS, MAX_BOX_SCALE, _mesh
+from ecsc.radial import _GRADING, _KINETIC_BOUND, _ORDERS, MAX_BOX_SCALE, _mesh
 
 SQ2 = math.sqrt(2.0)
 
@@ -95,9 +95,9 @@ class TestSolverConfig:
             SolverConfig(r_max=math.nan)
 
     @pytest.mark.parametrize("strength, scale", [
-        (1e-160, "convergence target 1e-9 m A^2/hbar^2 at 0,"),
-        (1e-310, "box 40 N^2 hbar^2/(m A) at inf,"),
-    ])
+        (1e-160, "Coulomb energy m A^2/hbar^2"),
+        (1e-310, "Coulomb wavenumber m A/hbar^2"),
+    ], ids=["energy", "wavenumber"])
     def test_default_names_the_scale_out_of_range(self, strength, scale):
         spec = ScreeningSpec(delta=0.0, strength=strength)
         with pytest.raises(ValidationError, match=r"^A = \S+ with hbar = 0.5 and m = 2 ") as exc:
@@ -141,6 +141,26 @@ class TestPotentialInput:
         assert main(["oracle", "--state", "1s", "--delta", "0", "--rmax", "1e-152"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: r_max = 1e-152 is too small") and "Traceback" not in err
+
+    @pytest.mark.parametrize("r_max, size", [(1e-300, "small"), (1e-150, "small"),
+                                             (4e201, "large")])
+    def test_box_outside_the_floats_is_refused(self, r_max, size):
+        # hbar^2/(2m r_max^2) divides by zero at 1e-300 and overflows in r_max^2
+        # at 4e201; at 1e-150 it is finite, but not times order 718's kinetic
+        # matrix, and order 28 already under- and overflows in inverse iteration
+        with pytest.raises(ValidationError, match=rf"^r_max = \S+ is too {size} for hbar = 1 and "
+                                                  r"m = 1: "):
+            solve_bound_state(lambda r: -1.0 / r, QuantumState(0, 0), ATOMIC,
+                              SolverConfig(r_max=r_max))
+
+    @pytest.mark.parametrize("argv, prefix", [
+        (["--rmax", "1e-300"], "r_max = 1e-300 is too small for hbar = 1 and m = 1: "),
+        # the default box, 40/(m A/hbar^2) = 4e201, is finite; its square is not
+        (["--units", "custom:1e100,1"], "r_max = 4e+201 is too large for hbar = 1e+100 and m = 1: "),
+    ], ids=["rmax", "default-box"])
+    def test_box_outside_the_floats_is_a_usage_error(self, capsys, argv, prefix):
+        assert main(["oracle", "--state", "1s", "--delta", "0.05", *argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {prefix}")
 
 
 class TestCoulombLimit:
@@ -368,7 +388,7 @@ class TestMesh:
         arrays = [field for field in mesh if isinstance(field, np.ndarray)]
         assert not any(a.flags.writeable for a in arrays)
         assert (mesh.prolong is None) == (order == _ORDERS[0])
-        assert len(arrays) == len(mesh) - 1 - (mesh.prolong is None)
+        assert len(arrays) == len(mesh) - (mesh.prolong is None)
         # the grid's ends are exact
         assert mesh.box[0] == 0.0 and mesh.box[-1] == 1.0 and np.all(np.diff(mesh.box) > 0.0)
         assert np.all(mesh.weight > 0.0) and np.all(mesh.root_wj > 0.0)
@@ -378,7 +398,7 @@ class TestMesh:
         assert np.max(np.abs(mesh.root_wj**2 / (w**2 / mesh.weight)[1:-1] - 1.0)) <= 1e-14
         assert np.array_equal(mesh.abs_grad, np.abs(mesh.grad))
         kinetic = mesh.kinetic
-        assert mesh.kinetic_max == np.max(kinetic)
+        assert np.max(kinetic) <= 4.0 * order**4 <= _KINETIC_BOUND
         assert np.max(np.abs(kinetic - kinetic.T)) <= 1e-15 * np.max(np.abs(kinetic))
         # positive definite, with the lowest level of -d^2/ds^2 on [0, 1]
         assert np.linalg.eigvalsh(kinetic)[0] == pytest.approx(math.pi**2, rel=1e-10)

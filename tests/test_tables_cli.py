@@ -372,17 +372,46 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: --rmax must be positive and finite")
 
     @pytest.mark.parametrize("argv, scale", [
-        (["oracle", "--state", "1s", "--delta", "0", "--A", "1e-160"], "convergence target"),
+        (["oracle", "--state", "1s", "--delta", "0", "--A", "1e-160"], "energy"),
         (["scan", "--state", "1s", "--delta-start", "0", "--delta-end", "0", "--steps", "1",
-          "--with-oracle", "--A", "1e-200"], "convergence target"),
-        (["oracle", "--state", "1s", "--delta", "0", "--A", "1e-310"], "box"),
+          "--with-oracle", "--A", "1e-200"], "energy"),
+        (["oracle", "--state", "1s", "--delta", "0", "--A", "1e-310"], "wavenumber"),
     ], ids=["oracle-target", "scan-target", "oracle-box"])
     def test_solver_scale_out_of_range_names_the_strength(self, capsys, argv, scale):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: A = {float(argv[-1]):g} with hbar = 1 and m = 1 ")
-        assert f"solver's {scale}" in err
+        assert f"Coulomb {scale}" in err
         assert "r_max" not in err and "energy_abs_tol" not in err
+
+    @pytest.mark.parametrize("strength", ["1e160", "1e-200"])
+    @pytest.mark.parametrize("argv", [
+        ["energy", "--delta", "0.05"],
+        ["scan", "--delta-start", "0", "--delta-end", "0.1", "--steps", "2"],
+        ["wavefunction", "--delta", "0.05"],
+        ["oracle", "--delta", "0.05"],
+    ], ids=["energy", "scan", "wavefunction", "oracle"])
+    def test_every_verb_names_a_strength_out_of_range(self, capsys, argv, strength):
+        # m A^2/hbar^2 overflows at 1e160 and underflows to 0 at 1e-200
+        assert main([argv[0], "--state", "1s", *argv[1:], "--A", strength]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: A = {float(strength):g} with hbar = 1 and m = 1 puts the Coulomb energy ")
+
+    def test_oracle_names_a_box_out_of_range(self, capsys):
+        # both Coulomb scales are normal floats; the box 40/(m A/hbar^2) is not finite
+        assert main(["oracle", "--state", "1s", "--delta", "0.05", "--units", "custom:1,1e-307"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: A = 1 with hbar = 1 and m = 1e-307 puts the solver's box ")
+
+    @pytest.mark.parametrize("argv, inputs", [
+        (["--delta", "1e80"], "A = 1, hbar = 1, m = 1 and delta = 1e+80"),
+        (["--delta", "0.05", "--units", "custom:1e100,1"],
+         "A = 1, hbar = 1e+100, m = 1 and delta = 0.05"),
+    ], ids=["delta", "hbar"])
+    def test_closed_form_overflow_names_the_inputs(self, capsys, argv, inputs):
+        assert main(["energy", "--state", "1s", *argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: out of floating-point range at {inputs}: Numerical result out of range\n")
 
     def test_oracle_verb(self, capsys, tmp_path):
         out = tmp_path / "chi.txt"
