@@ -22,24 +22,27 @@ on first use, and serve every strength and unit: their x nodes, and as
 weights chi^2 dr there, whose constant factor ratio (2 ell + 2)! is formed as
 one exact rational, so that it stays finite at high ell.  An integrand f
 maps an array of radii to an array of values and is called once, on the
-nodes of both rules.  The (n + 4)-point sum is accepted when it agrees with
-the (n + 3)-point one to 1e-10 of the integral, or to 64 eps times integral
-|chi^2 f| so that integrands cancelling to near zero are accepted; neither
-bound depends on the unit of length.  A disagreement means that f is not a
-polynomial of degree <= 5.
+nodes of both rules, and both rules' sums are formed in one pass.  The
+(n + 4)-point sum is accepted when it agrees with the (n + 3)-point one to
+1e-10 of the integral, or to 64 eps times integral |chi^2 f| so that
+integrands cancelling to near zero are accepted; neither bound depends on the
+unit of length, and the second, a sum over the nodes, is formed only when the
+first fails.  A disagreement means that f is not a polynomial of degree <= 5.
 
 E2 squares the closed-form superpotential its caller passes to
-:func:`second_order_energy_numeric`.  This module imports none of the
-closed-form energies or exact moments it is used to check.
+:func:`second_order_energy_numeric`, read from its power-series coefficients
+by Horner's rule.  This module imports none of the closed-form energies or
+exact moments it is used to check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, inf, isfinite
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .core import QuantumState, ScreeningSpec, UnitSystem, ValidationError
 from .coulomb import _norm_ratio, coulomb_beta, laguerre
@@ -68,6 +71,8 @@ class QuadratureSpec:
 
 #: the two rules agree to _REL_TOL of the integral or to _FLOOR integral |chi^2 f|
 _REL_TOL, _FLOOR = 1e-10, 64.0 * np.finfo(float).eps
+#: the domain and window of a Polynomial that maps its argument to itself
+_DEFAULT_WINDOW = [-1.0, 1.0]
 
 
 @lru_cache(maxsize=None)
@@ -106,16 +111,17 @@ def integrate_density_with_error(
     x, density = _density_rule(state.n, state.ell)
     terms = f(x / (2.0 * coulomb_beta(state, spec, units))) * density
     m = state.n + 3  # the nodes of the m-point rule come first
-    coarse, fine = terms[:m].sum(), terms[m:].sum()
-    if not (np.isfinite(coarse) and np.isfinite(fine)):
-        raise ToleranceNotMetError("integral is not finite", float(fine), np.inf)
+    coarse, fine = np.add.reduceat(terms, (0, m)).tolist()
+    if not (isfinite(coarse) and isfinite(fine)):
+        raise ToleranceNotMetError("integral is not finite", fine, inf)
     err = abs(fine - coarse)
-    if err > max(_REL_TOL * abs(fine), _FLOOR * np.abs(terms[m:]).sum()):
+    # the roundoff floor is summed only when the relative test fails
+    if err > _REL_TOL * abs(fine) and err > _FLOOR * np.abs(terms[m:]).sum():
         raise ToleranceNotMetError(
             f"the {m}- and {m + 1}-point rules differ by {err:.3g}: "
-            "the integrand is not a polynomial of degree <= 5", float(fine), float(err)
+            "the integrand is not a polynomial of degree <= 5", fine, err
         )
-    return float(fine), float(err)
+    return fine, err
 
 
 def integrate_density(
@@ -148,9 +154,19 @@ def second_order_energy_numeric(
 ) -> float:
     """E2 as the density integral of A delta^4/6 r^3 - W1(r)^2.
 
-    ``w1`` is the first-order superpotential to square (on arrays), a
-    polynomial of degree <= 2 such as a closed-form hierarchy variant.
+    ``w1`` is the first-order superpotential to square: a ``Polynomial`` of
+    degree <= 2 with the default domain and window, such as
+    :func:`ecsc.perturbation.superpotential_first` returns (a closed-form
+    hierarchy variant).  It is evaluated on the nodes by Horner's rule from
+    its power-series coefficients; any other ``w1`` raises ValidationError.
     ``qspec`` selects nothing: there is one rule.
     """
+    if not (isinstance(w1, Polynomial) and w1.coef.size <= 3
+            and w1.domain.tolist() == _DEFAULT_WINDOW == w1.window.tolist()):
+        raise ValidationError(
+            "w1 must be a Polynomial of degree <= 2 with the default domain and window, "
+            f"got {w1!r}")
+    c0, c1, c2 = w1.coef.tolist() + [0.0] * (3 - w1.coef.size)
     sixth = spec.strength * spec.delta**4 / 6.0
-    return integrate_density(state, spec, units, lambda r: sixth * r**3 - w1(r) ** 2)
+    return integrate_density(
+        state, spec, units, lambda r: sixth * r**3 - (c0 + (c1 + c2 * r) * r) ** 2)

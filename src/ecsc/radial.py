@@ -17,6 +17,10 @@ eigenvector, evaluated exactly at its own points by the coarser Lagrange
 functions (a matrix that each order's cached mesh record carries), through
 one step of inverse iteration shifted to the previous order's energy
 (B. N. Parlett, The Symmetric Eigenvalue Problem, ch. 4).
+Every right-hand side is scaled by the power of two nearest the kinetic
+scale hbar^2/(2 m r_max^2), which is exact, so that it changes no result
+that stays in the floats without it, and keeps the vectors in the floats
+however far that scale is from 1.
 Where that shift lies nearer another level, the step returns a vector of
 another node count, and that order computes the eigenvalues as the first
 does.  The energy is the eigenvector's Rayleigh quotient with its kinetic
@@ -55,7 +59,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cache
-from math import exp, expm1, isfinite, log, sqrt
+from math import exp, expm1, isfinite, log, log2, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -240,6 +244,9 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
         raise ValidationError(
             f"r_max = {r_max:g} is too {size} for hbar = {units.hbar:g} and m = {units.mass:g}: "
             "the mesh's kinetic matrix hbar^2/(2 m r_max^2) d^2/ds^2 leaves the normal floats")
+    # the right-hand sides' scale: the vectors inverse iteration returns
+    # scale as one over h, and unscaled left the floats at A = 1e-70 or 1e90
+    unit = 2.0 ** round(log2(scale))
     u = energy = None
     for order in orders:
         mesh = _mesh(order)
@@ -262,14 +269,14 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
             # the coarser order's eigenvector on this mesh, refined by one
             # step of inverse iteration shifted to that order's energy
             diagonal[:] = unshifted - energy
-            u = np.linalg.solve(h, mesh.prolong @ u)
+            u = np.linalg.solve(h, unit * (mesh.prolong @ u))
         if energy is None or _count_interior_nodes(u / mesh.root_wj) != n:
             # the first order, or a shift nearer another level: eigenvalue n,
             # then its eigenvector by one step of inverse iteration from the
-            # vector of ones, (h - lambda) u = 1
+            # vector of ones, (h - lambda) u = unit
             diagonal[:] = unshifted
             diagonal -= np.linalg.eigvalsh(h)[n]
-            u = np.linalg.solve(h, np.ones(order - 1))
+            u = np.linalg.solve(h, np.full(order - 1, unit))
         u /= sqrt(u @ u)
         # the Rayleigh quotient with its kinetic part a sum of squares: an
         # eigenvalue is good only to about eps |h|, this to eps times the sum
@@ -291,7 +298,7 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
     # the coarser order's error times |energy - shift| over the distance to
     # the nearest other level, up to 1e-9 of its peak where levels crowd
     diagonal[:] = unshifted - energy
-    u = np.linalg.solve(h, u)
+    u = np.linalg.solve(h, unit * u)
     norm = sqrt(u @ u)
     # twice the wall's rise (see the module docstring), in units of r_max:
     # r_max^(3/2) chi'(r_max) = grad[-1] @ u/J(1) and kappa r_max = sqrt(-E/scale)

@@ -356,16 +356,20 @@ class ScanResult:
         return render_text("md", header, rows, rule=("---",) + ("---:",) * 5)
 
 
+#: the (delta, E) pairs of the bundled 1s and 2s atomic tables, per (n, ell):
+#: they double as scan references where they apply
+_SCAN_REFERENCES = {
+    (n, 0): tuple((row["delta"], row["E"]) for row in TABLES[table_id].named_rows())
+    for n, table_id in ((0, "T1"), (1, "T2"))
+}
+
+
 def _reference_for(state: QuantumState, strength: float, units: UnitSystem, delta: float):
-    # bundled 1s/2s atomic tables double as scan references where they apply
     if units.hbar != 1.0 or units.mass != 1.0 or strength != 1.0:
         return None
-    table_id = {(0, 0): "T1", (1, 0): "T2"}.get((state.n, state.ell))
-    if table_id is None:
-        return None
-    for row in TABLES[table_id].named_rows():
-        if abs(row["delta"] - delta) < 1e-12:
-            return row["E"]
+    for row_delta, energy in _SCAN_REFERENCES.get((state.n, state.ell), ()):
+        if abs(row_delta - delta) < 1e-12:
+            return energy
     return None
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from scipy.special import eval_genlaguerre, roots_genlaguerre
 
 import ecsc
@@ -167,6 +168,21 @@ class TestIntegrateDensity:
         st = state_from_label("1s")
         with pytest.raises(ToleranceNotMetError, match="not finite"):
             integrate_density_with_error(st, ScreeningSpec(delta=0.0), ATOMIC, lambda r: value)
+
+    @pytest.mark.parametrize("rule", ["coarse", "fine"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_integrand_non_finite_at_one_node_raises(self, rule, value):
+        # one bad node of either rule spoils that rule's sum
+        st = state_from_label("2p")
+        at = 0 if rule == "coarse" else st.n + 3
+
+        def f(r):
+            out = np.ones_like(r)
+            out[at] = value
+            return out
+
+        with pytest.raises(ToleranceNotMetError, match="not finite"):
+            integrate_density_with_error(st, ScreeningSpec(delta=0.05), ATOMIC, f)
 
 
 class TestDensityCache:
@@ -355,6 +371,52 @@ class TestSecondOrderNumeric:
                 num = second_order_energy_numeric(st, spec, units, w1)
                 closed = second_order_shift(st, spec, units)
                 assert abs(num - closed) <= 1e-9 * abs(closed)
+
+    def test_w1_is_read_from_its_coefficients(self, monkeypatch):
+        def refuse(self, arg):
+            raise AssertionError("Polynomial.__call__")
+
+        st, spec = state_from_label("2s"), ScreeningSpec(delta=0.1)
+        w1 = superpotential_first(st, spec, ATOMIC)
+        monkeypatch.setattr(Polynomial, "__call__", refuse)
+        assert second_order_energy_numeric(st, spec, ATOMIC, w1) == pytest.approx(
+            55 * 0.1**4 - (14336.0 / 9.0) * 0.1**6, rel=1e-12)
+
+    @pytest.mark.parametrize("units,strength", [(ATOMIC, 1.0), (HBAR2M, 8.0)])
+    def test_matches_the_squared_polynomial(self, units, strength):
+        # against the node sum of the fine rule with w1(r)**2, to the rounding
+        # of that sum: 4 eps times its sum of absolute terms
+        for n in range(4):
+            for ell in range(5):
+                st = QuantumState(n, ell)
+                x, density = _density_rule(n, ell)
+                for delta in (0.02, 0.1):
+                    spec = ScreeningSpec(delta=delta, strength=strength)
+                    r = x / (2.0 * coulomb_beta(st, spec, units))
+                    for truncated in (False, True):
+                        w1 = superpotential_first(st, spec, units, truncated=truncated)
+                        terms = ((strength * delta**4 / 6.0 * r**3 - w1(r) ** 2) * density)[n + 3:]
+                        got = second_order_energy_numeric(st, spec, units, w1)
+                        bound = 4.0 * np.finfo(float).eps * np.abs(terms).sum()
+                        assert abs(got - terms.sum()) <= bound, (n, ell, delta, truncated)
+
+    @pytest.mark.parametrize("w1", [
+        Polynomial((0.0, 1.0, 1.0), domain=(0.0, 2.0)),
+        Polynomial((0.0, 1.0, 1.0), window=(0.0, 1.0)),
+        Polynomial((0.0, 0.0, 0.0, 1.0)),
+        lambda r: r**2,
+    ], ids=["domain", "window", "cubic", "callable"])
+    def test_other_w1_is_refused(self, w1):
+        st = state_from_label("1s")
+        with pytest.raises(ValidationError, match="w1 must be a Polynomial of degree <= 2"):
+            second_order_energy_numeric(st, ScreeningSpec(delta=0.1), ATOMIC, w1)
+
+    def test_short_w1_is_padded(self):
+        # a constant or linear Polynomial is a quadratic with zero top coefficients
+        st, spec = state_from_label("2p"), ScreeningSpec(delta=0.1)
+        got = [second_order_energy_numeric(st, spec, ATOMIC, Polynomial(c))
+               for c in ((0.5,), (0.5, 0.25), (0.5, 0.25, 0.0))]
+        assert got[0] != got[1] == got[2]
 
 
 class TestResidualReport:

@@ -147,11 +147,41 @@ class TestPotentialInput:
     def test_box_outside_the_floats_is_refused(self, r_max, size):
         # hbar^2/(2m r_max^2) divides by zero at 1e-300 and overflows in r_max^2
         # at 4e201; at 1e-150 it is finite, but not times order 718's kinetic
-        # matrix, and order 28 already under- and overflows in inverse iteration
+        # matrix
         with pytest.raises(ValidationError, match=rf"^r_max = \S+ is too {size} for hbar = 1 and "
                                                   r"m = 1: "):
             solve_bound_state(lambda r: -1.0 / r, QuantumState(0, 0), ATOMIC,
                               SolverConfig(r_max=r_max))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("strength", [1e-150, 1e-70, 1e100])
+    def test_coulomb_level_far_from_unit_strength(self, strength):
+        # the inverse-iteration vectors scale as one over hbar^2/(2m r_max^2):
+        # unscaled, u @ u overflowed at A = 1e-150 and 1e-70 (giving E = nan at
+        # 1e-150) and underflowed to 0 at 1e100
+        st, spec = QuantumState(0, 0), ScreeningSpec(delta=0.0, strength=strength)
+        rf = solve_bound_state(lambda r: effective_potential(r, spec, 0, ATOMIC), st, ATOMIC,
+                               default_solver_config(st, spec, ATOMIC))
+        assert rf.converged and rf.node_count == 0
+        assert rf.energy / strength**2 == pytest.approx(-0.5, rel=1e-12)
+        assert np.all(np.isfinite(rf.values)) and math.isfinite(rf.error_estimate)
+
+    @pytest.mark.filterwarnings("error")
+    def test_narrow_library_box_holds_only_box_states(self):
+        # -1/r is negligible in a box 1e-120 wide: the lowest level is the
+        # particle in a box, pi^2/2 1e240, which underflowed u @ u unscaled
+        with pytest.raises(NoBoundStateError, match=r"lies at E = 4\.93e\+240 \+- "):
+            solve_bound_state(lambda r: -1.0 / r, QuantumState(0, 0), ATOMIC,
+                              SolverConfig(r_max=1e-120))
+
+    @pytest.mark.filterwarnings("error")
+    def test_wide_library_box_answers_in_floats(self):
+        # a box 1e100 wide is far past MAX_BOX_SCALE times the default, so the
+        # mesh misses the well; unscaled, u @ u overflowed
+        rf = solve_bound_state(lambda r: -1.0 / r, QuantumState(0, 0), ATOMIC,
+                               SolverConfig(r_max=1e100))
+        assert math.isfinite(rf.energy) and math.isfinite(rf.error_estimate)
+        assert np.all(np.isfinite(rf.values))
 
     @pytest.mark.parametrize("argv, prefix", [
         (["--rmax", "1e-300"], "r_max = 1e-300 is too small for hbar = 1 and m = 1: "),

@@ -182,6 +182,15 @@ class TestScanDelta:
         assert res.rows[0].reference is None
         assert res.rows[-1].reference == -0.4008785
 
+    @pytest.mark.parametrize("label", ["1s", "2s"])
+    def test_every_grid_point_of_a_bundled_table_has_its_reference(self, label):
+        # the grid's delta are within 1e-12 of the rows, not all bit-equal:
+        # 0.1 * 3/10 = 0.030000000000000006
+        res = scan_delta(state_from_label(label), 1.0, ATOMIC, 0.0, 0.1, 11)
+        table = TABLES[{"1s": "T1", "2s": "T2"}[label]]
+        assert res.rows[3].delta != 0.03
+        assert [r.reference for r in res.rows] == [None] + [row["E"] for row in table.named_rows()]
+
     def test_single_point_2s(self):
         res = scan_delta(state_from_label("2s"), 1.0, ATOMIC, 0.1, 0.1, 1)
         assert len(res.rows) == 1
@@ -396,6 +405,14 @@ class TestCli:
         assert main([argv[0], "--state", "1s", *argv[1:], "--A", strength]) == 2
         assert capsys.readouterr().err.startswith(
             f"error: A = {float(strength):g} with hbar = 1 and m = 1 puts the Coulomb energy ")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("strength", ["1e-150", "1e-70", "1e100"])
+    def test_oracle_far_from_unit_strength(self, capsys, strength):
+        # at 1e-150 this printed "numeric energy +nan ... converged=False" and exited 0
+        assert main(["oracle", "--state", "1s", "--delta", "0", "--A", strength]) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out and "converged=True" in out
 
     def test_oracle_names_a_box_out_of_range(self, capsys):
         # both Coulomb scales are normal floats; the box 40/(m A/hbar^2) is not finite
