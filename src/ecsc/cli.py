@@ -13,7 +13,6 @@ import numpy as np
 from .core import (
     MAX_SAMPLES,
     ScreeningSpec,
-    SecondOrderVariant,
     ValidationError,
     make_unit_system,
     state_from_label,
@@ -109,7 +108,7 @@ def _cmd_energy(args) -> int:
     units = make_unit_system(args.units)
     state = state_from_label(args.state)
     spec = ScreeningSpec(delta=args.delta, strength=args.A)
-    breakdown = total_energy(state, spec, units, SecondOrderVariant(args.variant))
+    breakdown = total_energy(state, spec, units, args.variant)
     print(f"state {args.state} (n={state.n}, l={state.ell})  "
           f"units hbar={units.hbar:g} mass={units.mass:g}  A={args.A:g} delta={args.delta:g}")
     print(f"  E0           {breakdown.e0:+.10g}")
@@ -122,7 +121,7 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    result = reproduce_table(args.id.upper(), SecondOrderVariant(args.variant))
+    result = reproduce_table(args.id.upper(), args.variant)
     _emit(result.to_csv_text() if args.format == "csv" else result.to_markdown_text(), args.out)
     if args.out is not None:
         print(result.summary())
@@ -134,7 +133,7 @@ def _cmd_scan(args) -> int:
     state = state_from_label(args.state)
     result = scan_delta(
         state, args.A, units, args.delta_start, args.delta_end, args.steps,
-        with_oracle=args.with_oracle, variant=SecondOrderVariant(args.variant),
+        with_oracle=args.with_oracle, variant=args.variant,
     )
     _emit(result.to_csv_text() if args.format == "csv" else result.to_markdown_text(), args.out)
     return 0
@@ -190,7 +189,7 @@ def _cmd_oracle(args) -> int:
     print(f"numeric energy  {rf.energy:+.10g}   nodes={rf.node_count} mesh={rf.grid.size - 1} "
           f"converged={rf.converged} error_estimate={rf.error_estimate:.1e}")
     if spec.g == 1.0:
-        analytic = total_energy(state, spec, units, SecondOrderVariant(args.variant)).total
+        analytic = total_energy(state, spec, units, args.variant).total
         print(f"analytic total  {analytic:+.10g}   difference {rf.energy - analytic:+.3e}")
     if args.out is not None:
         _emit("".join(f"{r:.10e} {chi:.10e}\n" for r, chi in zip(rf.grid, rf.values)), args.out)

@@ -168,8 +168,10 @@ class SecondOrderVariant(Enum):
     """Which second-order closed form to use for the first excited level.
 
     TRUNCATED keeps the two leading superpotential terms and is the form
-    that reproduces the reference tables; FULL keeps all three terms.
-    The two differ only for n = 1.
+    that reproduces the reference tables; FULL keeps all three, and the
+    third, the hierarchy constant of W^(1), belongs to this form alone.
+    The two differ only for n = 1, in the sextic coefficient of E2 and in
+    that constant; every other level has one form.
     """
 
     TRUNCATED = "truncated"

@@ -213,9 +213,8 @@ def superpotential_w0(state: QuantumState, spec: ScreeningSpec, units: UnitSyste
     return w0
 
 
-def superpotential_first(
-    state: QuantumState, spec: ScreeningSpec, units: UnitSystem, truncated: bool = False
-) -> Polynomial:
+def superpotential_first(state: QuantumState, spec: ScreeningSpec, units: UnitSystem,
+                         variant: SecondOrderVariant = SecondOrderVariant.TRUNCATED) -> Polynomial:
     """First-order superpotential W^(1)(r), a quadratic ``Polynomial``.
 
     For n = 0 this is the exact quadratic solution of the first-order
@@ -230,15 +229,17 @@ def superpotential_first(
         W^(1)(r) ~ -(hbar N delta^3 / (3 sqrt(2m)))
                    * (r^2 + hbar^2 N(N+1)/(A m) r - 2 hbar^4 (N-1) N^2/(A^2 m^2)),
 
-    N = n + ell + 1.  ``truncated`` keeps only the r^2 and r terms, which is
-    the route behind the TRUNCATED second-order closed forms.
+    N = n + ell + 1.  Its constant belongs to the FULL second-order form of
+    n = 1 only (see SecondOrderVariant); every other level and variant keeps
+    the r^2 and r terms alone, and ``variant`` is read only for n = 1.
     """
     _require_expansion(spec)
     wavenumber = coulomb_scales(spec.strength, units)[0]
     big_n = state.principal
     pref = -units.hbar / sqrt(2.0 * units.mass) * big_n * spec.delta**3 / 3.0
     lin = big_n * (big_n + 1) / wavenumber
-    const = 0.0 if state.n == 0 or truncated else -2.0 * (big_n - 1) * big_n**2 / wavenumber**2
+    const = (-2.0 * (big_n - 1) * big_n**2 / wavenumber**2
+             if state.n == 1 and SecondOrderVariant(variant) is SecondOrderVariant.FULL else 0.0)
     return Polynomial((pref * const, pref * lin, pref))
 
 

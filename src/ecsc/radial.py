@@ -48,7 +48,11 @@ The orders do not grow with r_max, so the mesh near the origin coarsens as
 the box widens.  On boxes up to ``MAX_BOX_SCALE`` times
 :func:`default_solver_config`'s every bound level was found bound; on wider
 ones two coarse orders can miss the well and agree on a box state above
-E = 0, which is then reported unbound.
+E = 0, which is then reported unbound, or on a level below it with other than
+n nodes or decaying within the first mesh point r_1 (kappa r_1 >= 1; the
+1289 bound levels that ``tools/solver_digest.py`` solves, in boxes up to 4
+times the default, have n nodes and kappa r_1 <= 0.215), which is refused
+with ValidationError.
 
 The caller supplies the full effective potential including the centrifugal
 barrier (see :func:`ecsc.potential.effective_potential`).
@@ -94,7 +98,10 @@ class SolverConfig:
     A level is ``converged`` when its error estimate is at most
     ``energy_abs_tol``, an absolute energy in the caller's units.  An r_max
     above ``MAX_BOX_SCALE`` times the default box is accepted but not
-    resolved; see the module docstring.
+    resolved: the solve is refused when the level it finds has the wrong node
+    count or decays within the first mesh point, but a bound level can still
+    be reported unbound there, which nothing detects yet; see the module
+    docstring.
     """
 
     r_max: float
@@ -303,8 +310,19 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
     # twice the wall's rise (see the module docstring), in units of r_max:
     # r_max^(3/2) chi'(r_max) = grad[-1] @ u/J(1) and kappa r_max = sqrt(-E/scale)
     slope = float(mesh.grad[-1] @ u) / (norm * _WALL_JACOBIAN)
-    estimate += scale * slope**2 / sqrt(-energy / scale)
+    kappa_r_max = sqrt(-energy / scale)
+    estimate += scale * slope**2 / kappa_r_max
     chi = u / (norm * sqrt(r_max) * mesh.root_wj)
+    nodes = _count_interior_nodes(chi)
+    # a bound level has n nodes and decays over many mesh points near the
+    # origin; a box far wider than the default misses the well, and its
+    # level has other nodes or decays within the first point r_1
+    kappa_r1 = kappa_r_max * mesh.box[1]
+    if nodes != n or kappa_r1 >= 1.0:
+        raise ValidationError(
+            f"r_max = {r_max:g} is too wide to resolve level n={n}, l={state.ell}: the mesh's "
+            f"level at E = {energy:.3g} has {nodes} nodes and decay rate times first mesh point "
+            f"kappa r_1 = {kappa_r1:.3g}, where a bound level has n nodes and kappa r_1 < 1")
     if chi[np.argmax(np.abs(chi))] < 0:
         chi = -chi
     values = np.zeros(order + 1)
@@ -312,7 +330,7 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
     return RadialFunction(
         grid=r_max * mesh.box,
         values=values,
-        node_count=_count_interior_nodes(chi),
+        node_count=nodes,
         energy=energy,
         converged=estimate <= config.energy_abs_tol,
         error_estimate=estimate,
@@ -329,7 +347,8 @@ def solve_bound_state(
     mesh or the level lies at or above E = 0, where a potential vanishing at
     infinity has its continuum, or within its error estimate of it; raises
     ValidationError when the potential does not return finite values of the
-    mesh's shape.
+    mesh's shape, or when the level found has other than n nodes or decays
+    within the first mesh point (a box too wide for the mesh).
     """
     level = _solve(potential, state, units, config)
     if isinstance(level, str):

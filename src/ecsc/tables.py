@@ -227,7 +227,6 @@ class TableCell:
     """One recomputed table entry and its diff against the frozen reference."""
 
     key: tuple[tuple[str, float | int | str], ...]
-    state: QuantumState
     reference: float
     computed: float
     literature: tuple[tuple[str, float | None], ...] = ()
@@ -240,7 +239,6 @@ class TableCell:
 @dataclass(frozen=True)
 class TableResult:
     definition: TableDefinition
-    variant: SecondOrderVariant
     cells: tuple[TableCell, ...]
 
     @property
@@ -299,13 +297,12 @@ def reproduce_table(
         cells.append(
             TableCell(
                 key=tuple((name, row[name]) for name in definition.key_columns),
-                state=state,
                 reference=row["E"],
                 computed=total_energy(state, spec, definition.units, variant).total,
                 literature=tuple((name, row[name]) for name in definition.reference_columns),
             )
         )
-    return TableResult(definition, variant, tuple(cells))
+    return TableResult(definition, tuple(cells))
 
 
 # --- delta sweeps ----------------------------------------------------------
@@ -378,10 +375,8 @@ def _quadrature_total(state, spec, units, variant) -> float:
     if spec.delta == 0.0:
         return e0
     e1 = first_order_energy_numeric(state, spec, units)
-    w1 = superpotential_first(
-        state, spec, units, truncated=(variant is SecondOrderVariant.TRUNCATED)
-    )
-    e2 = second_order_energy_numeric(state, spec, units, w1)
+    e2 = second_order_energy_numeric(state, spec, units,
+                                     superpotential_first(state, spec, units, variant))
     return e0 + spec.strength * spec.delta + e1 + e2
 
 

@@ -212,9 +212,10 @@ class TestCoulombScales:
                         config = default_solver_config(state, spec, units)
                         assert config.r_max == 40.0 * big_n * (big_n * hb**2 / (m * a_s))
                         assert config.energy_abs_tol == 1e-9 * m * a_s**2 / hb**2
-                        for truncated in (False, True):
-                            w1 = superpotential_first(state, spec, units, truncated)
-                            want = 0.0 if state.n == 0 or truncated else const
+                        for variant in SecondOrderVariant:
+                            w1 = superpotential_first(state, spec, units, variant)
+                            full = state.n == 1 and variant is SecondOrderVariant.FULL
+                            want = const if full else 0.0
                             assert w1.coef.tolist() == [pref * want, pref * lin, pref]
                     ell, lp = big_n - 1, big_n
                     gc = ground_coefficients(ell, spec, units)

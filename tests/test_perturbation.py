@@ -252,19 +252,28 @@ class TestSuperpotentials:
                 assert np.max(np.abs((lhs - rhs).coef)) <= 1e-14 * scale
 
     def test_w1_hierarchy_constant_positive(self):
-        # the excited-level hierarchy has a positive value at the origin
+        # the first excited level's FULL hierarchy has a positive value at the origin
         spec = ScreeningSpec(delta=0.1)
-        w1 = superpotential_first(state_from_label("2s"), spec, ATOMIC)
+        w1 = superpotential_first(state_from_label("2s"), spec, ATOMIC, SecondOrderVariant.FULL)
         assert w1(0.0) == pytest.approx(16.0e-3 / (3.0 * SQ2), rel=1e-12)
         assert w1(0.0) > 0.0
 
     def test_w1_truncation_drops_constant(self):
         spec = ScreeningSpec(delta=0.1)
-        w1t = superpotential_first(state_from_label("2s"), spec, ATOMIC, truncated=True)
+        w1t = superpotential_first(state_from_label("2s"), spec, ATOMIC)
         assert w1t(0.0) == 0.0
         # quadratic and linear parts are unchanged
-        w1 = superpotential_first(state_from_label("2s"), spec, ATOMIC)
+        w1 = superpotential_first(state_from_label("2s"), spec, ATOMIC, SecondOrderVariant.FULL)
         assert w1(3.0) - w1(0.0) == pytest.approx(w1t(3.0), rel=1e-12)
+
+    def test_w1_constant_belongs_to_the_first_excited_full_form(self):
+        spec = ScreeningSpec(delta=0.1)
+        for n in range(4):
+            for ell in range(4):
+                for variant in ("truncated", "full", *SecondOrderVariant):
+                    w1 = superpotential_first(QuantumState(n, ell), spec, ATOMIC, variant)
+                    full = n == 1 and SecondOrderVariant(variant) is SecondOrderVariant.FULL
+                    assert (w1.coef[0] != 0.0) == full, (n, ell, variant)
 
     def test_w1_vanishes_without_screening(self):
         spec = ScreeningSpec(delta=0.0)

@@ -353,7 +353,7 @@ class TestSecondOrderNumeric:
         st, delta = QuantumState(2, 3), 0.0872618
         spec = ScreeningSpec(delta=delta, strength=8.0)
         (row,) = scan_delta(st, 8.0, HBAR2M, delta, delta, 1).rows
-        square = (superpotential_first(st, spec, HBAR2M, truncated=True) ** 2).coef
+        square = (superpotential_first(st, spec, HBAR2M) ** 2).coef
         mom = lambda k: radial_moment(st, spec, HBAR2M, k)
         e2 = 8.0 * delta**4 / 6.0 * mom(3) - sum(c * mom(k) for k, c in enumerate(square))
         e0 = coulomb_energy(st, spec, HBAR2M)
@@ -377,7 +377,7 @@ class TestSecondOrderNumeric:
             raise AssertionError("Polynomial.__call__")
 
         st, spec = state_from_label("2s"), ScreeningSpec(delta=0.1)
-        w1 = superpotential_first(st, spec, ATOMIC)
+        w1 = superpotential_first(st, spec, ATOMIC, SecondOrderVariant.FULL)
         monkeypatch.setattr(Polynomial, "__call__", refuse)
         assert second_order_energy_numeric(st, spec, ATOMIC, w1) == pytest.approx(
             55 * 0.1**4 - (14336.0 / 9.0) * 0.1**6, rel=1e-12)
@@ -393,12 +393,12 @@ class TestSecondOrderNumeric:
                 for delta in (0.02, 0.1):
                     spec = ScreeningSpec(delta=delta, strength=strength)
                     r = x / (2.0 * coulomb_beta(st, spec, units))
-                    for truncated in (False, True):
-                        w1 = superpotential_first(st, spec, units, truncated=truncated)
+                    for variant in SecondOrderVariant:
+                        w1 = superpotential_first(st, spec, units, variant)
                         terms = ((strength * delta**4 / 6.0 * r**3 - w1(r) ** 2) * density)[n + 3:]
                         got = second_order_energy_numeric(st, spec, units, w1)
                         bound = 4.0 * np.finfo(float).eps * np.abs(terms).sum()
-                        assert abs(got - terms.sum()) <= bound, (n, ell, delta, truncated)
+                        assert abs(got - terms.sum()) <= bound, (n, ell, delta, variant)
 
     @pytest.mark.parametrize("w1", [
         Polynomial((0.0, 1.0, 1.0), domain=(0.0, 2.0)),
@@ -441,8 +441,8 @@ class TestResidualReport:
         st = state_from_label("2s")
         spec = ScreeningSpec(delta=0.1)
         d4, d6 = spec.delta**4, spec.delta**6
-        w_trunc = superpotential_first(st, spec, ATOMIC, truncated=True)
-        w_full = superpotential_first(st, spec, ATOMIC, truncated=False)
+        w_trunc = superpotential_first(st, spec, ATOMIC, SecondOrderVariant.TRUNCATED)
+        w_full = superpotential_first(st, spec, ATOMIC, SecondOrderVariant.FULL)
         num_trunc = second_order_energy_numeric(st, spec, ATOMIC, w_trunc)
         num_full = second_order_energy_numeric(st, spec, ATOMIC, w_full)
         assert num_trunc == pytest.approx(55 * d4 - 1856 * d6, rel=1e-12)
@@ -453,12 +453,14 @@ class TestResidualReport:
         assert num_full - closed_full == pytest.approx(-(14336 / 9 - 114176 / 72) * d6, rel=1e-9)
 
     def test_second_excited_truncated_matches_closed(self):
-        # for n = 2 the two-term route reproduces the printed form exactly
+        # for n = 2 the two-term route reproduces the printed form exactly; the
+        # level has one form, so both variants give it
         st = state_from_label("3s")
         spec = ScreeningSpec(delta=0.1)
-        w_trunc = superpotential_first(st, spec, ATOMIC, truncated=True)
-        num_trunc = second_order_energy_numeric(st, spec, ATOMIC, w_trunc)
-        assert num_trunc == pytest.approx(second_order_shift(st, spec, ATOMIC), rel=1e-12)
+        for variant in SecondOrderVariant:
+            w1 = superpotential_first(st, spec, ATOMIC, variant)
+            num = second_order_energy_numeric(st, spec, ATOMIC, w1)
+            assert num == pytest.approx(second_order_shift(st, spec, ATOMIC, variant), rel=1e-12)
 
     def test_first_excited_sextic_is_exact(self):
         # 2s at A = 1, atomic units: the moments are exact floats, and with

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -177,11 +178,33 @@ class TestPotentialInput:
     @pytest.mark.filterwarnings("error")
     def test_wide_library_box_answers_in_floats(self):
         # a box 1e100 wide is far past MAX_BOX_SCALE times the default, so the
-        # mesh misses the well; unscaled, u @ u overflowed
+        # mesh misses the well (unscaled, u @ u overflowed); its level,
+        # E = -3.1e-97, decays within the first mesh point, and is refused
+        with pytest.raises(ValidationError, match=r"^r_max = 1e\+100 is too wide to resolve "
+                                                  r"level n=0, l=0: .* 0 nodes .* kappa r_1 = "):
+            solve_bound_state(lambda r: -1.0 / r, QuantumState(0, 0), ATOMIC,
+                              SolverConfig(r_max=1e100))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r_max, nodes", [(3e5, 4), (1e6, 21), (1e20, 0)])
+    def test_wide_library_box_is_refused(self, r_max, nodes):
+        # 3e5 and 1e6 gave a level with 4 and 21 nodes for n = 0; 1e20, like
+        # 1e100 above, gave E = -3.1e3/r_max with converged=True
+        with pytest.raises(ValidationError, match=rf"^r_max = {re.escape(f'{r_max:g}')} is too "
+                                                  rf"wide to resolve level n=0, l=0: .* has "
+                                                  rf"{nodes} nodes "):
+            solve_bound_state(lambda r: -1.0 / r, QuantumState(0, 0), ATOMIC,
+                              SolverConfig(r_max=r_max))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r_max", [1e5, 2e5])
+    def test_wide_library_box_below_the_refusal_keeps_the_level(self, r_max):
+        # 2500 and 5000 times the default box of 1s: past 1e5 the level is no
+        # longer converged, and says so
         rf = solve_bound_state(lambda r: -1.0 / r, QuantumState(0, 0), ATOMIC,
-                               SolverConfig(r_max=1e100))
-        assert math.isfinite(rf.energy) and math.isfinite(rf.error_estimate)
-        assert np.all(np.isfinite(rf.values))
+                               SolverConfig(r_max=r_max))
+        assert rf.node_count == 0 and rf.energy == pytest.approx(-0.5, rel=1e-9)
+        assert rf.converged == (r_max <= 1e5)
 
     @pytest.mark.parametrize("argv, prefix", [
         (["--rmax", "1e-300"], "r_max = 1e-300 is too small for hbar = 1 and m = 1: "),

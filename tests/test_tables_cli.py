@@ -135,8 +135,13 @@ class TestEmission:
         assert a == b
         assert reproduce_table("T3").to_markdown_text() == reproduce_table("T3").to_markdown_text()
 
+    @pytest.mark.parametrize("tid", sorted(TABLES))
+    def test_table_takes_the_variant_by_name_or_member(self, tid):
+        for variant in SecondOrderVariant:
+            assert reproduce_table(tid, variant.value) == reproduce_table(tid, variant)
+
     def test_empty_result_is_header_only(self):
-        empty = TableResult(TABLES["T1"], SecondOrderVariant.TRUNCATED, ())
+        empty = TableResult(TABLES["T1"], ())
         assert empty.to_csv_text() == "delta,E_ref,E_computed,diff\n"
 
     def test_render_hash(self):
@@ -217,14 +222,32 @@ class TestScanDelta:
         # for n >= 3 the closed form is first order only, but the column adds
         # the E2 of the truncated hierarchy W1, so the difference is that E2
         st, spec = state_from_label("4s"), ScreeningSpec(delta=0.01)
-        e2 = second_order_energy_numeric(
-            st, spec, ATOMIC, superpotential_first(st, spec, ATOMIC, truncated=True))
+        e2 = second_order_energy_numeric(st, spec, ATOMIC, superpotential_first(st, spec, ATOMIC))
         assert scan_delta(st, 1.0, ATOMIC, 0.01, 0.01, 1).rows[0].quad_minus_analytic == (
             pytest.approx(e2, rel=1e-12))
         assert main(["scan", "--state", "4s", "--delta-start", "0.01", "--delta-end", "0.01",
                      "--steps", "1", "--format", "csv"]) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[7] == f"{e2:.6e}" == "2.979712e-05"
+
+    @pytest.mark.parametrize("label", ["3s", "4s"])
+    @pytest.mark.parametrize("delta", ["0.01", "0.05"])
+    def test_scan_variants_agree_past_the_first_excited_level(self, capsys, label, delta):
+        # n = 2 and 3 have one form each, so the variant changes no byte of the row
+        rows = []
+        for variant in ("truncated", "full"):
+            assert main(["scan", "--state", label, "--delta-start", delta, "--delta-end", delta,
+                         "--steps", "1", "--format", "csv", "--variant", variant]) == 0
+            rows.append(capsys.readouterr().out)
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("label", ["1s", "2s", "2p", "3s", "4s"])
+    def test_scan_takes_the_variant_by_name_or_member(self, label):
+        st = state_from_label(label)
+        for variant in SecondOrderVariant:
+            by_name, by_member = (scan_delta(st, 1.0, ATOMIC, 0.01, 0.05, 3, variant=v)
+                                  for v in (variant.value, variant))
+            assert by_name == by_member
 
     def test_overscreened_row_is_recorded_not_fatal(self):
         res = scan_delta(state_from_label("3s"), 1.0, ATOMIC, 1.0, 1.0, 1, with_oracle=True)

@@ -7,8 +7,10 @@ Run it once per tree and compare the printed lines:
 
 The sweep is every level with n <= 3 and l <= 4, delta = 0.01 k for
 k = 1-20, atomic units and hbar2m units each with A = 1 and 8, and both
-first-order superpotentials (``superpotential_first`` with
-``truncated=False`` and ``True``): 3200 cases.  Each case adds
+second-order variants (``superpotential_first`` with
+``SecondOrderVariant.FULL``, then ``TRUNCATED``): 3200 cases.  The two
+superpotentials differ only for n = 1, so the FULL and TRUNCATED cases
+of every other level are equal.  Each case adds
 ``float.hex`` of ``first_order_energy_numeric`` and of
 ``second_order_energy_numeric`` with that superpotential to one SHA-256
 digest.  The line also gives the case count and the largest relative gap
@@ -24,6 +26,7 @@ from ecsc import (
     HBAR2M,
     QuantumState,
     ScreeningSpec,
+    SecondOrderVariant,
     first_order_energy_numeric,
     first_order_shift,
     second_order_energy_numeric,
@@ -44,8 +47,8 @@ def main() -> None:
                         e1 = first_order_energy_numeric(state, spec, units)
                         closed = first_order_shift(state, spec, units)
                         gap = max(gap, abs(e1 - closed) / abs(closed))
-                        for truncated in (False, True):
-                            w1 = superpotential_first(state, spec, units, truncated=truncated)
+                        for variant in (SecondOrderVariant.FULL, SecondOrderVariant.TRUNCATED):
+                            w1 = superpotential_first(state, spec, units, variant)
                             e2 = second_order_energy_numeric(state, spec, units, w1)
                             digest.update(f"{e1.hex()} {e2.hex()}\n".encode())
                             count += 1
