@@ -186,13 +186,13 @@ def _cmd_oracle(args) -> int:
     except NoBoundStateError as exc:
         print(f"no bound state: {exc}", file=sys.stderr)
         return 1
+    if args.out is not None:  # written first: a failed write prints no energy
+        _emit("".join(f"{r:.10e} {chi:.10e}\n" for r, chi in zip(rf.grid, rf.values)), args.out)
     print(f"numeric energy  {rf.energy:+.10g}   nodes={rf.node_count} mesh={rf.grid.size - 1} "
           f"converged={rf.converged} error_estimate={rf.error_estimate:.1e}")
     if spec.g == 1.0:
         analytic = total_energy(state, spec, units, args.variant).total
         print(f"analytic total  {analytic:+.10g}   difference {rf.energy - analytic:+.3e}")
-    if args.out is not None:
-        _emit("".join(f"{r:.10e} {chi:.10e}\n" for r, chi in zip(rf.grid, rf.values)), args.out)
     return 0
 
 

@@ -10,32 +10,31 @@ scaled by 1/sqrt(w_i J_i) with J = (dr/dx)/r_max, the kinetic matrix is
 the mesh's Gauss approximation of the exact one and the potential is
 diagonal, its values at the mesh points, so the level with n nodes is
 eigenvalue n of one dense symmetric matrix.  The order grows through
-28 1.5^k up to 718 until two orders agree to ``energy_abs_tol``.  Only the
-first order computes the eigenvalues; its eigenvector follows from one step
-of inverse iteration.  Each finer order takes the previous order's
-eigenvector, evaluated exactly at its own points by the coarser Lagrange
-functions (a matrix that each order's cached mesh record carries), through
-one step of inverse iteration shifted to the previous order's energy
-(B. N. Parlett, The Symmetric Eigenvalue Problem, ch. 4).
-Every right-hand side is scaled by the power of two nearest the kinetic
-scale hbar^2/(2 m r_max^2), which is exact, so that it changes no result
-that stays in the floats without it, and keeps the vectors in the floats
-however far that scale is from 1.
-Where that shift lies nearer another level, the step returns a vector of
-another node count, and that order computes the eigenvalues as the first
-does.  The energy is the eigenvector's Rayleigh quotient with its kinetic
-part summed as squares under the weights w/J.  The difference of the last
-two orders, plus the quotient's rounding error (eps times the sum of the
-absolute values of its terms), is the mesh's error estimate.  On it, every
-level of :func:`default_solver_config`'s box tried (1s-4f, Coulomb, ECSC
-and Yukawa at every bound screening) stopped at order 42, and each of 2555
-such levels took the eigenvalues at order 28 only.  A refined eigenvector
-keeps about the coarser order's error times the energy change between the
-two orders over the distance to the nearest other level, up to 1e-9 of
-its largest magnitude where levels crowd (Coulomb N = 20, or a weakly bound
-level in a wide box).  So the last order's eigenvector u takes one more
-step of inverse iteration, shifted to its own energy, and the amplitude is
-u_i/sqrt(r_max w_i J_i).
+28 1.5^k up to 718 until two orders agree to ``energy_abs_tol``.
+The first order computes eigenvalue n alone.  Each finer order takes one step of
+inverse iteration shifted to the previous order's energy (B. N. Parlett, The
+Symmetric Eigenvalue Problem, ch. 4): the second from the vector of ones, every
+later one from the previous order's eigenvector, evaluated exactly at its own
+points by the coarser Lagrange functions (a matrix that each order's cached
+mesh record carries).  One potential call covers the first two orders' interior
+points; each later order makes its own.  Every right-hand side is scaled by the
+power of two nearest the kinetic scale hbar^2/(2 m r_max^2): exact, it changes
+no result that stays in the floats without it, and it keeps the vectors in the
+floats however far that scale is from 1.  Where the shift lies nearer another
+level, the step returns a vector of another node count, and that order computes
+its own eigenvalue n and takes the step from the vector of ones shifted to
+it.  The energy is the eigenvector's Rayleigh quotient with its kinetic part
+summed as squares under the weights w/J.  Its change from the previous order,
+plus its rounding error (eps times the sum of the absolute values of its
+terms), is the mesh's error estimate.  On it, each of 1680 levels of
+:func:`default_solver_config`'s box (1s-4f, Coulomb, ECSC and Yukawa at every
+bound screening) stopped at order 42 and took the eigenvalues at order 28
+only.  A refined eigenvector keeps about the coarser order's error times the
+energy change between the two orders over the distance to the nearest other
+level, up to 1e-9 of its largest magnitude where levels crowd (Coulomb N = 20,
+or a weakly bound level in a wide box).  So the last order's eigenvector u takes
+one more step of inverse iteration, shifted to its own energy, and the
+amplitude is u_i/sqrt(r_max w_i J_i).
 
 The wall at r_max raises a level by about (hbar^2/2m) chi'(r_max)^2/(2 kappa),
 kappa = sqrt(2 m |E|)/hbar, chi the normalised amplitude; the error estimate
@@ -122,7 +121,7 @@ def default_solver_config(
     The cutoff is a multiple of the state's Coulomb length N/k, k = m A/hbar^2
     the wavenumber of :func:`ecsc.core.coulomb_scales`; a Coulomb level 1s-4f
     then comes out within 5e-14 of exact at mesh order 42, and one level costs
-    about 0.25-0.55 ms on a shared 2-CPU x86-64 machine, as the host's load
+    about 0.14-0.3 ms on a shared 2-CPU x86-64 machine, as the host's load
     varies.  The convergence target is 1e-9 times the Coulomb energy
     m A^2/hbar^2, because the roundoff floor of the estimate scales with that
     energy.  Raises ValidationError naming A, hbar and m when either scale is
@@ -162,10 +161,9 @@ class RadialFunction:
 
 
 class _Mesh(NamedTuple):
-    """Every constant of the graded Gauss-Lobatto mesh of one order N on
-    [0, 1] that a solve reads, the prolongation from the order before it in
-    the ladder included.  Its arrays are read-only: every caller shares
-    them."""
+    """Every constant of the graded Gauss-Lobatto mesh of one order N on [0, 1]
+    that a solve reads, the prolongation from the order before it included.
+    Its arrays are read-only: every caller shares them."""
 
     x: np.ndarray  # the Gauss-Lobatto-Legendre points on [-1, 1], -1 and 1 included
     p: np.ndarray  # the Legendre polynomial P_N at x
@@ -175,7 +173,7 @@ class _Mesh(NamedTuple):
     abs_grad: np.ndarray  # |grad|
     root_wj: np.ndarray  # sqrt(w J) at the interior points
     kinetic: np.ndarray  # the Gauss approximation of -d^2/ds^2 between those functions
-    prolong: np.ndarray | None  # takes the previous order's eigenvector here; None at the first
+    prolong: np.ndarray | None  # takes the previous order's eigenvector here; None at the first two
 
 
 @cache
@@ -209,7 +207,7 @@ def _mesh(order: int) -> _Mesh:
     # the Gauss approximation: 1/J is not a polynomial, so the sum is not exact
     kinetic = grad.T @ ((w / jac)[:, None] * grad)
     prolong = None
-    if order != _ORDERS[0]:
+    if order not in _ORDERS[:2]:  # always a solve's first or second order, which prolong nothing
         # entry (i, j): the previous order's Lagrange function j at interior
         # point i, times sqrt(w J) there over that at x_j, in the barycentric
         # form l_j(x) = (1/(P_N(x_j) (x - x_j))) / sum_k 1/(P_N(x_k) (x - x_k)),
@@ -234,6 +232,17 @@ def _count_interior_nodes(values: np.ndarray) -> int:
     return int(np.count_nonzero(np.signbit(sig[1:]) != np.signbit(sig[:-1])))
 
 
+def _potential_on(potential, r: np.ndarray) -> np.ndarray:
+    """The potential's values at the radii ``r``, refused unless finite and of r's shape."""
+    v = np.asarray(potential(r), dtype=float)
+    if v.shape != r.shape:
+        raise ValidationError(f"potential returned shape {v.shape} on a mesh of shape {r.shape}; "
+                              "it must accept and return arrays")
+    if not (isfinite(v.min()) and isfinite(v.max())):  # min is nan if any value is nan
+        raise ValidationError("potential is not finite on the mesh")
+    return v
+
+
 def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConfig):
     """The level as a RadialFunction, or the reason why it is not bound."""
     r_max, n = config.r_max, state.n
@@ -254,33 +263,31 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
     # the right-hand sides' scale: the vectors inverse iteration returns
     # scale as one over h, and unscaled left the floats at A = 1e-70 or 1e90
     unit = 2.0 ** round(log2(scale))
+    # one potential call on the first two orders' interior points; a later order makes its own
+    first, second = (_mesh(order).box[1:-1] for order in orders[:2])
+    v = _potential_on(potential, r_max * np.concatenate((first, second)))
+    pair = v[:first.size], v[first.size:]
     u = energy = None
-    for order in orders:
+    for i, order in enumerate(orders):
         mesh = _mesh(order)
-        r = r_max * mesh.box[1:-1]
-        v = np.asarray(potential(r), dtype=float)
-        if v.shape != r.shape:
-            raise ValidationError(
-                f"potential returned shape {v.shape} on a mesh of shape {r.shape}; "
-                "it must accept and return arrays"
-            )
-        lowest = v.min()  # nan if any value is nan
-        if not (isfinite(lowest) and isfinite(v.max())):
-            raise ValidationError("potential is not finite on the mesh")
-        if not lowest < 0.0:
+        v = pair[i] if i < 2 else _potential_on(potential, r_max * mesh.box[1:-1])
+        if not v.min() < 0.0:
             return "effective potential is nowhere negative on the mesh; nothing is bound"
         h = scale * mesh.kinetic
         diagonal = h.reshape(-1)[::order]  # a view of h's diagonal
-        unshifted = diagonal + v
-        if energy is not None:
-            # the coarser order's eigenvector on this mesh, refined by one
-            # step of inverse iteration shifted to that order's energy
-            diagonal[:] = unshifted - energy
-            u = np.linalg.solve(h, unit * (mesh.prolong @ u))
-        if energy is None or _count_interior_nodes(u / mesh.root_wj) != n:
-            # the first order, or a shift nearer another level: eigenvalue n,
-            # then its eigenvector by one step of inverse iteration from the
-            # vector of ones, (h - lambda) u = unit
+        diagonal += v
+        if energy is None:  # the first order: eigenvalue n alone, the second's shift
+            energy = float(np.linalg.eigvalsh(h)[n])
+            continue
+        unshifted = diagonal.copy()
+        # one step of inverse iteration shifted to the coarser order's energy, from
+        # its eigenvector on this mesh, or at the second order from the vector of ones
+        diagonal -= energy
+        start = np.ones(order - 1) if u is None else mesh.prolong @ u
+        u = np.linalg.solve(h, unit * start)
+        if _count_interior_nodes(u / mesh.root_wj) != n:
+            # a shift nearer another level: eigenvalue n, then its
+            # eigenvector by the same step from the vector of ones
             diagonal[:] = unshifted
             diagonal -= np.linalg.eigvalsh(h)[n]
             u = np.linalg.solve(h, np.full(order - 1, unit))
@@ -293,10 +300,9 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
         previous, energy = energy, float(scale * (mesh.weight @ (g * g)) + v @ density)
         roundoff = _EPS * float(scale * (mesh.weight @ (np.abs(g) * (mesh.abs_grad @ np.abs(u))))
                                 + np.abs(v) @ density)
-        if previous is not None:
-            estimate = abs(energy - previous) + roundoff
-            if estimate <= config.energy_abs_tol:
-                break
+        estimate = abs(energy - previous) + roundoff
+        if estimate <= config.energy_abs_tol:
+            break
     if energy >= 0.0 or estimate >= -energy:
         return (f"level n={n}, l={state.ell} lies at E = {energy:.3g} +- {estimate:.1g} on the "
                 f"mesh to r_max = {r_max:g}: a box-quantised continuum state, not bound")
@@ -323,18 +329,10 @@ def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConf
             f"r_max = {r_max:g} is too wide to resolve level n={n}, l={state.ell}: the mesh's "
             f"level at E = {energy:.3g} has {nodes} nodes and decay rate times first mesh point "
             f"kappa r_1 = {kappa_r1:.3g}, where a bound level has n nodes and kappa r_1 < 1")
-    if chi[np.argmax(np.abs(chi))] < 0:
-        chi = -chi
     values = np.zeros(order + 1)
-    values[1:-1] = chi
-    return RadialFunction(
-        grid=r_max * mesh.box,
-        values=values,
-        node_count=nodes,
-        energy=energy,
-        converged=estimate <= config.energy_abs_tol,
-        error_estimate=estimate,
-    )
+    values[1:-1] = -chi if chi[np.argmax(np.abs(chi))] < 0 else chi
+    return RadialFunction(grid=r_max * mesh.box, values=values, node_count=nodes, energy=energy,
+                          converged=estimate <= config.energy_abs_tol, error_estimate=estimate)
 
 
 def solve_bound_state(
@@ -343,12 +341,14 @@ def solve_bound_state(
     """Find the bound level with ``state.n`` interior nodes and its wavefunction.
 
     ``potential`` maps an array of radii to the effective potential there.
-    Raises NoBoundStateError when the potential is nowhere negative on the
-    mesh or the level lies at or above E = 0, where a potential vanishing at
-    infinity has its continuum, or within its error estimate of it; raises
-    ValidationError when the potential does not return finite values of the
-    mesh's shape, or when the level found has other than n nodes or decays
-    within the first mesh point (a box too wide for the mesh).
+    It is called once on the first two mesh orders' interior points together,
+    which are not sorted, and once on each later order's, so it must act
+    pointwise.  Raises NoBoundStateError when the potential is nowhere
+    negative on a mesh or the level lies at or above E = 0, where a potential
+    vanishing at infinity has its continuum, or within its error estimate of
+    it; raises ValidationError when the potential does not return finite
+    values of the mesh's shape, or when the level found has other than n
+    nodes or decays within the first mesh point (a box too wide for the mesh).
     """
     level = _solve(potential, state, units, config)
     if isinstance(level, str):

@@ -130,6 +130,26 @@ class TestPotentialInput:
         with pytest.raises(NoBoundStateError, match="nowhere negative"):
             solve_bound_state(np.zeros_like, st, ATOMIC, cfg)
 
+    def test_one_second_order_point_not_finite_is_refused(self):
+        # the first two orders' interior points come in one call, the first
+        # order's 27 before the second's 41
+        def potential(r):
+            v = -1.0 / r
+            v[_ORDERS[0] - 1 + 20] = np.nan
+            return v
+
+        with pytest.raises(ValidationError, match="potential is not finite on the mesh"):
+            solve_bound_state(potential, QuantumState(0, 0), ATOMIC, SolverConfig(r_max=10.0))
+
+    def test_nowhere_negative_on_the_first_order_is_unbound(self):
+        def potential(r):
+            v = -1.0 / r
+            v[:_ORDERS[0] - 1] = 1.0
+            return v
+
+        with pytest.raises(NoBoundStateError, match="nowhere negative"):
+            solve_bound_state(potential, QuantumState(0, 0), ATOMIC, SolverConfig(r_max=10.0))
+
     def test_grid_must_resolve_the_nodes(self):
         # only the largest mesh, of 717 interior points, holds level 600;
         # the error estimate needs two meshes
@@ -436,11 +456,11 @@ class TestMesh:
     @pytest.mark.parametrize("order", _ORDERS)
     def test_invariants(self, order):
         mesh = _mesh(order)
-        # every caller shares the record's arrays; only the first order has
-        # no order below it to take a vector from
+        # every caller shares the record's arrays; the first order takes no
+        # vector and the second starts from the vector of ones
         arrays = [field for field in mesh if isinstance(field, np.ndarray)]
         assert not any(a.flags.writeable for a in arrays)
-        assert (mesh.prolong is None) == (order == _ORDERS[0])
+        assert (mesh.prolong is None) == (order in _ORDERS[:2])
         assert len(arrays) == len(mesh) - (mesh.prolong is None)
         # the grid's ends are exact
         assert mesh.box[0] == 0.0 and mesh.box[-1] == 1.0 and np.all(np.diff(mesh.box) > 0.0)
@@ -463,8 +483,9 @@ class TestMesh:
     ])
     def test_default_box_levels_converge_by_order_63(self, label, delta, g, monkeypatch):
         # the graded mesh resolves every default-box level at order 42 or 63;
-        # once the meshes are cached, a level evaluates the potential at two
-        # orders, takes eigvalsh at the first only and solves three systems
+        # once the meshes are cached, a level evaluates the potential once, on
+        # the first two orders' interior points, takes eigvalsh at the first
+        # only and solves two systems
         st = state_from_label(label)
         spec = ScreeningSpec(delta=delta, g=g)
         cfg = default_solver_config(st, spec, ATOMIC)
@@ -482,7 +503,7 @@ class TestMesh:
         assert rf.node_count == st.n
         assert rf.grid.size - 1 <= 63
         assert calls == [_ORDERS[0]]
-        assert len(potential_calls) == 2 and len(solves) == 3
+        assert potential_calls == [(_ORDERS[0] - 1) + (_ORDERS[1] - 1)] and len(solves) == 2
         # the ends of the grid and the zeros of the amplitude there are exact
         assert rf.grid[0] == 0.0 and rf.grid[-1] == cfg.r_max
         assert rf.values[0] == rf.values[-1] == 0.0
@@ -494,7 +515,7 @@ class TestMesh:
         else:
             assert rf.converged
 
-    @pytest.mark.parametrize("fine, coarse", zip(_ORDERS[1:], _ORDERS))
+    @pytest.mark.parametrize("fine, coarse", zip(_ORDERS[2:], _ORDERS[1:]))
     @pytest.mark.parametrize("f", [lambda x: (1.0 - x**2) * x**5, lambda x: 1.0 - x**2],
                              ids=["x5", "x0"])
     def test_prolong_interpolates_polynomials(self, fine, coarse, f):

@@ -494,7 +494,10 @@ class TestCli:
     def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, argv):
         out = tmp_path / "missing" / "x"
         assert main([*argv, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+        # every verb writes its file before it prints, so a failed write prints nothing
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err.startswith(f"error: cannot write {out}")
 
     @pytest.mark.parametrize("argv", [
         ["energy", "--state", "1s", "--delta", "0.1", "--A", "1e-300"],
