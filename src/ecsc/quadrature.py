@@ -17,22 +17,20 @@ Gauss-Laguerre rule with alpha = 2 ell + 2 integrates that exactly while
 deg f <= 2(M - n) - 1 (Golub and Welsch, Math. Comp. 23 (1969) 221), so
 M = n + 3 is exact for deg f <= 5.
 
-Each level's (n + 3)- and (n + 4)-point rules are built once per (n, ell),
-on first use, and serve every strength and unit: their x nodes, and as
-weights chi^2 dr there, whose constant factor ratio (2 ell + 2)! is formed as
-one exact rational, so that it stays finite at high ell.  An integrand f
-maps an array of radii to an array of values and is called once, on the
-nodes of both rules, and both rules' sums are formed in one pass.  The
-(n + 4)-point sum is accepted when it agrees with the (n + 3)-point one to
-1e-10 of the integral, or to 64 eps times integral |chi^2 f| so that
-integrands cancelling to near zero are accepted; neither bound depends on the
-unit of length, and the second, a sum over the nodes, is formed only when the
-first fails.  A disagreement means that f is not a polynomial of degree <= 5.
+An integrand f is passed as its coefficients a_0, ..., a_5 in r, and a rule
+with x nodes x_i and chi^2 dr weights w_i gives sum_k a_k (2 beta)^-k S_k,
+S_k = sum_i w_i x_i^k.  Each level's (n + 3)- and (n + 4)-point rules, whose
+constant factor ratio (2 ell + 2)! is one exact rational that stays finite
+at high ell, and their moments S_k are built once per (n, ell), on first use,
+and serve every strength and unit.  The (n + 4)-point sum is accepted when it
+agrees with the (n + 3)-point one to 1e-10 of the integral, or to 64 eps times
+sum_k |a_k (2 beta)^-k| S_k (formed only when the first test fails), so that
+integrands cancelling to near zero are accepted in every unit of length.  The
+rules are exact for deg f <= 5 and so differ by rounding alone.
 
-E2 squares the closed-form superpotential its caller passes to
-:func:`second_order_energy_numeric`, read from its power-series coefficients
-by Horner's rule.  This module imports none of the closed-form energies or
-exact moments it is used to check.
+E2 expands the square of the closed-form superpotential its caller passes.
+This module imports none of the closed-form energies or exact moments it is
+used to check.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from .coulomb import coulomb_norm  # noqa: F401  perfbench/tracing.py traces it 
 
 
 class ToleranceNotMetError(RuntimeError):
-    """The two rules disagree, or a sum is not finite; carries the best estimate."""
+    """The rules disagree beyond rounding, or a sum is not finite; carries the best estimate."""
 
     def __init__(self, message: str, best_estimate: float, error_estimate: float):
         super().__init__(message)
@@ -69,7 +67,7 @@ class QuadratureSpec:
             raise ValidationError(f"scheme must be 'gauss', got {self.scheme!r}")
 
 
-#: the two rules agree to _REL_TOL of the integral or to _FLOOR integral |chi^2 f|
+#: the two rules agree to _REL_TOL of the integral or to _FLOOR sum_k |a_k (2 beta)^-k| S_k
 _REL_TOL, _FLOOR = 1e-10, 64.0 * np.finfo(float).eps
 #: the domain and window of a Polynomial that maps its argument to itself
 _DEFAULT_WINDOW = [-1.0, 1.0]
@@ -95,44 +93,46 @@ def _density_rule(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
     return x, density
 
 
-def integrate_density_with_error(
-    state: QuantumState,
-    spec: ScreeningSpec,
-    units: UnitSystem,
-    f,
-) -> tuple[float, float]:
-    """integral_0^inf chi^2(r) f(r) dr and its error estimate, for f a
-    polynomial of degree <= 5 on arrays of radii.
+@lru_cache(maxsize=None)
+def _rule_moments(n: int, ell: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    # S_k = sum_i w_i x_i^k, k = 0..5, of the (n + 3)- and the (n + 4)-point rule
+    x, density = _density_rule(n, ell)
+    sums = np.add.reduceat(density[:, None] * x[:, None] ** np.arange(6), (0, n + 3))
+    return tuple(tuple(row) for row in sums.tolist())
 
-    The estimate is the difference of the (n + 4)- and (n + 3)-point rules
-    (see the module docstring).  Raises ToleranceNotMetError when they
-    disagree, which they do for any other f, or when a sum is not finite.
-    """
-    x, density = _density_rule(state.n, state.ell)
-    terms = f(x / (2.0 * coulomb_beta(state, spec, units))) * density
-    m = state.n + 3  # the nodes of the m-point rule come first
-    coarse, fine = np.add.reduceat(terms, (0, m)).tolist()
+
+def integrate_density_with_error(state: QuantumState, spec: ScreeningSpec, units: UnitSystem,
+                                 coef) -> tuple[float, float]:
+    """integral_0^inf chi^2(r) f(r) dr and its error estimate, the difference
+    of the (n + 4)- and (n + 3)-point rules, for f the polynomial in r with the
+    coefficients ``coef`` (at most six; see the module docstring).  Raises
+    ValidationError for more, or for a non-finite one, and ToleranceNotMetError
+    when a sum is not finite or the rules disagree beyond rounding."""
+    if len(coef) > 6 or not all(map(isfinite, coef)):
+        raise ValidationError(f"coef must be at most six finite numbers, got {coef!r}")
+    s, power, coarse, fine = 0.5 / coulomb_beta(state, spec, units), 1.0, 0.0, 0.0
+    coarse_moments, fine_moments = _rule_moments(state.n, state.ell)
+    # the powers (2 beta)^-k by products, so that one leaving the floats is inf
+    for a, coarse_k, fine_k in zip(coef, coarse_moments, fine_moments):
+        term, power = a * power, power * s
+        coarse += term * coarse_k
+        fine += term * fine_k
     if not (isfinite(coarse) and isfinite(fine)):
         raise ToleranceNotMetError("integral is not finite", fine, inf)
     err = abs(fine - coarse)
-    # the roundoff floor is summed only when the relative test fails
-    if err > _REL_TOL * abs(fine) and err > _FLOOR * np.abs(terms[m:]).sum():
+    if err > _REL_TOL * abs(fine) and err > _FLOOR * sum(
+            abs(a) * s**k * fine_k for k, (a, fine_k) in enumerate(zip(coef, fine_moments))):
+        m = state.n + 3
         raise ToleranceNotMetError(
-            f"the {m}- and {m + 1}-point rules differ by {err:.3g}: "
-            "the integrand is not a polynomial of degree <= 5", fine, err
-        )
+            f"the {m}- and {m + 1}-point rules differ by {err:.3g}, beyond rounding", fine, err)
     return fine, err
 
 
-def integrate_density(
-    state: QuantumState,
-    spec: ScreeningSpec,
-    units: UnitSystem,
-    f,
-) -> float:
-    """integral_0^inf chi^2(r) f(r) dr: the value of
-    :func:`integrate_density_with_error`, which says how it is accepted."""
-    return integrate_density_with_error(state, spec, units, f)[0]
+def integrate_density(state: QuantumState, spec: ScreeningSpec, units: UnitSystem,
+                      coef) -> float:
+    """integral_0^inf chi^2(r) f(r) dr for f the polynomial with coefficients ``coef``:
+    the value of :func:`integrate_density_with_error`, which says how it is accepted."""
+    return integrate_density_with_error(state, spec, units, coef)[0]
 
 
 def first_order_energy_numeric(
@@ -142,7 +142,7 @@ def first_order_energy_numeric(
 ) -> float:
     """E1 as the density integral of -(A delta^3/3) r^2."""
     a_d3 = spec.strength * spec.delta**3 / 3.0
-    return integrate_density(state, spec, units, lambda r: -a_d3 * r**2)
+    return integrate_density(state, spec, units, (0.0, 0.0, -a_d3))
 
 
 def second_order_energy_numeric(
@@ -157,8 +157,8 @@ def second_order_energy_numeric(
     ``w1`` is the first-order superpotential to square: a ``Polynomial`` of
     degree <= 2 with the default domain and window, such as
     :func:`ecsc.perturbation.superpotential_first` returns (a closed-form
-    hierarchy variant).  It is evaluated on the nodes by Horner's rule from
-    its power-series coefficients; any other ``w1`` raises ValidationError.
+    hierarchy variant).  The square is expanded from its power-series
+    coefficients; any other ``w1`` raises ValidationError.
     ``qspec`` selects nothing: there is one rule.
     """
     if not (isinstance(w1, Polynomial) and w1.coef.size <= 3
@@ -168,5 +168,5 @@ def second_order_energy_numeric(
             f"got {w1!r}")
     c0, c1, c2 = w1.coef.tolist() + [0.0] * (3 - w1.coef.size)
     sixth = spec.strength * spec.delta**4 / 6.0
-    return integrate_density(
-        state, spec, units, lambda r: sixth * r**3 - (c0 + (c1 + c2 * r) * r) ** 2)
+    return integrate_density(state, spec, units, (
+        -c0 * c0, -2.0 * c0 * c1, -(c1 * c1 + 2.0 * c0 * c2), sixth - 2.0 * c1 * c2, -c2 * c2))

@@ -390,11 +390,16 @@ def scan_delta(
     with_oracle: bool = False,
     variant: SecondOrderVariant = SecondOrderVariant.TRUNCATED,
 ) -> ScanResult:
-    """One ComparisonRow per screening value on a uniform grid of ``steps`` points."""
+    """One ComparisonRow per screening value on a uniform grid of ``steps``
+    points from ``delta_start`` to ``delta_end``; one step needs equal ends."""
     if not 1 <= steps <= MAX_SAMPLES:
         raise ValidationError(f"steps must be between 1 and {MAX_SAMPLES}, got {steps}")
     if delta_start < 0.0 or delta_end < delta_start:
         raise ValidationError("need 0 <= delta_start <= delta_end")
+    if steps == 1 and delta_end != delta_start:
+        raise ValidationError(
+            f"one step samples one delta: need delta_end == delta_start, got {delta_start!r} "
+            f"and {delta_end!r}")
     if steps == 1:
         deltas = [delta_start]
     else:

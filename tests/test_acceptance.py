@@ -145,7 +145,7 @@ def check_criterion_7():
                 st = QuantumState(n, ell)
                 spec = ScreeningSpec(delta=0.05, strength=strength)
                 sixth = strength * spec.delta**4 / 6.0
-                quartic_num = integrate_density(st, spec, units, lambda r: sixth * r**3)
+                quartic_num = integrate_density(st, spec, units, (0.0, 0.0, 0.0, sixth))
                 quartic_closed, _ = second_order_terms(st, spec, units)
                 assert abs(quartic_num - quartic_closed) <= 1e-10 * abs(quartic_closed)
 

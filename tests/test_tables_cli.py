@@ -280,6 +280,13 @@ class TestScanDelta:
         with pytest.raises(ValidationError):
             scan_delta(state_from_label("1s"), 1.0, ATOMIC, 0.0, 0.1, MAX_SAMPLES + 1)
 
+    def test_one_step_needs_equal_ends(self):
+        # one step samples delta_start alone, so a different delta_end would be dropped
+        with pytest.raises(ValidationError, match="delta_end == delta_start"):
+            scan_delta(state_from_label("1s"), 1.0, ATOMIC, 0.01, 0.02, 1)
+        (row,) = scan_delta(state_from_label("1s"), 1.0, ATOMIC, 0.02, 0.02, 1).rows
+        assert row.delta == 0.02
+
 
 class TestCli:
     def test_energy_verb(self, capsys):
@@ -308,12 +315,14 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4
 
-    @pytest.mark.parametrize("bounds", [("0", "0.1", "0"), ("0.1", "0", "3")])
+    @pytest.mark.parametrize("bounds", [("0", "0.1", "0"), ("0.1", "0", "3"),
+                                        ("0.01", "0.02", "1")])
     def test_bad_scan_arguments_are_a_usage_error(self, capsys, bounds):
         start, end, steps = bounds
         assert main(["scan", "--state", "1s", "--delta-start", start,
                      "--delta-end", end, "--steps", steps]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
     def test_wavefunction_verb(self, tmp_path):
         out = tmp_path / "wf.csv"

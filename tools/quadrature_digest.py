@@ -1,9 +1,17 @@
 """Digest of the quadrature's E1 and E2 over a fixed sweep, to check that a
-refactor of ``ecsc.quadrature`` leaves every value bit-identical.
+refactor of ``ecsc.quadrature`` leaves every value bit-identical, and
+per-case records to check that a change which moves values keeps them
+within rounding.
 
 Run it once per tree and compare the printed lines:
 
     PYTHONPATH=src python tools/quadrature_digest.py
+
+or write one JSON line per case with ``--records`` and compare two such
+files, one per tree:
+
+    PYTHONPATH=src python tools/quadrature_digest.py --records new.jsonl
+    PYTHONPATH=src python tools/quadrature_digest.py --compare old.jsonl new.jsonl
 
 The sweep is every level with n <= 3 and l <= 4, delta = 0.01 k for
 k = 1-20, atomic units and hbar2m units each with A = 1 and 8, and both
@@ -15,11 +23,25 @@ of every other level are equal.  Each case adds
 ``second_order_energy_numeric`` with that superpotential to one SHA-256
 digest.  The line also gives the case count and the largest relative gap
 of E1 from the closed form ``first_order_shift``.
+
+A record holds the case, E1 and E2 as ``float.hex``, and for each the
+integral of chi^2 |f| over its integrand f, the scale of its rounding, by a
+100-point Gauss-Laguerre rule in x = 2 beta r (|f| has kinks, so this is a
+scale good to about 1e-2, not a value).  ``--compare`` prints the largest gaps of
+E1 and E2 in units of eps times that integral and exits 1 when a value moved
+by more than 64 of them, the roundoff floor of the quadrature's acceptance
+rule.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import json
+import sys
+from contextlib import nullcontext
+
+import numpy as np
 
 from ecsc import (
     ATOMIC,
@@ -27,14 +49,29 @@ from ecsc import (
     QuantumState,
     ScreeningSpec,
     SecondOrderVariant,
+    coulomb_beta,
+    coulomb_wavefunction,
     first_order_energy_numeric,
     first_order_shift,
     second_order_energy_numeric,
     superpotential_first,
 )
 
+EPS = float(np.finfo(float).eps)
+#: --compare's bound, in units of eps times integral chi^2 |f|
+MULTIPLE = 64.0
+_X, _W = np.polynomial.laguerre.laggauss(100)
 
-def main() -> None:
+
+def _absolute_integral(state, spec, units, f) -> float:
+    # integral chi^2(r) |f(r)| dr = integral exp(-x) [exp(x) chi^2 |f|] dx / (2 beta)
+    two_beta = 2.0 * coulomb_beta(state, spec, units)
+    r = _X / two_beta
+    chi = coulomb_wavefunction(state, spec, units, r)
+    return float(np.sum(_W * np.exp(_X) * chi**2 * np.abs(f(r)))) / two_beta
+
+
+def _digest(records=None) -> tuple[int, str, float]:
     digest = hashlib.sha256()
     count, gap = 0, 0.0
     for n in range(4):
@@ -52,8 +89,64 @@ def main() -> None:
                             e2 = second_order_energy_numeric(state, spec, units, w1)
                             digest.update(f"{e1.hex()} {e2.hex()}\n".encode())
                             count += 1
-    print(f"cases={count} sha256={digest.hexdigest()} e1_max_rel_gap={gap:.3g}")
+                            if records is None:
+                                continue
+                            a_d3 = strength * spec.delta**3 / 3.0
+                            sixth = strength * spec.delta**4 / 6.0
+                            records.write(json.dumps({
+                                "case": f"{state.label} {units.label} A={strength:g} "
+                                        f"delta={spec.delta:.2f} {variant.name}",
+                                "e1": e1.hex(), "e2": e2.hex(),
+                                "abs_e1": _absolute_integral(
+                                    state, spec, units, lambda r: a_d3 * r**2),
+                                "abs_e2": _absolute_integral(
+                                    state, spec, units, lambda r: sixth * r**3 - w1(r) ** 2),
+                            }) + "\n")
+    return count, digest.hexdigest(), gap
+
+
+def compare(old_path: str, new_path: str) -> int:
+    """Print the largest gaps of E1 and E2 between two record files, in
+    units of eps times integral chi^2 |f|; 1 when one exceeds MULTIPLE."""
+    with open(old_path, encoding="utf-8") as fh:
+        old = [json.loads(line) for line in fh]
+    with open(new_path, encoding="utf-8") as fh:
+        new = [json.loads(line) for line in fh]
+    if [a["case"] for a in old] != [b["case"] for b in new]:
+        print("the two files do not hold the same cases")
+        return 1
+    failures = 0
+    for key in ("e1", "e2"):
+        gaps, same = [], 0
+        for a, b in zip(old, new):
+            before, after = float.fromhex(a[key]), float.fromhex(b[key])
+            same += before == after
+            gaps.append((abs(after - before) / (EPS * a["abs_" + key]),
+                         abs(after - before) / abs(before) if before else 0.0, a["case"]))
+        gaps.sort(reverse=True)
+        over = sum(g > MULTIPLE for g, _, _ in gaps)
+        failures += over
+        print(f"{key}: identical={same} over_{MULTIPLE:g}_eps={over} "
+              f"max_relative={max(rel for _, rel, _ in gaps):.3g}")
+        for g, rel, case in gaps[:5]:
+            print(f"  {g:8.3g} eps  {rel:.3g} relative  {case}")
+    print(f"cases={len(old)} failures={failures}")
+    return 1 if failures else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--records", metavar="PATH", help="also write one JSON line per case")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two record files instead of integrating")
+    args = parser.parse_args()
+    if args.compare:
+        return compare(*args.compare)
+    with open(args.records, "w", encoding="utf-8") if args.records else nullcontext() as records:
+        count, digest, gap = _digest(records)
+    print(f"cases={count} sha256={digest} e1_max_rel_gap={gap:.3g}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
