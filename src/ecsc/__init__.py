@@ -49,7 +49,6 @@ from .quadrature import (
     ToleranceNotMetError,
     first_order_energy_numeric,
     integrate_density,
-    integrate_density_with_error,
     second_order_energy_numeric,
 )
 from .radial import (

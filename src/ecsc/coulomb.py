@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, sqrt
+from math import comb, factorial, inf, sqrt
 from numbers import Integral
 
 import numpy as np
 
-from .core import (QuantumState, ScreeningSpec, UnitSystem, ValidationError, check_positive_radius,
-                   coulomb_scales)
+from .core import (_NORMAL_MIN, QuantumState, ScreeningSpec, UnitSystem, ValidationError,
+                   check_positive_radius, coulomb_scales)
 
 
 def laguerre(n: int, k: int, x):
@@ -65,10 +65,20 @@ def _norm_ratio(n: int, ell: int) -> Fraction:
 
 
 def coulomb_norm(state: QuantumState, spec: ScreeningSpec, units: UnitSystem) -> float:
-    """Normalization constant making the radial density integrate to one."""
+    """Normalization constant making the radial density integrate to one.
+    Raises ValidationError naming the level, A, hbar and m when its square is
+    no normal float: at A = hbar = m = 1 it is subnormal from ell = 51 on."""
     beta = coulomb_beta(state, spec, units)
     ratio = _norm_ratio(state.n, state.ell)
-    return sqrt(float(ratio) * (2.0 * beta) ** (2 * state.ell + 3))
+    try:
+        square = float(ratio) * (2.0 * beta) ** (2 * state.ell + 3)
+    except OverflowError:
+        square = inf
+    if not _NORMAL_MIN <= square < inf:
+        raise ValidationError(
+            f"the {state.label} level with A = {spec.strength:g}, hbar = {units.hbar:g} and "
+            f"m = {units.mass:g} puts its norm^2 outside the normal floats")
+    return sqrt(square)
 
 
 def coulomb_wavefunction(state: QuantumState, spec: ScreeningSpec, units: UnitSystem, r):

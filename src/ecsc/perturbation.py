@@ -299,7 +299,8 @@ def ground_wavefunction(
     delta = 0 and when no such turn lies within 200 Coulomb lengths (the
     amplitude there is already negligible), and it is the peak itself when
     nothing past the peak decays.  psi raises ValidationError at any r past r_c.
-    By default the Coulomb normalization constant is kept, so psi is not
+    By default the Coulomb normalization constant is kept (ValidationError
+    where :func:`ecsc.coulomb.coulomb_norm` refuses it), so psi is not
     exactly unit-normalized once delta > 0; pass ``renormalize=True`` to
     rescale numerically (useful for plotting) by a 200-point
     Gauss-Legendre rule on [0, min(60/beta, r_c)].  Raises ValidationError
@@ -310,7 +311,6 @@ def ground_wavefunction(
     state = QuantumState(0, ell)
     poly = wavefunction_polynomial(ell, spec, units)
     beta = coulomb_beta(state, spec, units)
-    scale = coulomb_norm(state, spec, units)
     r_c = float("inf")
     if spec.delta != 0.0:
         peak = (ell + 1) / beta
@@ -334,6 +334,8 @@ def ground_wavefunction(
                 f"200- and 300-point rules give {val:.6g} and {check:.6g}"
             )
         scale = 1.0 / sqrt(val)
+    else:
+        scale = coulomb_norm(state, spec, units)
 
     def psi(r):
         arr = check_positive_radius(r)

@@ -17,16 +17,13 @@ Gauss-Laguerre rule with alpha = 2 ell + 2 integrates that exactly while
 deg f <= 2(M - n) - 1 (Golub and Welsch, Math. Comp. 23 (1969) 221), so
 M = n + 3 is exact for deg f <= 5.
 
-An integrand f is passed as its coefficients a_0, ..., a_5 in r, and a rule
-with x nodes x_i and chi^2 dr weights w_i gives sum_k a_k (2 beta)^-k S_k,
-S_k = sum_i w_i x_i^k.  Each level's (n + 3)- and (n + 4)-point rules, whose
-constant factor ratio (2 ell + 2)! is one exact rational that stays finite
-at high ell, and their moments S_k are built once per (n, ell), on first use,
-and serve every strength and unit.  The (n + 4)-point sum is accepted when it
-agrees with the (n + 3)-point one to 1e-10 of the integral, or to 64 eps times
-sum_k |a_k (2 beta)^-k| S_k (formed only when the first test fails), so that
-integrands cancelling to near zero are accepted in every unit of length.  The
-rules are exact for deg f <= 5 and so differ by rounding alone.
+An integrand f is passed as its coefficients a_0, ..., a_5 in r.  The
+(n + 4)-point rule, one point more than exactness needs, with x nodes x_i and
+chi^2 dr weights w_i, gives sum_k a_k (2 beta)^-k S_k, S_k = sum_i w_i x_i^k.
+The weights' constant factor ratio (2 ell + 2)! is one exact rational that
+stays finite at high ell.  Only the six S_k are cached, per (n, ell) on first
+use, and they serve every strength and unit.  The sum is exact up to
+rounding, so it carries no error estimate and raises only when not finite.
 
 E2 expands the square of the closed-form superpotential its caller passes.
 This module imports none of the closed-form energies or exact moments it is
@@ -48,7 +45,8 @@ from .coulomb import coulomb_norm  # noqa: F401  perfbench/tracing.py traces it 
 
 
 class ToleranceNotMetError(RuntimeError):
-    """The rules disagree beyond rounding, or a sum is not finite; carries the best estimate."""
+    """A density integral whose sum is not finite; carries that sum as the best
+    estimate, and an infinite error estimate, since the rule has no other."""
 
     def __init__(self, message: str, best_estimate: float, error_estimate: float):
         super().__init__(message)
@@ -67,72 +65,46 @@ class QuadratureSpec:
             raise ValidationError(f"scheme must be 'gauss', got {self.scheme!r}")
 
 
-#: the two rules agree to _REL_TOL of the integral or to _FLOOR sum_k |a_k (2 beta)^-k| S_k
-_REL_TOL, _FLOOR = 1e-10, 64.0 * np.finfo(float).eps
 #: the domain and window of a Polynomial that maps its argument to itself
 _DEFAULT_WINDOW = [-1.0, 1.0]
 
 
-@lru_cache(maxsize=None)
 def _density_rule(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    # read-only x nodes of the (n + 3)- and (n + 4)-point rules, concatenated,
-    # and chi^2 dr times the weights there: the eigenvalues x and eigenvectors
-    # v of the Jacobi matrix of L^(alpha) give the weights (alpha)! v[0]^2
-    alpha = 2 * ell + 2
+    # x nodes of the (n + 4)-point rule and chi^2 dr times the weights there:
+    # the eigenvalues x and eigenvectors v of the Jacobi matrix of L^(alpha)
+    # give the weights (alpha)! v[0]^2
+    alpha, m = 2 * ell + 2, n + 4
+    k = np.arange(1.0, m)
+    x, v = np.linalg.eigh(np.diag(2.0 * np.arange(m) + 1.0 + alpha)
+                          + np.diag(np.sqrt(k * (k + alpha)), -1))
     mass = float(_norm_ratio(n, ell) * factorial(alpha))
-    nodes, weights = [], []
-    for m in (n + 3, n + 4):
-        k = np.arange(1.0, m)
-        x, v = np.linalg.eigh(np.diag(2.0 * np.arange(m) + 1.0 + alpha)
-                              + np.diag(np.sqrt(k * (k + alpha)), -1))
-        nodes.append(x)
-        weights.append(mass * v[0] ** 2 * laguerre(n, 2 * ell + 1, x) ** 2)
-    x, density = np.concatenate(nodes), np.concatenate(weights)
-    x.setflags(write=False)
-    density.setflags(write=False)
-    return x, density
+    return x, mass * v[0] ** 2 * laguerre(n, 2 * ell + 1, x) ** 2
 
 
 @lru_cache(maxsize=None)
-def _rule_moments(n: int, ell: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    # S_k = sum_i w_i x_i^k, k = 0..5, of the (n + 3)- and the (n + 4)-point rule
+def _rule_moments(n: int, ell: int) -> tuple[float, ...]:
+    # S_k = sum_i w_i x_i^k, k = 0..5; reduceat adds the rows one after
+    # another, where .sum(axis=0) would group them and move the last bits
     x, density = _density_rule(n, ell)
-    sums = np.add.reduceat(density[:, None] * x[:, None] ** np.arange(6), (0, n + 3))
-    return tuple(tuple(row) for row in sums.tolist())
-
-
-def integrate_density_with_error(state: QuantumState, spec: ScreeningSpec, units: UnitSystem,
-                                 coef) -> tuple[float, float]:
-    """integral_0^inf chi^2(r) f(r) dr and its error estimate, the difference
-    of the (n + 4)- and (n + 3)-point rules, for f the polynomial in r with the
-    coefficients ``coef`` (at most six; see the module docstring).  Raises
-    ValidationError for more, or for a non-finite one, and ToleranceNotMetError
-    when a sum is not finite or the rules disagree beyond rounding."""
-    if len(coef) > 6 or not all(map(isfinite, coef)):
-        raise ValidationError(f"coef must be at most six finite numbers, got {coef!r}")
-    s, power, coarse, fine = 0.5 / coulomb_beta(state, spec, units), 1.0, 0.0, 0.0
-    coarse_moments, fine_moments = _rule_moments(state.n, state.ell)
-    # the powers (2 beta)^-k by products, so that one leaving the floats is inf
-    for a, coarse_k, fine_k in zip(coef, coarse_moments, fine_moments):
-        term, power = a * power, power * s
-        coarse += term * coarse_k
-        fine += term * fine_k
-    if not (isfinite(coarse) and isfinite(fine)):
-        raise ToleranceNotMetError("integral is not finite", fine, inf)
-    err = abs(fine - coarse)
-    if err > _REL_TOL * abs(fine) and err > _FLOOR * sum(
-            abs(a) * s**k * fine_k for k, (a, fine_k) in enumerate(zip(coef, fine_moments))):
-        m = state.n + 3
-        raise ToleranceNotMetError(
-            f"the {m}- and {m + 1}-point rules differ by {err:.3g}, beyond rounding", fine, err)
-    return fine, err
+    return tuple(np.add.reduceat(density[:, None] * x[:, None] ** np.arange(6), (0,))[0].tolist())
 
 
 def integrate_density(state: QuantumState, spec: ScreeningSpec, units: UnitSystem,
                       coef) -> float:
-    """integral_0^inf chi^2(r) f(r) dr for f the polynomial with coefficients ``coef``:
-    the value of :func:`integrate_density_with_error`, which says how it is accepted."""
-    return integrate_density_with_error(state, spec, units, coef)[0]
+    """integral_0^inf chi^2(r) f(r) dr for f the polynomial in r with the
+    coefficients ``coef`` (at most six; see the module docstring).  Raises
+    ValidationError for more, or for a non-finite one, and ToleranceNotMetError
+    when the sum is not finite."""
+    if len(coef) > 6 or not all(map(isfinite, coef)):
+        raise ValidationError(f"coef must be at most six finite numbers, got {coef!r}")
+    s, power, total = 0.5 / coulomb_beta(state, spec, units), 1.0, 0.0
+    # the powers (2 beta)^-k by products, so that one leaving the floats is inf
+    for a, s_k in zip(coef, _rule_moments(state.n, state.ell)):
+        total += a * power * s_k
+        power *= s
+    if not isfinite(total):
+        raise ToleranceNotMetError("integral is not finite", total, inf)
+    return total
 
 
 def first_order_energy_numeric(

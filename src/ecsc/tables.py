@@ -29,6 +29,7 @@ with half the first-order shift; see the package README for the analysis.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -435,6 +436,9 @@ def scan_delta(
 
 # --- rendering ---------------------------------------------------------------
 
+#: the characters that make csv.writer quote a cell
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+
 
 def _num(x) -> str:
     """One cell: a number to 9 significant digits, None empty, a string as is."""
@@ -444,16 +448,24 @@ def _num(x) -> str:
     return x if isinstance(x, str) else f"{x:.9g}"
 
 
+def _csv_text(x: str) -> str:
+    """A string CSV cell, quoted as RFC 4180 and ``csv.writer`` do when it
+    holds a comma, a quote or a line break, such as the label "(n=9,l=0)"."""
+    return '"' + x.replace('"', '""') + '"' if _CSV_SPECIAL.search(x) else x
+
+
 def render_text(fmt: str, header, rows, rule=None) -> str:
     """A CSV (``fmt`` "csv") or Markdown body: the header, then one line per row.
 
-    Every cell goes through ``_num``.  ``rule`` is the Markdown alignment of
-    each column ("---" or "---:"); by default "---".
+    Each cell goes through ``_num``, but a CSV string cell through
+    ``_csv_text``.  ``rule`` is the Markdown alignment of each column ("---"
+    or "---:"); by default "---".
     """
-    lines = [[_num(x) for x in row] for row in (header, *rows)]
     if fmt == "csv":
-        text = [",".join(line) for line in lines]
+        # a number formatted by _num holds no comma, so only strings are checked
+        text = [",".join([_csv_text(x) if isinstance(x, str) else _num(x) for x in row])
+                for row in (header, *rows)]
     else:
-        text = ["| " + " | ".join(line) + " |" for line in lines]
+        text = ["| " + " | ".join([_num(x) for x in row]) + " |" for row in (header, *rows)]
         text.insert(1, "|" + "".join(a + "|" for a in rule or ("---",) * len(header)))
     return "\n".join(text) + "\n"

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from ecsc import (
     ValidationError,
     coulomb_beta,
     coulomb_energy,
+    coulomb_norm,
     coulomb_wavefunction,
     laguerre,
     radial_moment,
@@ -124,6 +126,27 @@ class TestCoulombWavefunction:
         sig = vals[big]
         nodes = int(np.count_nonzero(np.signbit(sig[1:]) != np.signbit(sig[:-1])))
         assert nodes == n
+
+    @pytest.mark.parametrize("ell, strength", [(51, 1.0), (60, 1.0), (1, 1e100)],
+                             ids=["l=51", "l=60", "A=1e100"])
+    def test_norm_refused_outside_the_normal_floats(self, ell, strength):
+        # norm^2 = ratio (2 beta)^(2 ell + 3) is subnormal at l = 51, 0.0 at
+        # l = 60 (chi would be all zeros), and overflows at l = 1, A = 1e100
+        st, spec = QuantumState(0, ell), ScreeningSpec(delta=0.0, strength=strength)
+        match = re.escape(f"the {st.label} level with A = {strength:g}, hbar = 1 and m = 1 "
+                          "puts its norm^2 outside the normal floats")
+        with pytest.raises(ValidationError, match=match):
+            coulomb_norm(st, spec, ATOMIC)
+        with pytest.raises(ValidationError, match=match):
+            coulomb_wavefunction(st, spec, ATOMIC, 1.0)
+
+    def test_norm_kept_up_to_the_last_normal_square(self):
+        # l = 50 is the highest normal norm^2 at A = 1: chi still integrates to 1
+        st = QuantumState(0, 50)
+        two_beta = 2.0 * coulomb_beta(st, SPEC1, ATOMIC)
+        x, w = np.polynomial.laguerre.laggauss(80)
+        chi = coulomb_wavefunction(st, SPEC1, ATOMIC, x / two_beta)
+        assert np.sum(w * np.exp(x) * chi**2) / two_beta == pytest.approx(1.0, rel=1e-12)
 
     def test_orthogonality_fixed_ell(self):
         for ell in (0, 1):

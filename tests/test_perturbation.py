@@ -29,6 +29,7 @@ from ecsc import (
     wavefunction_polynomial,
 )
 from ecsc.coulomb import _moment_fraction
+from ecsc import perturbation
 from ecsc.perturbation import first_order_coefficient
 
 SQ2 = math.sqrt(2.0)
@@ -363,6 +364,23 @@ class TestGroundWavefunction:
         # the closed form with its Coulomb normalisation is still available
         psi, _, _ = ground_wavefunction(ell, ScreeningSpec(delta=delta), units)
         assert math.isfinite(psi(1.0))
+
+    def test_coulomb_normalisation_refused_at_high_ell(self):
+        # norm^2 underflows to 0.0 here, so psi would be all zeros
+        with pytest.raises(ValidationError, match="norm\\^2 outside the normal floats"):
+            ground_wavefunction(60, ScreeningSpec(delta=0.0), ATOMIC)
+
+    def test_renormalized_psi_needs_no_coulomb_norm(self, monkeypatch):
+        # renormalize=True replaces the Coulomb constant, so a refused one
+        # cannot make it raise; l = 50 is the highest level it returns here
+        def refuse(*args):
+            raise AssertionError("coulomb_norm")
+
+        monkeypatch.setattr(perturbation, "coulomb_norm", refuse)
+        for ell in (0, 10, 50):
+            psi, _, _ = ground_wavefunction(ell, ScreeningSpec(delta=0.0), ATOMIC,
+                                            renormalize=True)
+            assert psi(float((ell + 1) ** 2)) > 0.0
 
     def test_validity_radius(self):
         # infinite in the Coulomb limit, finite and beyond the bulk for delta > 0

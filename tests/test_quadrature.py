@@ -28,7 +28,6 @@ from ecsc import (
     first_order_energy_numeric,
     first_order_shift,
     integrate_density,
-    integrate_density_with_error,
     radial_moment,
     scan_delta,
     second_order_coefficients,
@@ -63,17 +62,16 @@ class TestQuadratureSpec:
 
 
 def _scipy_rule(n, ell):
-    """scipy's x nodes and weights of the (n + 3)- and (n + 4)-point
-    generalized Gauss-Laguerre rules with alpha = 2 ell + 2, concatenated."""
-    x, w = zip(*(roots_genlaguerre(m, 2 * ell + 2) for m in (n + 3, n + 4)))
-    return np.concatenate(x), np.concatenate(w)
+    """scipy's x nodes and weights of the (n + 4)-point generalized
+    Gauss-Laguerre rule with alpha = 2 ell + 2."""
+    return roots_genlaguerre(n + 4, 2 * ell + 2)
 
 
 class TestGaussLaguerreRule:
     @pytest.mark.parametrize("ell", range(11))
     def test_against_scipy(self, ell):
         # the gaps to scipy are at most 1.2e-15 relative in the nodes and
-        # 6.3e-15 in the chi^2 dx weights, whose rules each sum to 1
+        # 6.3e-15 in the chi^2 dx weights, which sum to 1
         for n in range(4):
             x, density = _density_rule(n, ell)
             want_x, want_w = _scipy_rule(n, ell)
@@ -85,17 +83,23 @@ class TestGaussLaguerreRule:
 class TestIntegrateDensity:
     @pytest.mark.parametrize("qspec", [None, GAUSS])
     def test_normalization(self, qspec):
-        _one_rule(qspec)
+        # and through E2: at delta = 0 a constant W1 = 1 leaves -integral chi^2
         st = state_from_label("1s")
         got = integrate_density(st, ScreeningSpec(delta=0.1), ATOMIC, (1.0,))
         assert got == pytest.approx(1.0, abs=1e-10)
+        e2 = second_order_energy_numeric(st, ScreeningSpec(delta=0.0), ATOMIC,
+                                         Polynomial([1.0]), qspec)
+        assert e2 == pytest.approx(-1.0, abs=1e-10)
 
     @pytest.mark.parametrize("qspec", [None, GAUSS])
     def test_ground_mean_square(self, qspec):
-        _one_rule(qspec)
+        # and through E2: at delta = 0, W1 = r leaves -integral chi^2 r^2
         st = state_from_label("1s")
         got = integrate_density(st, ScreeningSpec(delta=0.1), ATOMIC, (0.0, 0.0, 1.0))
         assert got == pytest.approx(3.0, abs=3e-10)
+        e2 = second_order_energy_numeric(st, ScreeningSpec(delta=0.0), ATOMIC,
+                                         Polynomial([0.0, 1.0]), qspec)
+        assert e2 == pytest.approx(-3.0, abs=3e-10)
 
     def test_2s_mean_square(self):
         st = state_from_label("2s")
@@ -113,14 +117,18 @@ class TestIntegrateDensity:
     @pytest.mark.parametrize("qspec", [None, GAUSS])
     @pytest.mark.parametrize("strength", [1.0, 0.1, 0.01])
     def test_acceptance_is_scale_free(self, qspec, strength):
-        # the same cancelling integral with every length 1, 10 and 100 times
-        # longer: it is accepted on the roundoff floor in every unit
-        _one_rule(qspec)
+        # the same cancelling integrals with every length 1, 10 and 100 times
+        # longer: they cancel to their rounding in every unit; in E2 the
+        # constant W1 with W1^2 = A delta^4/6 <r^3> cancels the r^3 term
         st = QuantumState(2, 3)
         spec = ScreeningSpec(delta=0.0, strength=strength)
         m2 = radial_moment(st, spec, ATOMIC, 2)
         got = integrate_density(st, spec, ATOMIC, (-m2, 0.0, 1.0))
         assert abs(got) <= 1e-14 * m2
+        spec = ScreeningSpec(delta=0.01 * strength, strength=strength)
+        r3 = spec.strength * spec.delta**4 / 6.0 * radial_moment(st, spec, ATOMIC, 3)
+        e2 = second_order_energy_numeric(st, spec, ATOMIC, Polynomial([math.sqrt(r3)]), qspec)
+        assert abs(e2) <= 1e-14 * r3
 
     @pytest.mark.parametrize("scheme", ["gauss"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -130,32 +138,13 @@ class TestIntegrateDensity:
         st = state_from_label("1s")
         for coef in ((value,), (0.0, 1.0, -value)):
             with pytest.raises(ValidationError, match="at most six finite numbers"):
-                integrate_density_with_error(st, ScreeningSpec(delta=0.0), ATOMIC, coef)
+                integrate_density(st, ScreeningSpec(delta=0.0), ATOMIC, coef)
 
     @pytest.mark.parametrize("kind", [tuple, list, np.array])
     def test_coefficients_are_any_sequence(self, kind):
         st = state_from_label("2s")
         got = integrate_density(st, ScreeningSpec(delta=0.1), ATOMIC, kind([0.0, 0.0, 1.0]))
         assert got == pytest.approx(42.0, abs=5e-9)
-
-    def test_rules_that_disagree_beyond_rounding_raise(self, monkeypatch):
-        # the (n + 4)-point sum is kept when the rules agree to 1e-10 of it,
-        # and refused, carrying it and the error, when they do not
-        st, spec = state_from_label("1s"), ScreeningSpec(delta=0.1)
-        coarse, fine = _rule_moments(0, 0)
-
-        def move_coarse(by):
-            moved = (tuple(m * (1.0 + by) for m in coarse), fine)
-            monkeypatch.setattr(ecsc.quadrature, "_rule_moments", lambda n, ell: moved)
-
-        move_coarse(1e-12)
-        got, err = integrate_density_with_error(st, spec, ATOMIC, (1.0,))
-        assert got == fine[0] and err == pytest.approx(1e-12 * coarse[0], rel=1e-3)
-        move_coarse(1e-8)
-        with pytest.raises(ToleranceNotMetError, match="beyond rounding") as exc:
-            integrate_density_with_error(st, spec, ATOMIC, (1.0,))
-        assert exc.value.best_estimate == fine[0]
-        assert exc.value.error_estimate == pytest.approx(1e-8 * coarse[0], rel=1e-3)
 
     def test_a_power_that_leaves_the_floats_is_not_finite(self):
         # (2 beta)^-3 overflows at A = 1e-150: a not-finite integral, not an
@@ -175,27 +164,20 @@ class TestIntegrateDensity:
 
     def test_tolerance_failure_carries_best_estimate(self):
         # finite coefficients whose sum leaves the floats: not finite, and
-        # the best estimate is the fine rule's sum
+        # the best estimate is the rule's sum
         st, coef = state_from_label("1s"), (0.0,) * 5 + (1e308,)
         with pytest.raises(ToleranceNotMetError, match="not finite") as exc:
-            integrate_density_with_error(st, ScreeningSpec(delta=0.0), ATOMIC, coef)
+            integrate_density(st, ScreeningSpec(delta=0.0), ATOMIC, coef)
         assert exc.value.best_estimate == math.inf and exc.value.error_estimate == math.inf
 
 
 class TestDensityCache:
-    """chi^2 dr is cached per (n, ell) in the unit-free x = 2 beta r."""
-
-    def test_arrays_are_read_only(self):
-        for n, ell in ((0, 0), (1, 2), (3, 60)):
-            for arr in _density_rule(n, ell):
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError):
-                    arr[0] = 1.0
+    """The rule's moments of chi^2 dr are cached per (n, ell) in the unit-free x = 2 beta r."""
 
     @pytest.mark.parametrize("units,strength", [(ATOMIC, 1.0), (HBAR2M, 8.0)])
     def test_matches_the_density_in_r(self, units, strength):
         # each weight is chi^2 dr at r = x / (2 beta) over x^(2 ell + 2) exp(-x) dx,
-        # times scipy's weight: node by node within 3.0e-15 (each rule sums to 1)
+        # times scipy's weight: node by node within 2.0e-15 (the weights sum to 1)
         spec = ScreeningSpec(delta=0.1, strength=strength)
         for n in range(3):
             for ell in range(4):
@@ -209,8 +191,8 @@ class TestDensityCache:
 
     @pytest.mark.parametrize("qspec", [None, GAUSS])
     def test_warm_integral_calls_no_laguerre(self, qspec, monkeypatch):
-        # nor np.linalg.eigh: a warm integral reads the cached moments alone
-        _one_rule(qspec)
+        # nor np.linalg.eigh: a warm integral, and a warm E2 under either
+        # spec, reads the cached moments alone
         st, spec = state_from_label("3d"), ScreeningSpec(delta=0.1)
         integrate_density(st, spec, ATOMIC, (0.0, 0.0, 1.0))
         calls = []
@@ -218,20 +200,22 @@ class TestDensityCache:
         monkeypatch.setattr(ecsc.quadrature, "laguerre", lambda *a: calls.append(a) or real(*a))
         monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(a) or real_eigh(*a))
         got = integrate_density(st, spec, HBAR2M, (0.0, 0.0, 1.0))
+        w1 = superpotential_first(st, spec, HBAR2M)
+        e2 = second_order_energy_numeric(st, spec, HBAR2M, w1, qspec)
         assert calls == []
         assert got == pytest.approx(radial_moment(st, spec, HBAR2M, 2), rel=1e-10)
+        assert e2 == pytest.approx(second_order_shift(st, spec, HBAR2M), rel=1e-9)
 
     def test_rule_moments_are_tuples_of_the_node_sums(self):
-        # six sums S_k = sum_i w_i x_i^k per rule, as Python floats, from the cached rule
+        # six sums S_k = sum_i w_i x_i^k, as Python floats, over the rule's n + 4 nodes
         for n, ell in ((0, 0), (2, 3), (3, 60)):
             x, density = _density_rule(n, ell)
+            assert x.shape == density.shape == (n + 4,)
             moments = _rule_moments(n, ell)
-            assert isinstance(moments, tuple) and len(moments) == 2
-            for rule, (lo, hi) in zip(moments, ((0, n + 3), (n + 3, 2 * n + 7))):
-                assert isinstance(rule, tuple) and len(rule) == 6
-                assert all(type(s) is float for s in rule)
-                want = [float(np.sum(density[lo:hi] * x[lo:hi] ** k)) for k in range(6)]
-                assert rule == pytest.approx(want, rel=1e-14)
+            assert isinstance(moments, tuple) and len(moments) == 6
+            assert all(type(s) is float for s in moments)
+            want = [float(np.sum(density * x**k)) for k in range(6)]
+            assert moments == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("qspec", [None, GAUSS])
@@ -355,7 +339,7 @@ class TestSecondOrderNumeric:
 
     def test_cancelling_integrand(self):
         # the E2 integrand of this level nearly cancels at this delta; the
-        # two rules agree on its roundoff floor
+        # rule's sum stays within its rounding
         st, delta = QuantumState(2, 3), 0.0872618
         spec = ScreeningSpec(delta=delta, strength=8.0)
         (row,) = scan_delta(st, 8.0, HBAR2M, delta, delta, 1).rows
@@ -553,7 +537,7 @@ class TestLayering:
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         found, filled = run.stdout.splitlines()
-        for cache in ("quadrature._density_rule", "quadrature._rule_moments", "radial._mesh"):
+        for cache in ("quadrature._rule_moments", "radial._mesh"):
             assert f"'ecsc.{cache}'" in found
         assert filled == "[]"
 

@@ -1,5 +1,7 @@
 import ast
+import csv
 import hashlib
+import io
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +13,7 @@ import ecsc
 from ecsc import (
     ATOMIC,
     HBAR2M,
+    QuantumState,
     ScreeningSpec,
     SecondOrderVariant,
     ToleranceNotMetError,
@@ -25,7 +28,7 @@ from ecsc import (
 from ecsc import perturbation
 from ecsc.cli import main
 from ecsc.core import MAX_SAMPLES
-from ecsc.tables import TABLES, TableResult
+from ecsc.tables import TABLES, TableResult, render_text
 
 
 class TestReproduceTables:
@@ -259,6 +262,24 @@ class TestScanDelta:
         text = res.to_csv_text()
         assert text.splitlines()[0].startswith("state,delta,E_analytic")
         assert len(text.strip().splitlines()) == 3
+
+    @pytest.mark.parametrize("n, ell", [(9, 0), (0, 8)], ids=["N=10", "l=8"])
+    def test_csv_quotes_a_label_with_a_comma(self, n, ell):
+        # a level with no spectroscopic label is named "(n=..,l=..)"; its cell
+        # is quoted, so every row has the header's nine fields
+        res = scan_delta(QuantumState(n, ell), 1.0, ATOMIC, 0.001, 0.001, 1)
+        text = res.to_csv_text()
+        rows = list(csv.reader(io.StringIO(text)))
+        assert [len(row) for row in rows] == [9, 9]
+        assert rows[1][0] == f"(n={n},l={ell})" == res.rows[0].state_label
+        assert text.splitlines()[1].startswith(f'"(n={n},l={ell})",0.001,')
+
+    def test_csv_quotes_as_csv_writer_does(self):
+        header, rows = ("a", "b,c"), [('say "hi"', 1.5), ("plain", None), ("two\nlines", 2)]
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\n").writerows(
+            [header] + [(a, "" if b is None else f"{b:.9g}") for a, b in rows])
+        assert render_text("csv", header, rows) == want.getvalue()
 
     def test_markdown_layout(self):
         res = scan_delta(state_from_label("3s"), 1.0, ATOMIC, 0.0, 1.0, 2, with_oracle=True)
