@@ -35,8 +35,10 @@ is the default because it reproduces the reference tables.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from math import sqrt
+from functools import lru_cache
+from math import inf, log, sqrt
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -81,7 +83,13 @@ def second_order_coefficients(
     The variant only matters for n = 1; the ground and second excited levels
     each have a single closed form.
     """
-    variant = SecondOrderVariant(variant)
+    return _second_order_coefficients(n, ell, SecondOrderVariant(variant))
+
+
+@lru_cache(maxsize=None)
+def _second_order_coefficients(n: int, ell: int, variant: SecondOrderVariant) -> tuple[int, int]:
+    # second_order_coefficients for a variant that is already an enum member;
+    # cached, since every table cell and scan point asks for the same few
     if n == 0:
         c4 = (ell + 1) ** 3 * (ell + 2) * (2 * ell + 3) * (2 * ell + 5)
         c6 = (ell + 1) ** 6 * (ell + 2) * (2 * ell + 3) * (8 * ell**2 + 37 * ell + 43)
@@ -122,7 +130,13 @@ def second_order_terms(
 ) -> tuple[float, float]:
     """The (quartic, sextic) pieces of E2, each returned positive; E2 = quartic - sextic."""
     _require_expansion(spec)
-    c4, c6 = second_order_coefficients(state.n, state.ell, variant)
+    return _second_order_terms(state, spec, units, SecondOrderVariant(variant))
+
+
+def _second_order_terms(state: QuantumState, spec: ScreeningSpec, units: UnitSystem,
+                        variant: SecondOrderVariant) -> tuple[float, float]:
+    # second_order_terms once the expansion is checked and the variant is a member
+    c4, c6 = _second_order_coefficients(state.n, state.ell, variant)
     hb, m = units.hbar, units.mass
     a_s, d = spec.strength, spec.delta
     quartic = hb**6 * c4 * d**4 / (24.0 * a_s**2 * m**3)
@@ -152,7 +166,8 @@ def total_energy(
     For n > 2 no second-order closed form exists; the breakdown carries
     e2 = 0 and is flagged ``first_order_only``.
     """
-    variant = SecondOrderVariant(variant)
+    if not isinstance(variant, SecondOrderVariant):  # a member skips the Enum call
+        variant = SecondOrderVariant(variant)
     e0 = coulomb_energy(state, spec, units)
     if spec.delta == 0.0:
         return EnergyBreakdown(e0, 0.0, 0.0, 0.0, variant)
@@ -160,7 +175,8 @@ def total_energy(
     linear = spec.strength * spec.delta
     e1 = first_order_shift(state, spec, units)
     if state.n <= 2:
-        return EnergyBreakdown(e0, linear, e1, second_order_shift(state, spec, units, variant), variant)
+        quartic, sextic = _second_order_terms(state, spec, units, variant)
+        return EnergyBreakdown(e0, linear, e1, quartic - sextic, variant)
     return EnergyBreakdown(e0, linear, e1, 0.0, variant, first_order_only=True)
 
 
@@ -233,6 +249,14 @@ def superpotential_first(state: QuantumState, spec: ScreeningSpec, units: UnitSy
     n = 1 only (see SecondOrderVariant); every other level and variant keeps
     the r^2 and r terms alone, and ``variant`` is read only for n = 1.
     """
+    return Polynomial(_superpotential_first_coefficients(state, spec, units, variant))
+
+
+def _superpotential_first_coefficients(
+    state: QuantumState, spec: ScreeningSpec, units: UnitSystem, variant: SecondOrderVariant
+) -> tuple[float, float, float]:
+    # the power-series coefficients (c0, c1, c2) of superpotential_first, the
+    # one place they are formed; scan_delta sums E2 from them directly
     _require_expansion(spec)
     wavenumber = coulomb_scales(spec.strength, units)[0]
     big_n = state.principal
@@ -240,7 +264,7 @@ def superpotential_first(state: QuantumState, spec: ScreeningSpec, units: UnitSy
     lin = big_n * (big_n + 1) / wavenumber
     const = (-2.0 * (big_n - 1) * big_n**2 / wavenumber**2
              if state.n == 1 and SecondOrderVariant(variant) is SecondOrderVariant.FULL else 0.0)
-    return Polynomial((pref * const, pref * lin, pref))
+    return pref * const, pref * lin, pref
 
 
 def superpotential_second_ground(ell: int, spec: ScreeningSpec, units: UnitSystem) -> Polynomial:
@@ -277,11 +301,27 @@ def wavefunction_polynomial(ell: int, spec: ScreeningSpec, units: UnitSystem) ->
     return Polynomial(np.pad(exponent.coef, (0, 6 - exponent.coef.size)))
 
 
+#: the log of the largest float, less a margin above the rounding of the logs
+#: that _norm_integral compares with it
+_LOG_FLOAT_MAX = log(sys.float_info.max) - 1e-10
+
+
 def _norm_integral(ell: int, poly: Polynomial, r_stop: float, points: int) -> float:
     """Integral of (r^(ell+1) exp(P(r)))^2 over [0, r_stop] by the
-    ``points``-point Gauss-Legendre rule."""
+    ``points``-point Gauss-Legendre rule, or inf when a factor r^(ell+1) or
+    exp(P), a squared term or the sum would leave the floats.  That is
+    decided from logs, before anything is exponentiated."""
     t, w = np.polynomial.legendre.leggauss(points)
     x = 0.5 * r_stop * (t + 1.0)
+    power, exponent = (ell + 1) * np.log(x), poly(x)
+    log_square = 2.0 * (power + exponent)
+    # the log of np.dot(w, square) by log-sum-exp; the integral adds log(r_stop / 2)
+    log_terms = log_square + np.log(w)
+    top = float(log_terms.max())
+    log_dot = top + log(float(np.exp(log_terms - top).sum()))
+    if max(power.max(), exponent.max(), log_square.max(), log_dot,
+           log_dot + log(0.5 * r_stop)) >= _LOG_FLOAT_MAX:
+        return inf
     return float(0.5 * r_stop * np.dot(w, (x ** (ell + 1) * np.exp(poly(x))) ** 2))
 
 
@@ -307,6 +347,9 @@ def ground_wavefunction(
     when a 300-point rule on the same interval differs from it by more than
     1e-10 relative: far past critical screening the density piles up
     against r_c, and no fixed rule resolves it (hbar2m 4f at delta = 0.15).
+    Also raises ValidationError, naming l, delta, A, hbar and m, when either
+    rule's integral overflows the floats (from l = 51 at A = hbar = m = 1 and
+    delta = 0, from l = 42 at delta = 0.001) or underflows to 0.
     """
     state = QuantumState(0, ell)
     poly = wavefunction_polynomial(ell, spec, units)
@@ -328,10 +371,17 @@ def ground_wavefunction(
     if renormalize:
         r_stop = min(60.0 / beta, r_c)
         val, check = (_norm_integral(ell, poly, r_stop, points) for points in (200, 300))
+        if inf in (val, check) or 0.0 in (val, check):
+            raise ValidationError(
+                f"cannot renormalize the l={ell} wavefunction at delta={spec.delta:g} with "
+                f"A = {spec.strength:g}, hbar = {units.hbar:g} and m = {units.mass:g}: its norm "
+                f"integral {'overflows the floats' if inf in (val, check) else 'underflows to 0'}"
+            )
         if not abs(val - check) <= 1e-10 * check:
             raise ValidationError(
                 f"cannot renormalize the l={ell} wavefunction at delta={spec.delta:g}: "
-                f"200- and 300-point rules give {val:.6g} and {check:.6g}"
+                f"200- and 300-point rules give {val:.6g} and {check:.6g}, "
+                f"{abs(val - check) / check:.3g} apart relative"
             )
         scale = 1.0 / sqrt(val)
     else:

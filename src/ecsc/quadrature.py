@@ -25,9 +25,13 @@ stays finite at high ell.  Only the six S_k are cached, per (n, ell) on first
 use, and they serve every strength and unit.  The sum is exact up to
 rounding, so it carries no error estimate and raises only when not finite.
 
-E2 expands the square of the closed-form superpotential its caller passes.
-This module imports none of the closed-form energies or exact moments it is
-used to check.
+E2 expands the square of the closed-form superpotential W1 = c0 + c1 r +
+c2 r^2 from its three coefficients, in one place, ``_second_order_integral``:
+``second_order_energy_numeric`` reads them from the ``Polynomial`` its caller
+passes, and ``ecsc.tables.scan_delta`` passes the three floats that
+``ecsc.perturbation.superpotential_first`` is built from.  This module
+imports none of the closed-form energies or exact moments it is used to
+check.
 """
 
 from __future__ import annotations
@@ -139,6 +143,12 @@ def second_order_energy_numeric(
             "w1 must be a Polynomial of degree <= 2 with the default domain and window, "
             f"got {w1!r}")
     c0, c1, c2 = w1.coef.tolist() + [0.0] * (3 - w1.coef.size)
+    return _second_order_integral(state, spec, units, c0, c1, c2)
+
+
+def _second_order_integral(state: QuantumState, spec: ScreeningSpec, units: UnitSystem,
+                           c0: float, c1: float, c2: float) -> float:
+    # E2 for W1 = c0 + c1 r + c2 r^2: the one expansion of A delta^4/6 r^3 - W1^2
     sixth = spec.strength * spec.delta**4 / 6.0
     return integrate_density(state, spec, units, (
         -c0 * c0, -2.0 * c0 * c1, -(c1 * c1 + 2.0 * c0 * c2), sixth - 2.0 * c1 * c2, -c2 * c2))

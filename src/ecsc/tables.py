@@ -44,14 +44,15 @@ from .core import (
     ValidationError,
     state_from_label,
 )
-from .coulomb import coulomb_energy
-from .perturbation import superpotential_first, total_energy
+from .perturbation import _superpotential_first_coefficients, total_energy
 from .potential import effective_potential
-from .quadrature import (
-    first_order_energy_numeric,
-    second_order_energy_numeric,
-)
+from .quadrature import _second_order_integral, first_order_energy_numeric
 from .radial import NoBoundStateError, default_solver_config, solve_bound_state
+
+# perfbench/tracing.py wraps each of these three bindings of ecsc.tables
+from .coulomb import coulomb_energy  # noqa: F401  ecsc.tables.coulomb_energy
+from .perturbation import superpotential_first  # noqa: F401  ecsc.tables.superpotential_first
+from .quadrature import second_order_energy_numeric  # noqa: F401  ecsc.tables.second_order_energy_numeric
 
 # --- frozen reference data -------------------------------------------------
 # each row follows its table's ``columns``; None marks a value not published
@@ -362,23 +363,31 @@ _SCAN_REFERENCES = {
 }
 
 
-def _reference_for(state: QuantumState, strength: float, units: UnitSystem, delta: float):
+def _references_for(state: QuantumState, strength: float, units: UnitSystem):
+    """The (delta, E) pairs a scan of ``state`` is compared with: those of the
+    bundled atomic tables, which hold only for hbar = m = A = 1."""
     if units.hbar != 1.0 or units.mass != 1.0 or strength != 1.0:
-        return None
-    for row_delta, energy in _SCAN_REFERENCES.get((state.n, state.ell), ()):
+        return ()
+    return _SCAN_REFERENCES.get((state.n, state.ell), ())
+
+
+def _reference_at(references, delta: float):
+    for row_delta, energy in references:
         if abs(row_delta - delta) < 1e-12:
             return energy
     return None
 
 
-def _quadrature_total(state, spec, units, variant) -> float:
-    e0 = coulomb_energy(state, spec, units)
+def _quadrature_total(state, spec, units, closed) -> float:
+    # E0 and A delta from the closed-form breakdown, E1 and E2 by density
+    # quadrature, E2 summed from the coefficients of W1 without a Polynomial
     if spec.delta == 0.0:
-        return e0
+        return closed.e0
     e1 = first_order_energy_numeric(state, spec, units)
-    e2 = second_order_energy_numeric(state, spec, units,
-                                     superpotential_first(state, spec, units, variant))
-    return e0 + spec.strength * spec.delta + e1 + e2
+    e2 = _second_order_integral(
+        state, spec, units,
+        *_superpotential_first_coefficients(state, spec, units, closed.variant))
+    return closed.e0 + closed.linear_shift + e1 + e2
 
 
 def scan_delta(
@@ -406,11 +415,14 @@ def scan_delta(
     else:
         span = delta_end - delta_start
         deltas = [delta_start + span * i / (steps - 1) for i in range(steps)]
+    label, references = state.label, _references_for(state, strength, units)
     rows = []
     for delta in deltas:
         spec = ScreeningSpec(delta=delta, strength=strength)
-        analytic = total_energy(state, spec, units, variant).total
-        quadrature = _quadrature_total(state, spec, units, variant)
+        closed = total_energy(state, spec, units, variant)
+        # the first breakdown coerces the variant, and the later ones reuse it
+        variant = closed.variant
+        quadrature = _quadrature_total(state, spec, units, closed)
         oracle_val, status = None, ""
         if with_oracle:
             pot = lambda r: effective_potential(r, spec, state.ell, units)
@@ -422,13 +434,13 @@ def scan_delta(
                 status = "no-bound-state"
         rows.append(
             ComparisonRow(
-                state_label=state.label,
+                state_label=label,
                 delta=delta,
-                analytic=analytic,
+                analytic=closed.total,
                 quadrature=quadrature,
                 oracle=oracle_val,
                 oracle_status=status,
-                reference=_reference_for(state, strength, units, delta),
+                reference=_reference_at(references, delta),
             )
         )
     return ScanResult(tuple(rows))

@@ -276,6 +276,21 @@ class TestSuperpotentials:
                     full = n == 1 and SecondOrderVariant(variant) is SecondOrderVariant.FULL
                     assert (w1.coef[0] != 0.0) == full, (n, ell, variant)
 
+    @pytest.mark.parametrize("units", [ATOMIC, HBAR2M], ids=["atomic", "hbar2m"])
+    @pytest.mark.parametrize("strength", [1.0, 8.0])
+    @pytest.mark.parametrize("variant", list(SecondOrderVariant), ids=lambda v: v.name)
+    def test_w1_is_the_polynomial_of_its_coefficients(self, units, strength, variant):
+        # superpotential_first and the scan's E2 read the same three floats
+        for delta in (0.0, 0.03, 0.1):
+            spec = ScreeningSpec(delta=delta, strength=strength)
+            for n in range(4):
+                for ell in range(4):
+                    st = QuantumState(n, ell)
+                    coefficients = perturbation._superpotential_first_coefficients(
+                        st, spec, units, variant)
+                    w1 = superpotential_first(st, spec, units, variant)
+                    assert w1.coef.tolist() == list(coefficients), (delta, n, ell)
+
     def test_w1_vanishes_without_screening(self):
         spec = ScreeningSpec(delta=0.0)
         for label in ("1s", "2s", "3d"):
@@ -364,6 +379,37 @@ class TestGroundWavefunction:
         # the closed form with its Coulomb normalisation is still available
         psi, _, _ = ground_wavefunction(ell, ScreeningSpec(delta=delta), units)
         assert math.isfinite(psi(1.0))
+
+    @pytest.mark.parametrize("ell, delta", [(51, 0.0), (42, 0.001)])
+    def test_renormalization_refused_where_the_norm_integral_overflows(self, ell, delta):
+        # the first l at which a term of the 200-point sum leaves the floats;
+        # the refusal comes before the overflow, so no RuntimeWarning is raised
+        with pytest.raises(ValidationError, match=(
+                f"^cannot renormalize the l={ell} wavefunction at delta={delta:g} with "
+                "A = 1, hbar = 1 and m = 1: its norm integral overflows the floats$")):
+            ground_wavefunction(ell, ScreeningSpec(delta=delta), ATOMIC, renormalize=True)
+
+    @pytest.mark.parametrize("ell, delta", [(50, 0.0), (41, 0.001)])
+    def test_norm_integral_below_the_overflow_is_the_plain_sum(self, ell, delta):
+        spec = ScreeningSpec(delta=delta)
+        psi, poly, r_c = ground_wavefunction(ell, spec, ATOMIC, renormalize=True)
+        assert psi(float((ell + 1) ** 2)) > 0.0
+        r_stop = min(60.0 * (ell + 1), r_c)
+        t, w = np.polynomial.legendre.leggauss(200)
+        x = 0.5 * r_stop * (t + 1.0)
+        plain = 0.5 * r_stop * np.dot(w, (x ** (ell + 1) * np.exp(poly(x))) ** 2)
+        assert perturbation._norm_integral(ell, poly, r_stop, 200) == float(plain)
+
+    def test_renormalization_refused_where_the_norm_integral_underflows(self):
+        # the rules' sums are 0.0 here, which 1/sqrt would divide by
+        with pytest.raises(ValidationError, match="l=15 .* its norm integral underflows to 0$"):
+            ground_wavefunction(15, ScreeningSpec(delta=0.05), ATOMIC, renormalize=True)
+
+    def test_rule_disagreement_gives_the_relative_gap(self):
+        # both sums print alike to 6 digits; the gap tells them apart
+        with pytest.raises(ValidationError, match=(
+                r"give 3\.05354e\+147 and 3\.05354e\+147, \d\.\d\de-\d\d apart relative$")):
+            ground_wavefunction(16, ScreeningSpec(delta=0.01), ATOMIC, renormalize=True)
 
     def test_coulomb_normalisation_refused_at_high_ell(self):
         # norm^2 underflows to 0.0 here, so psi would be all zeros

@@ -18,12 +18,15 @@ from ecsc import (
     SecondOrderVariant,
     ToleranceNotMetError,
     ValidationError,
+    coulomb_energy,
+    first_order_energy_numeric,
     ground_wavefunction,
     reproduce_table,
     scan_delta,
     second_order_energy_numeric,
     state_from_label,
     superpotential_first,
+    total_energy,
 )
 from ecsc import perturbation
 from ecsc.cli import main
@@ -307,6 +310,36 @@ class TestScanDelta:
             scan_delta(state_from_label("1s"), 1.0, ATOMIC, 0.01, 0.02, 1)
         (row,) = scan_delta(state_from_label("1s"), 1.0, ATOMIC, 0.02, 0.02, 1).rows
         assert row.delta == 0.02
+
+
+def _composed_quadrature(state, spec, units, variant):
+    """The quadrature column composed from the public functions."""
+    e2 = second_order_energy_numeric(state, spec, units,
+                                     superpotential_first(state, spec, units, variant))
+    return (coulomb_energy(state, spec, units) + spec.strength * spec.delta
+            + first_order_energy_numeric(state, spec, units) + e2)
+
+
+class TestScanComposition:
+    """scan_delta's columns equal, bit for bit, the closed form and the
+    composition of the public density integrals."""
+
+    @pytest.mark.parametrize("units", [ATOMIC, HBAR2M], ids=["atomic", "hbar2m"])
+    @pytest.mark.parametrize("strength", [1.0, 8.0])
+    @pytest.mark.parametrize("variant", list(SecondOrderVariant), ids=lambda v: v.name)
+    def test_columns_equal_the_composition(self, units, strength, variant):
+        for n in range(4):
+            for ell in range(4):
+                st = QuantumState(n, ell)
+                rows = [row for delta in (0.0, 0.05)
+                        for row in scan_delta(st, strength, units, delta, delta, 1,
+                                              variant=variant).rows]
+                rows += scan_delta(st, strength, units, 0.0, 0.1, 5, variant=variant).rows
+                for row in rows:
+                    spec = ScreeningSpec(delta=row.delta, strength=strength)
+                    assert row.analytic == total_energy(st, spec, units, variant).total
+                    assert row.quadrature == _composed_quadrature(st, spec, units, variant), (
+                        n, ell, row.delta)
 
 
 class TestCli:

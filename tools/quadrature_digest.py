@@ -1,7 +1,7 @@
-"""Digest of the quadrature's E1 and E2 over a fixed sweep, to check that a
-refactor of ``ecsc.quadrature`` leaves every value bit-identical, and
-per-case records to check that a change which moves values keeps them
-within rounding.
+"""Digest of the quadrature's E1 and E2 and of ``scan_delta``'s quadrature
+column over a fixed sweep, to check that a refactor of ``ecsc.quadrature``
+or of the scan leaves every value bit-identical, and per-case records to
+check that a change which moves values keeps them within rounding.
 
 Run it once per tree and compare the printed lines:
 
@@ -21,15 +21,19 @@ superpotentials differ only for n = 1, so the FULL and TRUNCATED cases
 of every other level are equal.  Each case adds
 ``float.hex`` of ``first_order_energy_numeric`` and of
 ``second_order_energy_numeric`` with that superpotential to one SHA-256
-digest.  The line also gives the case count and the largest relative gap
-of E1 from the closed form ``first_order_shift``.
+digest, and ``float.hex`` of the quadrature column of
+``scan_delta(state, A, units, delta, delta, 1, variant=variant)``, which is
+E0 + A delta + E1 + E2, to a second one.  The line also gives the case
+count and the largest relative gap of E1 from the closed form
+``first_order_shift``.
 
-A record holds the case, E1 and E2 as ``float.hex``, and for each the
-integral of chi^2 |f| over its integrand f, the scale of its rounding, by a
-100-point Gauss-Laguerre rule in x = 2 beta r (|f| has kinks, so this is a
-scale good to about 1e-2, not a value).  ``--compare`` prints the largest gaps of
-E1 and E2 in units of eps times that integral and exits 1 when a value moved
-by more than 64 of them.
+A record holds the case, E1, E2 and the scan value as ``float.hex``.  For
+E1 and E2 it also holds the integral of chi^2 |f| over the integrand f, the
+scale of its rounding, by a 100-point Gauss-Laguerre rule in x = 2 beta r
+(|f| has kinks, so this is a scale good to about 1e-2, not a value); for
+the scan value, |E0| + A delta plus those two integrals.  ``--compare``
+prints the largest gaps of each value in units of eps times its scale and
+exits 1 when a value moved by more than 64 of them.
 """
 
 from __future__ import annotations
@@ -49,9 +53,11 @@ from ecsc import (
     ScreeningSpec,
     SecondOrderVariant,
     coulomb_beta,
+    coulomb_energy,
     coulomb_wavefunction,
     first_order_energy_numeric,
     first_order_shift,
+    scan_delta,
     second_order_energy_numeric,
     superpotential_first,
 )
@@ -72,8 +78,8 @@ def _absolute_integral(state, spec, units, f) -> float:
     return float(np.sum(_W * np.exp(_X) * chi**2 * np.abs(f(r)))) / two_beta
 
 
-def _digest(records=None) -> tuple[int, str, float]:
-    digest = hashlib.sha256()
+def _digest(records=None) -> tuple[int, str, str, float]:
+    digest, scan_digest = hashlib.sha256(), hashlib.sha256()
     count, gap = 0, 0.0
     for n in range(4):
         for ell in range(5):
@@ -89,26 +95,31 @@ def _digest(records=None) -> tuple[int, str, float]:
                             w1 = superpotential_first(state, spec, units, variant)
                             e2 = second_order_energy_numeric(state, spec, units, w1)
                             digest.update(f"{e1.hex()} {e2.hex()}\n".encode())
+                            scan = scan_delta(state, strength, units, spec.delta, spec.delta, 1,
+                                              variant=variant).rows[0].quadrature
+                            scan_digest.update(f"{scan.hex()}\n".encode())
                             count += 1
                             if records is None:
                                 continue
                             a_d3 = strength * spec.delta**3 / 3.0
                             sixth = strength * spec.delta**4 / 6.0
+                            abs_e1 = _absolute_integral(state, spec, units, lambda r: a_d3 * r**2)
+                            abs_e2 = _absolute_integral(
+                                state, spec, units, lambda r: sixth * r**3 - w1(r) ** 2)
                             records.write(json.dumps({
                                 "case": f"{state.label} {units.label} A={strength:g} "
                                         f"delta={spec.delta:.2f} {variant.name}",
-                                "e1": e1.hex(), "e2": e2.hex(),
-                                "abs_e1": _absolute_integral(
-                                    state, spec, units, lambda r: a_d3 * r**2),
-                                "abs_e2": _absolute_integral(
-                                    state, spec, units, lambda r: sixth * r**3 - w1(r) ** 2),
+                                "e1": e1.hex(), "e2": e2.hex(), "scan": scan.hex(),
+                                "abs_e1": abs_e1, "abs_e2": abs_e2,
+                                "abs_scan": (abs(coulomb_energy(state, spec, units))
+                                             + strength * spec.delta + abs_e1 + abs_e2),
                             }) + "\n")
-    return count, digest.hexdigest(), gap
+    return count, digest.hexdigest(), scan_digest.hexdigest(), gap
 
 
 def compare(old_path: str, new_path: str) -> int:
-    """Print the largest gaps of E1 and E2 between two record files, in
-    units of eps times integral chi^2 |f|; 1 when one exceeds MULTIPLE."""
+    """Print the largest gaps of E1, E2 and the scan value between two record
+    files, in units of eps times each one's scale; 1 when one exceeds MULTIPLE."""
     with open(old_path, encoding="utf-8") as fh:
         old = [json.loads(line) for line in fh]
     with open(new_path, encoding="utf-8") as fh:
@@ -117,7 +128,7 @@ def compare(old_path: str, new_path: str) -> int:
         print("the two files do not hold the same cases")
         return 1
     failures = 0
-    for key in ("e1", "e2"):
+    for key in ("e1", "e2", "scan"):
         gaps, same = [], 0
         for a, b in zip(old, new):
             before, after = float.fromhex(a[key]), float.fromhex(b[key])
@@ -144,8 +155,8 @@ def main() -> int:
     if args.compare:
         return compare(*args.compare)
     with open(args.records, "w", encoding="utf-8") if args.records else nullcontext() as records:
-        count, digest, gap = _digest(records)
-    print(f"cases={count} sha256={digest} e1_max_rel_gap={gap:.3g}")
+        count, digest, scan_digest, gap = _digest(records)
+    print(f"cases={count} sha256={digest} scan_sha256={scan_digest} e1_max_rel_gap={gap:.3g}")
     return 0
 
 
