@@ -1,8 +1,9 @@
 """Bound states of the exponential-cosine-screened Coulomb potential.
 
-Closed-form perturbative energies and wavefunctions, a quadrature engine
-that cross-checks every closed form, an independent Lagrange-mesh
-eigensolver, and a CLI that reproduces the bundled reference tables.
+Closed-form perturbative energies and wavefunctions, density integrals
+over the exact Coulomb moments that cross-check every closed form, an
+independent Lagrange-mesh eigensolver, and a CLI that reproduces the
+bundled reference tables.
 """
 
 from .core import (

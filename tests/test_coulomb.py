@@ -1,11 +1,12 @@
 import math
 import re
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import eval_genlaguerre
+from scipy.special import eval_genlaguerre, roots_genlaguerre
 
 from ecsc import (
     ATOMIC,
@@ -21,6 +22,7 @@ from ecsc import (
     radial_moment,
     state_from_label,
 )
+from ecsc.coulomb import _moment_fraction, _norm_ratio
 
 SPEC1 = ScreeningSpec(delta=0.0, strength=1.0)
 
@@ -184,6 +186,21 @@ class TestRadialMoment:
             0.0, 80.0 / beta, limit=300,
         )
         assert radial_moment(st, spec, ATOMIC, k) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("ell", range(12))
+    def test_moment_fractions_against_a_gauss_laguerre_rule(self, ell):
+        # <x^k>, x = 2 beta r, k <= 5: scipy's (n + 4)-point generalized
+        # Gauss-Laguerre rule with alpha = 2 ell + 2 is exact for chi^2 x^k,
+        # its weights scaled to sum to the one exact rational norm^2 (2 ell + 2)!;
+        # the largest gap seen was 1.3e-14
+        alpha = 2 * ell + 2
+        for n in range(6):
+            x, w, mu = roots_genlaguerre(n + 4, alpha, mu=True)
+            mass = float(_norm_ratio(n, ell) * factorial(alpha))
+            density = mass * w / mu * eval_genlaguerre(n, alpha - 1, x) ** 2
+            for k in range(6):
+                want = float(np.sum(density * x**k))
+                assert float(_moment_fraction(n, ell, k)) == pytest.approx(want, rel=3e-14), (n, k)
 
     def test_divergent_request_rejected(self):
         with pytest.raises(ValidationError):

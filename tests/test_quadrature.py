@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
-from scipy.special import eval_genlaguerre, roots_genlaguerre
 
 import ecsc
 import ecsc.quadrature
@@ -24,7 +23,6 @@ from ecsc import (
     ValidationError,
     coulomb_beta,
     coulomb_energy,
-    coulomb_wavefunction,
     first_order_energy_numeric,
     first_order_shift,
     integrate_density,
@@ -37,8 +35,7 @@ from ecsc import (
     state_from_label,
     superpotential_first,
 )
-from ecsc.coulomb import _moment_fraction, _norm_ratio
-from ecsc.quadrature import _density_rule, _rule_moments
+from ecsc.coulomb import _moment_fraction
 
 SQ2 = math.sqrt(2.0)
 GAUSS = QuadratureSpec(scheme="gauss")
@@ -53,25 +50,6 @@ class TestQuadratureSpec:
         for scheme in ("monte-carlo", "adaptive"):
             with pytest.raises(ValidationError):
                 QuadratureSpec(scheme=scheme)
-
-
-def _scipy_rule(n, ell):
-    """scipy's x nodes and weights of the (n + 4)-point generalized
-    Gauss-Laguerre rule with alpha = 2 ell + 2."""
-    return roots_genlaguerre(n + 4, 2 * ell + 2)
-
-
-class TestGaussLaguerreRule:
-    @pytest.mark.parametrize("ell", range(11))
-    def test_against_scipy(self, ell):
-        # the gaps to scipy are at most 1.2e-15 relative in the nodes and
-        # 6.3e-15 in the chi^2 dx weights, which sum to 1
-        for n in range(4):
-            x, density = _density_rule(n, ell)
-            want_x, want_w = _scipy_rule(n, ell)
-            want = float(_norm_ratio(n, ell)) * want_w * eval_genlaguerre(n, 2 * ell + 1, want_x) ** 2
-            assert np.max(np.abs(x - want_x) / want_x) <= 5e-15
-            assert np.max(np.abs(density - want)) <= 3e-14
 
 
 class TestIntegrateDensity:
@@ -156,7 +134,7 @@ class TestIntegrateDensity:
 
     def test_tolerance_failure_carries_best_estimate(self):
         # finite coefficients whose sum leaves the floats: not finite, and
-        # the best estimate is the rule's sum
+        # the best estimate is that sum
         st, coef = state_from_label("1s"), (0.0,) * 5 + (1e308,)
         with pytest.raises(ToleranceNotMetError, match="not finite") as exc:
             integrate_density(st, ScreeningSpec(delta=0.0), ATOMIC, coef)
@@ -164,50 +142,26 @@ class TestIntegrateDensity:
 
 
 class TestDensityCache:
-    """The rule's moments of chi^2 dr are cached per (n, ell) in the unit-free x = 2 beta r."""
-
-    @pytest.mark.parametrize("units,strength", [(ATOMIC, 1.0), (HBAR2M, 8.0)])
-    def test_matches_the_density_in_r(self, units, strength):
-        # each weight is chi^2 dr at r = x / (2 beta) over x^(2 ell + 2) exp(-x) dx,
-        # times scipy's weight: node by node within 2.0e-15 (the weights sum to 1)
-        spec = ScreeningSpec(delta=0.1, strength=strength)
-        for n in range(3):
-            for ell in range(4):
-                st = QuantumState(n, ell)
-                two_beta = 2.0 * coulomb_beta(st, spec, units)
-                _, density = _density_rule(n, ell)
-                want_x, want_w = _scipy_rule(n, ell)
-                chi = coulomb_wavefunction(st, spec, units, want_x / two_beta)
-                want = chi**2 * want_w * np.exp(want_x) / want_x ** (2 * ell + 2) / two_beta
-                assert np.max(np.abs(density - want)) <= 2e-14
+    """The exact moments of chi^2 dr are cached per (n, ell) in the unit-free x = 2 beta r."""
 
     @pytest.mark.parametrize("qspec", [None, GAUSS])
     def test_warm_integral_calls_no_laguerre(self, qspec, monkeypatch):
-        # nor np.linalg.eigh: a warm integral, and a warm E2 under either
-        # spec, reads the cached moments alone
+        # nor np.linalg.eigh, cold or warm: the first integral of a level
+        # fills its cached moments from exact rationals, and a later integral,
+        # and an E2 under either spec, reads them alone
         st, spec = state_from_label("3d"), ScreeningSpec(delta=0.1)
-        integrate_density(st, spec, ATOMIC, (0.0, 0.0, 1.0))
         calls = []
         real, real_eigh = ecsc.quadrature.laguerre, np.linalg.eigh
         monkeypatch.setattr(ecsc.quadrature, "laguerre", lambda *a: calls.append(a) or real(*a))
         monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(a) or real_eigh(*a))
+        ecsc.quadrature._moments.cache_clear()
+        integrate_density(st, spec, ATOMIC, (0.0, 0.0, 1.0))
         got = integrate_density(st, spec, HBAR2M, (0.0, 0.0, 1.0))
         w1 = superpotential_first(st, spec, HBAR2M)
         e2 = second_order_energy_numeric(st, spec, HBAR2M, w1, qspec)
         assert calls == []
         assert got == pytest.approx(radial_moment(st, spec, HBAR2M, 2), rel=1e-10)
         assert e2 == pytest.approx(second_order_shift(st, spec, HBAR2M), rel=1e-9)
-
-    def test_rule_moments_are_tuples_of_the_node_sums(self):
-        # six sums S_k = sum_i w_i x_i^k, as Python floats, over the rule's n + 4 nodes
-        for n, ell in ((0, 0), (2, 3), (3, 60)):
-            x, density = _density_rule(n, ell)
-            assert x.shape == density.shape == (n + 4,)
-            moments = _rule_moments(n, ell)
-            assert isinstance(moments, tuple) and len(moments) == 6
-            assert all(type(s) is float for s in moments)
-            want = [float(np.sum(density * x**k)) for k in range(6)]
-            assert moments == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("qspec", [None, GAUSS])
@@ -241,7 +195,7 @@ class TestDensityCache:
     def test_matches_exact_moment_sums(self, units, strength, scale):
         # chi^2 times a polynomial of degree <= 5, n <= 3, ell <= 60: within
         # 1e-13 of integral chi^2 |f| of the exact Fraction sum, for each r^k
-        # the rules take and some sums of them; r^k - <r^k> cancels to the
+        # the sum takes and some sums of them; r^k - <r^k> cancels to the
         # rounding of <r^k>; the largest gap seen was 1.1e-14
         spec = ScreeningSpec(delta=0.0, strength=strength * scale)
         polys = ((0, 0, 1), (0, 0, 0, 1), (1, 1, 1, 1, 1))
@@ -265,7 +219,7 @@ class TestDensityCache:
 
 
 class TestCutoff:
-    """The rule has no cutoff: a wide level is integrated exactly."""
+    """The sum has no cutoff: a wide level is integrated exactly."""
 
     def test_wide_level_moment(self):
         # (5,5) spreads furthest of the levels tested, past r = 40/beta
@@ -279,6 +233,40 @@ class TestCutoff:
         spec = ScreeningSpec(delta=0.0)
         m2 = radial_moment(st, spec, ATOMIC, 2)
         assert abs(integrate_density(st, spec, ATOMIC, (-m2, 0.0, 1.0))) <= 1e-14 * m2
+
+
+def _assert_scan_matches_moments(st, strength, units, delta):
+    """The one-point scan's quadrature column is E0 + A delta + E1 + E2, E2 the
+    integral of A delta^4/6 r^3 - W1^2 from ``radial_moment``, within the
+    tolerance perfbench's cross-check points apply."""
+    spec = ScreeningSpec(delta=delta, strength=strength)
+    (row,) = scan_delta(st, strength, units, delta, delta, 1).rows
+    square = (superpotential_first(st, spec, units) ** 2).coef
+    mom = lambda k: radial_moment(st, spec, units, k)
+    e2 = strength * delta**4 / 6.0 * mom(3) - sum(c * mom(k) for k, c in enumerate(square))
+    e0 = coulomb_energy(st, spec, units)
+    e1 = first_order_shift(st, spec, units)
+    tolerance = 1e-10 * abs(e1) + 1e-9 * abs(e2) + 4.0 * math.ulp(e0)
+    assert abs(row.quadrature - (e0 + strength * delta + e1 + e2)) <= tolerance
+
+
+class TestDeepLevels:
+    """From n = 22 on, sums over a float Gauss-Laguerre rule went wrong with
+    no error: its tiny tail weights keep only absolute accuracy, and
+    L_n(x)^2 is huge there.  The exact moments hold at every n."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ell", [0, 5])
+    @pytest.mark.parametrize("n", [22, 25, 30])
+    def test_normalization_and_first_order(self, n, ell):
+        st, spec = QuantumState(n, ell), ScreeningSpec(delta=1e-4)
+        assert integrate_density(st, spec, ATOMIC, (1.0,)) == pytest.approx(1.0, abs=1e-14)
+        closed = first_order_shift(st, spec, ATOMIC)
+        assert first_order_energy_numeric(st, spec, ATOMIC) == pytest.approx(closed, rel=1e-12)
+
+    @pytest.mark.parametrize("ell", [0, 5])
+    def test_scan_quadrature_column(self, ell):
+        _assert_scan_matches_moments(QuantumState(30, ell), 1.0, ATOMIC, 1e-4)
 
 
 class TestFirstOrderNumeric:
@@ -331,17 +319,8 @@ class TestSecondOrderNumeric:
 
     def test_cancelling_integrand(self):
         # the E2 integrand of this level nearly cancels at this delta; the
-        # rule's sum stays within its rounding
-        st, delta = QuantumState(2, 3), 0.0872618
-        spec = ScreeningSpec(delta=delta, strength=8.0)
-        (row,) = scan_delta(st, 8.0, HBAR2M, delta, delta, 1).rows
-        square = (superpotential_first(st, spec, HBAR2M) ** 2).coef
-        mom = lambda k: radial_moment(st, spec, HBAR2M, k)
-        e2 = 8.0 * delta**4 / 6.0 * mom(3) - sum(c * mom(k) for k, c in enumerate(square))
-        e0 = coulomb_energy(st, spec, HBAR2M)
-        e1 = first_order_shift(st, spec, HBAR2M)
-        tolerance = 1e-10 * abs(e1) + 1e-9 * abs(e2) + 4.0 * math.ulp(e0)
-        assert abs(row.quadrature - (e0 + 8.0 * delta + e1 + e2)) <= tolerance
+        # sum stays within its rounding
+        _assert_scan_matches_moments(QuantumState(2, 3), 8.0, HBAR2M, 0.0872618)
 
     @pytest.mark.parametrize("units,strength", [(ATOMIC, 1.0), (HBAR2M, 8.0)])
     def test_ground_equivalence_grid(self, units, strength):
@@ -489,13 +468,13 @@ def _imported_modules(tree: ast.AST):
 class TestLayering:
     # the three routes stay independent: none imports another or the tables,
     # and the eigensolver does not even use the Coulomb basis; the quadrature
-    # has one rule, no QUADPACK beside it, and does not import the exact
-    # moments it is checked against
+    # sums the exact moments of the density, with no QUADPACK beside them,
+    # and does not import radial_moment, the float moments it is checked against
     @pytest.mark.parametrize(
         "route, forbidden",
         [
             ("quadrature", ("ecsc.perturbation", "ecsc.radial", "ecsc.tables", "scipy.integrate",
-                            "ecsc.coulomb.radial_moment", "ecsc.coulomb._moment_fraction")),
+                            "ecsc.coulomb.radial_moment")),
             ("perturbation", ("ecsc.quadrature", "ecsc.radial", "ecsc.tables")),
             ("radial", ("ecsc.quadrature", "ecsc.perturbation", "ecsc.tables", "ecsc.coulomb")),
         ],
@@ -517,7 +496,7 @@ class TestLayering:
         assert [m for m in _imported_modules(tree) if m.split(".")[0] == "scipy"] == []
 
     def test_import_fills_no_cache(self):
-        # rules, meshes and densities are built on first use, not at import
+        # moments, meshes and densities are built on first use, not at import
         src = str(Path(ecsc.__file__).parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -529,7 +508,7 @@ class TestLayering:
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         found, filled = run.stdout.splitlines()
-        for cache in ("quadrature._rule_moments", "radial._mesh"):
+        for cache in ("quadrature._moments", "radial._mesh"):
             assert f"'ecsc.{cache}'" in found
         assert filled == "[]"
 
