@@ -20,7 +20,6 @@ from .core import (
 from .coulomb import coulomb_beta
 from .perturbation import ground_wavefunction, total_energy
 from .potential import effective_potential
-from .quadrature import ToleranceNotMetError
 from .radial import MAX_BOX_SCALE, NoBoundStateError, default_solver_config, solve_bound_state
 from .tables import TABLES, render_text, reproduce_table, scan_delta
 
@@ -186,12 +185,12 @@ def _cmd_oracle(args) -> int:
     except NoBoundStateError as exc:
         print(f"no bound state: {exc}", file=sys.stderr)
         return 1
-    if args.out is not None:  # written first: a failed write prints no energy
+    analytic = total_energy(state, spec, units, args.variant).total if spec.g == 1.0 else None
+    if args.out is not None:  # written first: a refused total or a failed write prints nothing
         _emit("".join(f"{r:.10e} {chi:.10e}\n" for r, chi in zip(rf.grid, rf.values)), args.out)
     print(f"numeric energy  {rf.energy:+.10g}   nodes={rf.node_count} mesh={rf.grid.size - 1} "
           f"converged={rf.converged} error_estimate={rf.error_estimate:.1e}")
-    if spec.g == 1.0:
-        analytic = total_energy(state, spec, units, args.variant).total
+    if analytic is not None:
         print(f"analytic total  {analytic:+.10g}   difference {rf.energy - analytic:+.3e}")
     return 0
 
@@ -218,15 +217,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ToleranceNotMetError as exc:
-        print(f"error: quadrature: {exc}", file=sys.stderr)
-        return 1
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
-        # the shared scales are refused where they are formed, so this is a
-        # closed form's own power of hbar, m, A or delta; args[-1] drops an errno
+        # a result refused where it is assembled, or a power of hbar, m, A or
+        # delta on the way to it; args[-1] drops an errno
         print(f"error: out of floating-point range at {_inputs(args)}: {exc.args[-1]}",
               file=sys.stderr)
         return 2

@@ -182,9 +182,9 @@ class SecondOrderVariant(Enum):
 class EnergyBreakdown:
     """Energy split into zeroth order, the linear A*delta shift, and corrections.
 
-    ``total`` is always the exact same-precision sum of the four parts.
-    ``first_order_only`` marks levels where no second-order closed form
-    exists (n > 2) and e2 is identically zero.
+    ``total`` is always the exact same-precision sum of the four parts, and always
+    finite: a sum that is not raises OverflowError.  ``first_order_only`` marks
+    levels where no second-order closed form exists (n > 2) and e2 is identically zero.
     """
 
     e0: float
@@ -196,5 +196,8 @@ class EnergyBreakdown:
     total: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "total", self.e0 + self.linear_shift + self.e1 + self.e2)
+        total = self.e0 + self.linear_shift + self.e1 + self.e2
+        if not isfinite(total):
+            raise OverflowError(f"the total energy E0 + A delta + E1 + E2 is {total}")
+        object.__setattr__(self, "total", total)
 

@@ -108,8 +108,16 @@ def _moment_fraction(n: int, ell: int, k: int) -> Fraction:
 
 
 def radial_moment(state: QuantumState, spec: ScreeningSpec, units: UnitSystem, k: int) -> float:
-    """Analytic <r^k> = integral chi^2 r^k dr for integer k >= -2."""
+    """Analytic <r^k> = integral chi^2 r^k dr for integer k >= -2; OverflowError,
+    naming the level and k, when (2 beta)^k or the moment leaves the floats."""
     if not isinstance(k, Integral) or k < -2:
         raise ValidationError(f"moment <r^{k!r}> not supported; need an integer k >= -2")
     beta = coulomb_beta(state, spec, units)
-    return float(_moment_fraction(state.n, state.ell, k)) / (2.0 * beta) ** k
+    try:
+        moment = float(_moment_fraction(state.n, state.ell, k)) / (2.0 * beta) ** k
+        if moment < inf:
+            return moment
+    except ArithmeticError:
+        pass
+    raise OverflowError(f"<r^{k}> of the {state.label} level with A = {spec.strength:g}, "
+                        f"hbar = {units.hbar:g} and m = {units.mass:g} leaves the floats")

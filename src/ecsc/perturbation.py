@@ -35,10 +35,9 @@ is the default because it reproduces the reference tables.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf, log, sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -291,38 +290,27 @@ def wavefunction_polynomial(ell: int, spec: ScreeningSpec, units: UnitSystem) ->
 
     A numpy ``Polynomial`` with ``coef = (0, p1, ..., p5)``, derived as
     P = -beta r - (sqrt(2m)/hbar) integral_0^r (W^(1) + W^(2)).  At delta = 0
-    only p1 = -beta survives (pure Coulomb decay).
+    only p1 = -beta survives (pure Coulomb decay); OverflowError if a p_i is not finite.
     """
     state = QuantumState(0, ell)
-    w = superpotential_first(state, spec, units) + superpotential_second_ground(ell, spec, units)
-    exponent = (Polynomial((0.0, -coulomb_beta(state, spec, units)))
-                - sqrt(2.0 * units.mass) / units.hbar * w.integ())
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = (superpotential_first(state, spec, units)
+             + superpotential_second_ground(ell, spec, units))
+        exponent = (Polynomial((0.0, -coulomb_beta(state, spec, units)))
+                    - sqrt(2.0 * units.mass) / units.hbar * w.integ())
+    if not np.isfinite(exponent.coef).all():
+        raise OverflowError(f"the exponent P of the l={ell} wavefunction is not finite")
     # polynomial arithmetic trims trailing zeros; restore all six coefficients
     return Polynomial(np.pad(exponent.coef, (0, 6 - exponent.coef.size)))
 
 
-#: the log of the largest float, less a margin above the rounding of the logs
-#: that _norm_integral compares with it
-_LOG_FLOAT_MAX = log(sys.float_info.max) - 1e-10
-
-
 def _norm_integral(ell: int, poly: Polynomial, r_stop: float, points: int) -> float:
-    """Integral of (r^(ell+1) exp(P(r)))^2 over [0, r_stop] by the
-    ``points``-point Gauss-Legendre rule, or inf when a factor r^(ell+1) or
-    exp(P), a squared term or the sum would leave the floats.  That is
-    decided from logs, before anything is exponentiated."""
+    """Integral of (r^(ell+1) exp(P(r)))^2 over [0, r_stop] by the ``points``-point
+    Gauss-Legendre rule; inf or nan, with no warning, where it leaves the floats."""
     t, w = np.polynomial.legendre.leggauss(points)
     x = 0.5 * r_stop * (t + 1.0)
-    power, exponent = (ell + 1) * np.log(x), poly(x)
-    log_square = 2.0 * (power + exponent)
-    # the log of np.dot(w, square) by log-sum-exp; the integral adds log(r_stop / 2)
-    log_terms = log_square + np.log(w)
-    top = float(log_terms.max())
-    log_dot = top + log(float(np.exp(log_terms - top).sum()))
-    if max(power.max(), exponent.max(), log_square.max(), log_dot,
-           log_dot + log(0.5 * r_stop)) >= _LOG_FLOAT_MAX:
-        return inf
-    return float(0.5 * r_stop * np.dot(w, (x ** (ell + 1) * np.exp(poly(x))) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(0.5 * r_stop * np.dot(w, (x ** (ell + 1) * np.exp(poly(x))) ** 2))
 
 
 def ground_wavefunction(
@@ -348,8 +336,9 @@ def ground_wavefunction(
     1e-10 relative: far past critical screening the density piles up
     against r_c, and no fixed rule resolves it (hbar2m 4f at delta = 0.15).
     Also raises ValidationError, naming l, delta, A, hbar and m, when either
-    rule's integral overflows the floats (from l = 51 at A = hbar = m = 1 and
-    delta = 0, from l = 42 at delta = 0.001) or underflows to 0.
+    rule's integral is not finite (from l = 51 at A = hbar = m = 1 and delta = 0,
+    from l = 42 at delta = 0.001) or is 0.  OverflowError: see
+    :func:`wavefunction_polynomial`; psi raises it where its value is not finite.
     """
     state = QuantumState(0, ell)
     poly = wavefunction_polynomial(ell, spec, units)
@@ -358,7 +347,8 @@ def ground_wavefunction(
     if spec.delta != 0.0:
         peak = (ell + 1) / beta
         rs = np.linspace(peak, 200.0 / beta, 20000)
-        rate = (ell + 1) / rs + poly.deriv()(rs)
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite rate keeps its sign
+            rate = (ell + 1) / rs + poly.deriv()(rs)
         # the first zero of the log-derivative is the peak itself; the breakdown
         # is where the rate turns nonnegative again after the decaying stretch
         decaying = np.nonzero(rate < 0.0)[0]
@@ -371,11 +361,11 @@ def ground_wavefunction(
     if renormalize:
         r_stop = min(60.0 / beta, r_c)
         val, check = (_norm_integral(ell, poly, r_stop, points) for points in (200, 300))
-        if inf in (val, check) or 0.0 in (val, check):
+        if not (isfinite(val) and isfinite(check)) or 0.0 in (val, check):
             raise ValidationError(
                 f"cannot renormalize the l={ell} wavefunction at delta={spec.delta:g} with "
                 f"A = {spec.strength:g}, hbar = {units.hbar:g} and m = {units.mass:g}: its norm "
-                f"integral {'overflows the floats' if inf in (val, check) else 'underflows to 0'}"
+                f"integral {'underflows to 0' if 0.0 in (val, check) else 'overflows the floats'}"
             )
         if not abs(val - check) <= 1e-10 * check:
             raise ValidationError(
@@ -393,7 +383,10 @@ def ground_wavefunction(
             raise ValidationError(
                 f"r = {arr.max():g} lies past the validity radius r_c = {r_c:g} of the "
                 f"l={ell} wavefunction at delta={spec.delta:g}, where it stops decaying")
-        out = scale * arr ** (ell + 1) * np.exp(poly(arr))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = scale * arr ** (ell + 1) * np.exp(poly(arr))
+        if not np.isfinite(out).all():
+            raise OverflowError(f"psi of the l={ell} wavefunction is not finite")
         return out if out.ndim else float(out)
 
     return psi, poly, r_c

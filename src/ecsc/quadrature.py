@@ -41,9 +41,9 @@ from .coulomb import _moment_fraction, coulomb_beta
 from .coulomb import coulomb_norm, laguerre  # noqa: F401  traced here by perfbench/tracing.py
 
 
-class ToleranceNotMetError(RuntimeError):
-    """A density integral whose sum is not finite; carries that sum as the best
-    estimate, and an infinite error estimate, since the sum has no other."""
+class ToleranceNotMetError(ArithmeticError):
+    """A density integral whose sum is not finite: an ArithmeticError, carrying that
+    sum as the best estimate and an infinite error estimate, since it has no other."""
 
     def __init__(self, message: str, best_estimate: float, error_estimate: float):
         super().__init__(message)

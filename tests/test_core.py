@@ -157,6 +157,15 @@ class TestEnergyBreakdown:
         bd = EnergyBreakdown(-0.125, 0.0, 0.0, 0.0, SecondOrderVariant.TRUNCATED)
         assert bd.total == bd.e0
 
+    @pytest.mark.parametrize("parts, total", [
+        ((-0.5, 0.0, -1e308, -1e308), "-inf"),
+        ((-0.5, 0.0, -math.inf, math.inf), "nan"),
+    ], ids=["overflow", "nan"])
+    def test_a_total_out_of_the_floats_is_refused(self, parts, total):
+        with pytest.raises(OverflowError, match=f"^the total energy E0 \\+ A delta \\+ E1 "
+                                                f"\\+ E2 is {total}$"):
+            EnergyBreakdown(*parts, SecondOrderVariant.TRUNCATED)
+
 
 _SPEC = ScreeningSpec(delta=0.1)
 _RADIUS_TAKERS = {
@@ -256,3 +265,5 @@ class TestErrorTypes:
                            and c.__module__ == module.__name__)
         assert sorted(defined) == ["NoBoundStateError", "ToleranceNotMetError", "ValidationError"]
         assert [n for n, c in defined.items() if issubclass(c, ValueError)] == ["ValidationError"]
+        # a density integral that leaves the floats is refused as any other result is
+        assert issubclass(ecsc.ToleranceNotMetError, ArithmeticError)

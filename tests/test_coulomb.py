@@ -202,6 +202,15 @@ class TestRadialMoment:
                 want = float(np.sum(density * x**k))
                 assert float(_moment_fraction(n, ell, k)) == pytest.approx(want, rel=3e-14), (n, k)
 
+    @pytest.mark.parametrize("strength", [1e-70, 1e70])
+    def test_moment_out_of_the_floats_is_refused(self, strength):
+        # (2 beta)^5 underflows to 0 (a ZeroDivisionError) or overflows
+        spec = ScreeningSpec(delta=0.0, strength=strength)
+        with pytest.raises(OverflowError, match="^" + re.escape(
+                f"<r^5> of the 1s level with A = {strength:g}, hbar = 1 and m = 1 "
+                "leaves the floats") + "$"):
+            radial_moment(state_from_label("1s"), spec, ATOMIC, 5)
+
     def test_divergent_request_rejected(self):
         with pytest.raises(ValidationError):
             radial_moment(state_from_label("1s"), SPEC1, ATOMIC, -3)

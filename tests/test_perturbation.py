@@ -12,6 +12,7 @@ from ecsc import (
     QuantumState,
     ScreeningSpec,
     SecondOrderVariant,
+    UnitSystem,
     ValidationError,
     coulomb_wavefunction,
     first_order_shift,
@@ -190,6 +191,12 @@ class TestTotalEnergy:
         assert bd.first_order_only
         assert bd.e2 == 0.0
         assert bd.e1 != 0.0
+
+    def test_total_out_of_the_floats_is_refused(self):
+        # E1 = -1e170, and E2's sextic hbar^10 c6 delta^6 overflows: the sum was -inf
+        spec, units = ScreeningSpec(delta=1e30), UnitSystem(1e20, 1.0)
+        with pytest.raises(OverflowError, match=" is -inf$"):
+            total_energy(state_from_label("1s"), spec, units)
 
     def test_variant_passthrough(self):
         spec = ScreeningSpec(delta=0.2, strength=16.0)
@@ -383,7 +390,7 @@ class TestGroundWavefunction:
     @pytest.mark.parametrize("ell, delta", [(51, 0.0), (42, 0.001)])
     def test_renormalization_refused_where_the_norm_integral_overflows(self, ell, delta):
         # the first l at which a term of the 200-point sum leaves the floats;
-        # the refusal comes before the overflow, so no RuntimeWarning is raised
+        # the sum is formed with over- and invalid warnings off, so none is raised
         with pytest.raises(ValidationError, match=(
                 f"^cannot renormalize the l={ell} wavefunction at delta={delta:g} with "
                 "A = 1, hbar = 1 and m = 1: its norm integral overflows the floats$")):
@@ -404,6 +411,20 @@ class TestGroundWavefunction:
         # the rules' sums are 0.0 here, which 1/sqrt would divide by
         with pytest.raises(ValidationError, match="l=15 .* its norm integral underflows to 0$"):
             ground_wavefunction(15, ScreeningSpec(delta=0.05), ATOMIC, renormalize=True)
+
+    def test_exponent_out_of_the_floats_is_refused(self):
+        # W1 + W2 and its integral overflow; P printed as rows of nan
+        with pytest.raises(OverflowError, match="exponent P of the l=0 wavefunction"):
+            wavefunction_polynomial(0, ScreeningSpec(delta=1e30), UnitSystem(1e20, 1.0))
+
+    def test_psi_out_of_the_floats_is_refused(self):
+        # P is finite, but exp(P) overflows inside the validity radius
+        spec = ScreeningSpec(delta=2.00551258549865e+33, strength=3.5671786930835585e-80)
+        units = UnitSystem(3.698870095052178e-34, 7.186512044795369e+31)
+        psi, poly, r_c = ground_wavefunction(2, spec, units)
+        assert np.isfinite(poly.coef).all()
+        with pytest.raises(OverflowError, match="psi of the l=2 wavefunction is not finite"):
+            psi(r_c)
 
     def test_rule_disagreement_gives_the_relative_gap(self):
         # both sums print alike to 6 digits; the gap tells them apart

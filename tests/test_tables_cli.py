@@ -1,13 +1,17 @@
 import ast
+import contextlib
 import csv
 import hashlib
 import io
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ecsc
 from ecsc import (
@@ -410,9 +414,66 @@ class TestCli:
 
         monkeypatch.setattr(ecsc.tables, "first_order_energy_numeric", stalled)
         assert main(["scan", "--state", "1s", "--delta-start", "0.1", "--delta-end", "0.1",
-                     "--steps", "1"]) == 1
+                     "--steps", "1"]) == 2
         err = capsys.readouterr().err
-        assert err == "error: quadrature: integral is not finite\n"
+        assert err == ("error: out of floating-point range at A = 1, hbar = 1, m = 1 and "
+                       "delta from 0.1 to 0.1: integral is not finite\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, inputs", [
+        (["energy", "--state", "1s", "--delta", "1e30", "--units", "custom:1e20,1"],
+         "A = 1, hbar = 1e+20, m = 1 and delta = 1e+30"),
+        # exited 1 as "error: quadrature: integral is not finite"
+        (["scan", "--state", "1s", "--delta-start", "1e30", "--delta-end", "1e30",
+          "--steps", "1", "--units", "custom:1e20,1"],
+         "A = 1, hbar = 1e+20, m = 1 and delta from 1e+30 to 1e+30"),
+        # printed an analytic column of nan
+        (["scan", "--state", "2s", "--A", "6.00633272086023e+38",
+          "--units", "custom:1.1166094871752064e+16,2.845477426679796e+52",
+          "--delta-start", "1.569602418928929e+45", "--delta-end", "1.569602418928929e+45",
+          "--steps", "1"],
+         "A = 6.00633e+38, hbar = 1.11661e+16, m = 2.84548e+52 and delta from 1.5696e+45"),
+        # printed rows of nan
+        (["wavefunction", "--state", "1s", "--delta", "1e30", "--units", "custom:1e20,1"],
+         "A = 1, hbar = 1e+20, m = 1 and delta = 1e+30"),
+        # P is finite, but exp(P) overflows
+        (["wavefunction", "--state", "3d", "--A", "3.5671786930835585e-80",
+          "--units", "custom:3.698870095052178e-34,7.186512044795369e+31",
+          "--delta", "2.00551258549865e+33"],
+         "A = 3.56718e-80, hbar = 3.69887e-34, m = 7.18651e+31 and delta = 2.00551e+33"),
+        # printed "analytic total -inf difference +inf" after the solver's line
+        (["oracle", "--state", "1s", "--A", "1e62", "--units", "custom:1e30,1", "--delta", "50"],
+         "A = 1e+62, hbar = 1e+30, m = 1 and delta = 50"),
+    ], ids=["energy", "scan-quadrature", "scan-analytic", "wavefunction-exponent",
+            "wavefunction-psi", "oracle"])
+    def test_a_result_out_of_range_prints_nothing(self, capsys, argv, inputs):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: out of floating-point range at {inputs}")
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(verb=st.sampled_from(["energy", "scan", "wavefunction"]),
+           principal=st.integers(1, 5), ell=st.integers(0, 4),
+           log_a=st.floats(-150, 150), log_hbar=st.floats(-60, 60),
+           log_m=st.floats(-60, 60), log_delta=st.floats(-80, 80))
+    def test_no_verb_prints_a_non_finite_result(self, verb, principal, ell, log_a, log_hbar,
+                                                log_m, log_delta):
+        # exit 0 with inf or nan on stdout was possible for about 1 run in 60 here
+        ell = min(ell, principal - 1)
+        label = f"{principal if verb != 'wavefunction' else ell + 1}{'spdfg'[ell]}"
+        delta = repr(10.0**log_delta)
+        argv = [verb, "--state", label, "--A", repr(10.0**log_a),
+                "--units", f"custom:{10.0**log_hbar!r},{10.0**log_m!r}"]
+        argv += {"energy": ["--delta", delta],
+                 "scan": ["--delta-start", delta, "--delta-end", delta, "--steps", "1"],
+                 "wavefunction": ["--delta", delta, "--points", "20"]}[verb]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2)
+        assert code == 2 or not re.search("inf|nan", out.getvalue(), re.IGNORECASE)
 
     @pytest.mark.filterwarnings("error")
     def test_scan_at_extreme_length_units(self, capsys):
