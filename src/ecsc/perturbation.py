@@ -17,7 +17,9 @@ p1(n, ell) and c4(ell), c6(ell):
 
 The integer coefficients are constructed exactly and converted to float only
 when multiplied by powers of delta, so the five-digit sextic coefficients
-carry no transcription roundoff.
+carry no transcription roundoff.  Everything but the powers of delta depends
+only on the level, the units and A: those factors are formed once per
+(n, ell, variant, hbar, m, A) and cached (``_level``).
 
 The superpotentials (log-derivative corrections) W^(1) and W^(2) are numpy
 ``Polynomial``s, and the moderated ground-state wavefunction is derived from
@@ -36,7 +38,7 @@ is the default because it reproduces the reference tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isfinite, sqrt
 
 import numpy as np
@@ -112,13 +114,105 @@ def _second_order_coefficients(n: int, ell: int, variant: SecondOrderVariant) ->
     return c4, c6
 
 
+class _Level:
+    """The delta-free factors of one level's closed forms at one (variant, hbar, m, A).
+
+    Each group is formed on first use and then kept, grouped exactly as the
+    per-delta products below group it, so every value keeps its bits and a
+    reader forms (and raises on) only the factors it uses, in the order it
+    used them: E0 at delta = 0, E1's pair, E2's quartic and sextic pairs
+    (n <= 2), W1's two factors and the constant of the FULL n = 1 form.
+    Readers take a record from ``_level``.
+    """
+
+    def __init__(self, n: int, ell: int, variant: SecondOrderVariant, hbar: float,
+                 mass: float, strength: float):
+        self.state, self.variant = QuantumState(n, ell), variant
+        self.spec, self.units = ScreeningSpec(0.0, strength), UnitSystem(hbar, mass)
+
+    @cached_property
+    def e0(self) -> float:
+        return coulomb_energy(self.state, self.spec, self.units)
+
+    @cached_property
+    def wavenumber(self) -> float:
+        return coulomb_scales(self.spec.strength, self.units)[0]
+
+    @cached_property
+    def first_order(self) -> tuple[float, float]:
+        # E1 = num delta^3 / den
+        hb, m = self.units.hbar, self.units.mass
+        p1 = first_order_coefficient(self.state.n, self.state.ell)
+        return -(hb**4) * p1, 6.0 * self.spec.strength * m**2
+
+    @cached_property
+    def quartic(self) -> tuple[float, float]:
+        # the quartic term of E2 is num delta^4 / den and the sextic one
+        # num delta^6 / den; the sextic pair is formed after the quartic
+        # division, so a denominator that underflows to 0 still raises first
+        c4 = _second_order_coefficients(self.state.n, self.state.ell, self.variant)[0]
+        hb, m, a_s = self.units.hbar, self.units.mass, self.spec.strength
+        return hb**6 * c4, 24.0 * a_s**2 * m**3
+
+    @cached_property
+    def sextic(self) -> tuple[float, float]:
+        c6 = _second_order_coefficients(self.state.n, self.state.ell, self.variant)[1]
+        hb, m, a_s = self.units.hbar, self.units.mass, self.spec.strength
+        return hb**10 * c6, 72.0 * a_s**4 * m**5
+
+    @cached_property
+    def w1(self) -> tuple[float, float]:
+        # W1 = pref (const + lin r + r^2) with pref = w delta^3 / 3
+        big_n = self.state.principal
+        return (-self.units.hbar / sqrt(2.0 * self.units.mass) * big_n,
+                big_n * (big_n + 1) / self.wavenumber)
+
+    @cached_property
+    def full_const(self) -> float:
+        big_n = self.state.principal
+        return -2.0 * (big_n - 1) * big_n**2 / self.wavenumber**2
+
+    def e1(self, delta: float) -> float:
+        num, den = self.first_order
+        return num * delta**3 / den
+
+    def e2_terms(self, delta: float) -> tuple[float, float]:
+        num, den = self.quartic
+        quartic = num * delta**4 / den
+        num, den = self.sextic
+        return quartic, num * delta**6 / den
+
+    def breakdown(self, spec: ScreeningSpec) -> EnergyBreakdown:
+        e0 = self.e0
+        if spec.delta == 0.0:
+            return EnergyBreakdown(e0, 0.0, 0.0, 0.0, self.variant)
+        _require_expansion(spec)
+        linear = spec.strength * spec.delta
+        e1 = self.e1(spec.delta)
+        if self.state.n <= 2:
+            quartic, sextic = self.e2_terms(spec.delta)
+            return EnergyBreakdown(e0, linear, e1, quartic - sextic, self.variant)
+        return EnergyBreakdown(e0, linear, e1, 0.0, self.variant, first_order_only=True)
+
+    def w1_coefficients(self, delta: float, variant) -> tuple[float, float, float]:
+        # (c0, c1, c2) of W1; ``variant`` is read only for n = 1, after the rest
+        w, lin = self.w1
+        pref = w * delta**3 / 3.0
+        const = (self.full_const if self.state.n == 1
+                 and SecondOrderVariant(variant) is SecondOrderVariant.FULL else 0.0)
+        return pref * const, pref * lin, pref
+
+
+#: the records of _Level, one per (n, ell, variant, hbar, m, A) and type of each;
+#: the bound holds a few hundred levels and unit systems
+_level = lru_cache(maxsize=256, typed=True)(_Level)
+
+
 def first_order_shift(state: QuantumState, spec: ScreeningSpec, units: UnitSystem) -> float:
     """First-order energy correction E1 = -(A delta^3 / 3) <r^2>, for every level."""
     _require_expansion(spec)
-    hb, m = units.hbar, units.mass
-    a_s, d = spec.strength, spec.delta
-    p1 = first_order_coefficient(state.n, state.ell)
-    return -(hb**4) * p1 * d**3 / (6.0 * a_s * m**2)
+    return _level(state.n, state.ell, SecondOrderVariant.TRUNCATED, units.hbar, units.mass,
+                  spec.strength).e1(spec.delta)
 
 
 def second_order_terms(
@@ -129,18 +223,8 @@ def second_order_terms(
 ) -> tuple[float, float]:
     """The (quartic, sextic) pieces of E2, each returned positive; E2 = quartic - sextic."""
     _require_expansion(spec)
-    return _second_order_terms(state, spec, units, SecondOrderVariant(variant))
-
-
-def _second_order_terms(state: QuantumState, spec: ScreeningSpec, units: UnitSystem,
-                        variant: SecondOrderVariant) -> tuple[float, float]:
-    # second_order_terms once the expansion is checked and the variant is a member
-    c4, c6 = _second_order_coefficients(state.n, state.ell, variant)
-    hb, m = units.hbar, units.mass
-    a_s, d = spec.strength, spec.delta
-    quartic = hb**6 * c4 * d**4 / (24.0 * a_s**2 * m**3)
-    sextic = hb**10 * c6 * d**6 / (72.0 * a_s**4 * m**5)
-    return quartic, sextic
+    return _level(state.n, state.ell, SecondOrderVariant(variant), units.hbar, units.mass,
+                  spec.strength).e2_terms(spec.delta)
 
 
 def second_order_shift(
@@ -163,20 +247,14 @@ def total_energy(
     """Assembled level energy E0 + A delta + E1 + E2 with its parts.
 
     For n > 2 no second-order closed form exists; the breakdown carries
-    e2 = 0 and is flagged ``first_order_only``.
+    e2 = 0 and is flagged ``first_order_only``.  The delta-free factors come
+    from the level's cached record (``_level``), so a call forms only the
+    powers of delta and the sums.
     """
     if not isinstance(variant, SecondOrderVariant):  # a member skips the Enum call
         variant = SecondOrderVariant(variant)
-    e0 = coulomb_energy(state, spec, units)
-    if spec.delta == 0.0:
-        return EnergyBreakdown(e0, 0.0, 0.0, 0.0, variant)
-    _require_expansion(spec)
-    linear = spec.strength * spec.delta
-    e1 = first_order_shift(state, spec, units)
-    if state.n <= 2:
-        quartic, sextic = _second_order_terms(state, spec, units, variant)
-        return EnergyBreakdown(e0, linear, e1, quartic - sextic, variant)
-    return EnergyBreakdown(e0, linear, e1, 0.0, variant, first_order_only=True)
+    return _level(state.n, state.ell, variant, units.hbar, units.mass,
+                  spec.strength).breakdown(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +332,11 @@ def superpotential_first(state: QuantumState, spec: ScreeningSpec, units: UnitSy
 def _superpotential_first_coefficients(
     state: QuantumState, spec: ScreeningSpec, units: UnitSystem, variant: SecondOrderVariant
 ) -> tuple[float, float, float]:
-    # the power-series coefficients (c0, c1, c2) of superpotential_first, the
-    # one place they are formed; scan_delta sums E2 from them directly
+    # the power-series coefficients (c0, c1, c2) of superpotential_first, from
+    # the level's record, whose W1 factors do not depend on its variant
     _require_expansion(spec)
-    wavenumber = coulomb_scales(spec.strength, units)[0]
-    big_n = state.principal
-    pref = -units.hbar / sqrt(2.0 * units.mass) * big_n * spec.delta**3 / 3.0
-    lin = big_n * (big_n + 1) / wavenumber
-    const = (-2.0 * (big_n - 1) * big_n**2 / wavenumber**2
-             if state.n == 1 and SecondOrderVariant(variant) is SecondOrderVariant.FULL else 0.0)
-    return pref * const, pref * lin, pref
+    return _level(state.n, state.ell, SecondOrderVariant.TRUNCATED, units.hbar, units.mass,
+                  spec.strength).w1_coefficients(spec.delta, variant)
 
 
 def superpotential_second_ground(ell: int, spec: ScreeningSpec, units: UnitSystem) -> Polynomial:

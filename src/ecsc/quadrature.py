@@ -14,13 +14,16 @@ and its moments
 
 are exact rationals (``ecsc.coulomb._moment_fraction``).  An integrand f is
 passed as its coefficients a_0, ..., a_5 in r; its integral is
-sum_k a_k (2 beta)^-k S_k.  Only the six S_k are cached, each an exact
-rational rounded once to a float, per (n, ell) on first use, and they serve
-every strength and unit.  The sum is exact up to rounding, so it carries no
-error estimate and raises only when not finite.
+sum_k a_k (2 beta)^-k S_k, formed in one place, ``_density_sum``.  The six
+S_k are cached per (n, ell) on first use, each an exact rational rounded
+once to a float, and serve every strength and unit.  Each level's pairs
+((2 beta)^-k, S_k) are cached as well, in ``_density``, per (n, ell, hbar,
+m, A) and type of each, at most 256 of them.  The sum is exact up to
+rounding, so it carries no error estimate and raises only when not finite,
+as it is where an integrand coefficient formed here has left the floats.
 
 E2 expands the square of the closed-form superpotential W1 = c0 + c1 r +
-c2 r^2 from its three coefficients, in one place, ``_second_order_integral``:
+c2 r^2 from its three coefficients, in one place, ``_second_order_coef``:
 ``second_order_energy_numeric`` reads them from the ``Polynomial`` its caller
 passes, and ``ecsc.tables.scan_delta`` passes the three floats that
 ``ecsc.perturbation.superpotential_first`` is built from.  This module
@@ -74,6 +77,31 @@ def _moments(n: int, ell: int) -> tuple[float, ...]:
     return tuple(float(_moment_fraction(n, ell, k)) for k in range(6))
 
 
+@lru_cache(maxsize=256, typed=True)
+def _density(n: int, ell: int, hbar: float, mass: float,
+             strength: float) -> tuple[tuple[float, float], ...]:
+    # the pairs ((2 beta)^-k, S_k), k = 0..5, of one level at one (hbar, m, A):
+    # the powers by products, so that one leaving the floats is inf
+    spec, units = ScreeningSpec(0.0, strength), UnitSystem(hbar, mass)
+    s = 0.5 / coulomb_beta(QuantumState(n, ell), spec, units)
+    powers = [1.0]
+    for _ in range(5):
+        powers.append(powers[-1] * s)
+    return tuple(zip(powers, _moments(n, ell)))
+
+
+def _density_sum(coef, terms) -> float:
+    # sum_k a_k (2 beta)^-k S_k over the pairs of _density, the one density
+    # sum; ToleranceNotMetError when it is not finite, as it is wherever a
+    # coefficient is not
+    total = 0.0
+    for a, (power, s_k) in zip(coef, terms):
+        total += a * power * s_k
+    if not isfinite(total):
+        raise ToleranceNotMetError("integral is not finite", total, inf)
+    return total
+
+
 def integrate_density(state: QuantumState, spec: ScreeningSpec, units: UnitSystem,
                       coef) -> float:
     """integral_0^inf chi^2(r) f(r) dr for f the polynomial in r with the
@@ -82,14 +110,14 @@ def integrate_density(state: QuantumState, spec: ScreeningSpec, units: UnitSyste
     when the sum is not finite."""
     if len(coef) > 6 or not all(map(isfinite, coef)):
         raise ValidationError(f"coef must be at most six finite numbers, got {coef!r}")
-    s, power, total = 0.5 / coulomb_beta(state, spec, units), 1.0, 0.0
-    # the powers (2 beta)^-k by products, so that one leaving the floats is inf
-    for a, s_k in zip(coef, _moments(state.n, state.ell)):
-        total += a * power * s_k
-        power *= s
-    if not isfinite(total):
-        raise ToleranceNotMetError("integral is not finite", total, inf)
-    return total
+    return _density_sum(coef, _density(state.n, state.ell, units.hbar, units.mass,
+                                       spec.strength))
+
+
+def _first_order_coef(spec: ScreeningSpec) -> tuple[float, float, float]:
+    # the integrand -(A delta^3/3) r^2 of E1
+    a_d3 = spec.strength * spec.delta**3 / 3.0
+    return 0.0, 0.0, -a_d3
 
 
 def first_order_energy_numeric(
@@ -97,9 +125,10 @@ def first_order_energy_numeric(
     spec: ScreeningSpec,
     units: UnitSystem,
 ) -> float:
-    """E1 as the density integral of -(A delta^3/3) r^2."""
-    a_d3 = spec.strength * spec.delta**3 / 3.0
-    return integrate_density(state, spec, units, (0.0, 0.0, -a_d3))
+    """E1 as the density integral of -(A delta^3/3) r^2; ToleranceNotMetError
+    when it, or the integrand's coefficient, leaves the floats."""
+    return _density_sum(_first_order_coef(spec), _density(state.n, state.ell, units.hbar,
+                                                          units.mass, spec.strength))
 
 
 def second_order_energy_numeric(
@@ -124,12 +153,14 @@ def second_order_energy_numeric(
             "w1 must be a Polynomial of degree <= 2 with the default domain and window, "
             f"got {w1!r}")
     c0, c1, c2 = w1.coef.tolist() + [0.0] * (3 - w1.coef.size)
-    return _second_order_integral(state, spec, units, c0, c1, c2)
+    return _density_sum(_second_order_coef(spec, c0, c1, c2),
+                        _density(state.n, state.ell, units.hbar, units.mass, spec.strength))
 
 
-def _second_order_integral(state: QuantumState, spec: ScreeningSpec, units: UnitSystem,
-                           c0: float, c1: float, c2: float) -> float:
-    # E2 for W1 = c0 + c1 r + c2 r^2: the one expansion of A delta^4/6 r^3 - W1^2
+def _second_order_coef(spec: ScreeningSpec, c0: float, c1: float,
+                       c2: float) -> tuple[float, ...]:
+    # the integrand A delta^4/6 r^3 - W1^2 of E2 for W1 = c0 + c1 r + c2 r^2,
+    # the one expansion of the square
     sixth = spec.strength * spec.delta**4 / 6.0
-    return integrate_density(state, spec, units, (
-        -c0 * c0, -2.0 * c0 * c1, -(c1 * c1 + 2.0 * c0 * c2), sixth - 2.0 * c1 * c2, -c2 * c2))
+    return (-c0 * c0, -2.0 * c0 * c1, -(c1 * c1 + 2.0 * c0 * c2), sixth - 2.0 * c1 * c2,
+            -c2 * c2)

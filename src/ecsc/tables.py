@@ -44,14 +44,15 @@ from .core import (
     ValidationError,
     state_from_label,
 )
-from .perturbation import _superpotential_first_coefficients, total_energy
+from .perturbation import _level, total_energy
 from .potential import effective_potential
-from .quadrature import _second_order_integral, first_order_energy_numeric
+from .quadrature import _density, _density_sum, _first_order_coef, _second_order_coef
 from .radial import NoBoundStateError, default_solver_config, solve_bound_state
 
-# perfbench/tracing.py wraps each of these three bindings of ecsc.tables
+# perfbench/tracing.py wraps each of these four bindings of ecsc.tables
 from .coulomb import coulomb_energy  # noqa: F401  ecsc.tables.coulomb_energy
 from .perturbation import superpotential_first  # noqa: F401  ecsc.tables.superpotential_first
+from .quadrature import first_order_energy_numeric  # noqa: F401  ecsc.tables.first_order_energy_numeric
 from .quadrature import second_order_energy_numeric  # noqa: F401  ecsc.tables.second_order_energy_numeric
 
 # --- frozen reference data -------------------------------------------------
@@ -378,18 +379,6 @@ def _reference_at(references, delta: float):
     return None
 
 
-def _quadrature_total(state, spec, units, closed) -> float:
-    # E0 and A delta from the closed-form breakdown, E1 and E2 by density
-    # quadrature, E2 summed from the coefficients of W1 without a Polynomial
-    if spec.delta == 0.0:
-        return closed.e0
-    e1 = first_order_energy_numeric(state, spec, units)
-    e2 = _second_order_integral(
-        state, spec, units,
-        *_superpotential_first_coefficients(state, spec, units, closed.variant))
-    return closed.e0 + closed.linear_shift + e1 + e2
-
-
 def scan_delta(
     state: QuantumState,
     strength: float,
@@ -401,7 +390,14 @@ def scan_delta(
     variant: SecondOrderVariant = SecondOrderVariant.TRUNCATED,
 ) -> ScanResult:
     """One ComparisonRow per screening value on a uniform grid of ``steps``
-    points from ``delta_start`` to ``delta_end``; one step needs equal ends."""
+    points from ``delta_start`` to ``delta_end``; one step needs equal ends.
+
+    The analytic column equals ``total_energy``.  The quadrature
+    column takes E0 and A delta from the same breakdown, and E1 and E2 as
+    density sums, E2 of W1's three coefficients.  Both read the level's
+    cached delta-free records once per scan, so a point forms only its
+    ScreeningSpec, its breakdown, the two density sums and its row.
+    """
     if not 1 <= steps <= MAX_SAMPLES:
         raise ValidationError(f"steps must be between 1 and {MAX_SAMPLES}, got {steps}")
     if delta_start < 0.0 or delta_end < delta_start:
@@ -416,13 +412,21 @@ def scan_delta(
         span = delta_end - delta_start
         deltas = [delta_start + span * i / (steps - 1) for i in range(steps)]
     label, references = state.label, _references_for(state, strength, units)
-    rows = []
+    rows, level = [], None
     for delta in deltas:
-        spec = ScreeningSpec(delta=delta, strength=strength)
-        closed = total_energy(state, spec, units, variant)
-        # the first breakdown coerces the variant, and the later ones reuse it
-        variant = closed.variant
-        quadrature = _quadrature_total(state, spec, units, closed)
+        spec = ScreeningSpec(delta, strength)
+        if level is None:  # after the first spec has checked A: the variant, the records
+            if not isinstance(variant, SecondOrderVariant):
+                variant = SecondOrderVariant(variant)
+            level = _level(state.n, state.ell, variant, units.hbar, units.mass, strength)
+            density = _density(state.n, state.ell, units.hbar, units.mass, strength)
+        closed = level.breakdown(spec)
+        quadrature = closed.e0
+        if delta != 0.0:
+            e1 = _density_sum(_first_order_coef(spec), density)
+            w1 = level.w1_coefficients(delta, variant)
+            e2 = _density_sum(_second_order_coef(spec, *w1), density)
+            quadrature = closed.e0 + closed.linear_shift + e1 + e2
         oracle_val, status = None, ""
         if with_oracle:
             pot = lambda r: effective_potential(r, spec, state.ell, units)
@@ -432,17 +436,8 @@ def scan_delta(
                 status = "ok" if rf.converged else "not-converged"
             except NoBoundStateError:
                 status = "no-bound-state"
-        rows.append(
-            ComparisonRow(
-                state_label=label,
-                delta=delta,
-                analytic=closed.total,
-                quadrature=quadrature,
-                oracle=oracle_val,
-                oracle_status=status,
-                reference=_reference_at(references, delta),
-            )
-        )
+        rows.append(ComparisonRow(label, delta, closed.total, quadrature, oracle_val, status,
+                                  _reference_at(references, delta)))
     return ScanResult(tuple(rows))
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,10 +16,12 @@ from ecsc import (
     UnitSystem,
     ValidationError,
     coulomb_wavefunction,
+    first_order_energy_numeric,
     first_order_shift,
     ground_coefficients,
     ground_wavefunction,
     radial_moment,
+    scan_delta,
     second_order_coefficients,
     second_order_shift,
     second_order_terms,
@@ -29,8 +32,9 @@ from ecsc import (
     total_energy,
     wavefunction_polynomial,
 )
+from ecsc.cli import main
 from ecsc.coulomb import _moment_fraction
-from ecsc import perturbation
+from ecsc import perturbation, quadrature
 from ecsc.perturbation import first_order_coefficient
 
 SQ2 = math.sqrt(2.0)
@@ -204,6 +208,77 @@ class TestTotalEnergy:
         f = total_energy(state_from_label("2s"), spec, HBAR2M, SecondOrderVariant.FULL)
         assert abs(t.total - f.total) > 1e-6
         assert t.variant is SecondOrderVariant.TRUNCATED
+
+
+class TestLevelRecord:
+    """Each level's delta-free factors are cached per (n, ell, variant, hbar, m, A),
+    and a reader forms only the factors it formed before they were cached."""
+
+    def test_zero_delta_forms_no_power_of_hbar(self, capsys):
+        # hbar^10 = 1e400 raises OverflowError; E0 needs no power of hbar above 2
+        assert main(["energy", "--state", "1s", "--delta", "0", "--units", "custom:1e40,1"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"E0 +-5e-81\n", out) and re.search(r"total +-5e-81\n", out)
+
+    @pytest.mark.parametrize("reader", [total_energy, first_order_shift, second_order_terms,
+                                        superpotential_first], ids=lambda f: f.__name__)
+    def test_screening_off_the_expansion_is_refused_before_any_factor(self, reader):
+        # hbar^10 leaves the floats here; g != 1 is still what is reported
+        spec, units = ScreeningSpec(delta=0.1, g=0.5), UnitSystem(1e40, 1.0)
+        with pytest.raises(ValidationError, match="assume g = 1, got g = 0.5"):
+            reader(QuantumState(0, 0), spec, units)
+
+    def test_each_reader_forms_only_its_factors(self):
+        # hbar^10 (the sextic of E2) leaves the floats, hbar^4 (E1) does not
+        spec, units = ScreeningSpec(delta=0.1), UnitSystem(1e40, 1.0)
+        assert math.isfinite(first_order_shift(QuantumState(0, 0), spec, units))
+        assert total_energy(QuantumState(3, 0), spec, units).first_order_only
+        with pytest.raises(OverflowError):
+            second_order_terms(QuantumState(0, 0), spec, units)
+        # k = m A / hbar^2 = 1e160: k^2, in the constant of the FULL n = 1 W1, leaves the floats
+        st, spec = QuantumState(1, 0), ScreeningSpec(delta=0.1, strength=1e-100)
+        units = UnitSystem(1e-100, 1e60)
+        assert superpotential_first(st, spec, units).coef[0] == 0.0
+        with pytest.raises(OverflowError):
+            superpotential_first(st, spec, units, SecondOrderVariant.FULL)
+
+    def test_an_invalid_strength_is_reported_before_an_invalid_variant(self):
+        with pytest.raises(ValidationError, match="strength must be positive"):
+            scan_delta(QuantumState(1, 0), -1.0, ATOMIC, 0.1, 0.1, 1, variant="bogus")
+        # W1 reads the variant after the Coulomb scales
+        spec = ScreeningSpec(delta=0.1, strength=1e-320)
+        with pytest.raises(ValidationError, match="puts the Coulomb wavenumber"):
+            superpotential_first(QuantumState(1, 0), spec, ATOMIC, "bogus")
+
+    def test_unit_systems_with_one_strength_keep_their_own_values(self):
+        st, spec = QuantumState(1, 1), ScreeningSpec(delta=0.05, strength=2.0)
+        systems = (ATOMIC, UnitSystem(1.5, 0.7))
+
+        def values(units):
+            return (total_energy(st, spec, units), first_order_shift(st, spec, units),
+                    superpotential_first(st, spec, units).coef.tolist(),
+                    first_order_energy_numeric(st, spec, units),
+                    scan_delta(st, spec.strength, units, 0.05, 0.05, 1).rows)
+
+        expected = []
+        for units in systems:
+            perturbation._level.cache_clear()
+            quadrature._density.cache_clear()
+            expected.append(values(units))
+        assert expected[0] != expected[1]
+        for _ in range(3):
+            for units, want in zip(systems, expected):
+                assert values(units) == want
+
+    def test_a_sweep_of_strengths_leaves_the_caches_at_their_bound(self):
+        st = QuantumState(0, 0)
+        for i in range(10_000):
+            spec = ScreeningSpec(delta=0.05, strength=1.0 + i / 1000)
+            total_energy(st, spec, ATOMIC)
+            first_order_energy_numeric(st, spec, ATOMIC)
+        for cache in (perturbation._level, quadrature._density):
+            info = cache.cache_info()
+            assert info.maxsize is not None and info.currsize == info.maxsize < 10_000
 
 
 class TestSuperpotentials:

@@ -496,7 +496,7 @@ class TestLayering:
         assert [m for m in _imported_modules(tree) if m.split(".")[0] == "scipy"] == []
 
     def test_import_fills_no_cache(self):
-        # moments, meshes and densities are built on first use, not at import
+        # moments, meshes, densities and level records are built on first use, not at import
         src = str(Path(ecsc.__file__).parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -508,7 +508,8 @@ class TestLayering:
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         found, filled = run.stdout.splitlines()
-        for cache in ("quadrature._moments", "radial._mesh"):
+        for cache in ("quadrature._moments", "quadrature._density", "perturbation._level",
+                      "radial._mesh"):
             assert f"'ecsc.{cache}'" in found
         assert filled == "[]"
 

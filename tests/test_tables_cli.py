@@ -21,13 +21,17 @@ from ecsc import (
     ScreeningSpec,
     SecondOrderVariant,
     ToleranceNotMetError,
+    UnitSystem,
     ValidationError,
     coulomb_energy,
     first_order_energy_numeric,
+    first_order_shift,
     ground_wavefunction,
     reproduce_table,
     scan_delta,
+    second_order_coefficients,
     second_order_energy_numeric,
+    second_order_shift,
     state_from_label,
     superpotential_first,
     total_energy,
@@ -346,6 +350,54 @@ class TestScanComposition:
                         n, ell, row.delta)
 
 
+def _plain_closed_forms(n, ell, variant, hb, m, a_s, d):
+    """E0 + A delta + E1 + E2, E1, E2 (None for n > 2) and W1's (c0, c1, c2),
+    each formed by the formula written out in hbar, m, A and delta."""
+    big_n = n + ell + 1
+    e0 = -(m * a_s**2 / hb**2) / (2.0 * big_n**2)
+    p1 = big_n**2 * (5 * big_n**2 + 1 - 3 * ell * (ell + 1))
+    e1 = -(hb**4) * p1 * d**3 / (6.0 * a_s * m**2)
+    e2 = None
+    if n <= 2:
+        c4, c6 = second_order_coefficients(n, ell, variant)
+        e2 = (hb**6 * c4 * d**4 / (24.0 * a_s**2 * m**3)
+              - hb**10 * c6 * d**6 / (72.0 * a_s**4 * m**5))
+    if d == 0.0:
+        total = e0 + 0.0 + 0.0 + 0.0
+    else:
+        total = e0 + a_s * d + e1 + (0.0 if e2 is None else e2)
+    k = m * a_s / hb**2
+    pref = -hb / math.sqrt(2.0 * m) * big_n * d**3 / 3.0
+    const = (-2.0 * (big_n - 1) * big_n**2 / k**2
+             if n == 1 and variant is SecondOrderVariant.FULL else 0.0)
+    return total, e1, e2, [pref * const, pref * (big_n * (big_n + 1) / k), pref]
+
+
+class TestPlainFormulas:
+    """The closed forms, read from each level's cached record, equal bit for bit
+    the formulas written out, and the scan's columns equal the public composition,
+    across levels, unit systems and strengths."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(n=st.integers(0, 5), ell=st.integers(0, 5),
+           log_a=st.floats(-8, 8), log_hbar=st.floats(-8, 8), log_m=st.floats(-8, 8),
+           delta=st.floats(0.0, 0.2), variant=st.sampled_from(SecondOrderVariant))
+    def test_records_give_the_plain_formulas(self, n, ell, log_a, log_hbar, log_m, delta,
+                                             variant):
+        state, units = QuantumState(n, ell), UnitSystem(10.0**log_hbar, 10.0**log_m)
+        spec = ScreeningSpec(delta=delta, strength=10.0**log_a)
+        total, e1, e2, w1 = _plain_closed_forms(n, ell, variant, units.hbar, units.mass,
+                                                spec.strength, delta)
+        assert total_energy(state, spec, units, variant).total == total
+        assert first_order_shift(state, spec, units) == e1
+        if e2 is not None:
+            assert second_order_shift(state, spec, units, variant) == e2
+        assert superpotential_first(state, spec, units, variant).coef.tolist() == w1
+        (row,) = scan_delta(state, spec.strength, units, delta, delta, 1, variant=variant).rows
+        assert row.analytic == total
+        assert row.quadrature == _composed_quadrature(state, spec, units, variant)
+
+
 class TestCli:
     def test_energy_verb(self, capsys):
         assert main(["energy", "--state", "2s", "--A", "16", "--delta", "0.2",
@@ -412,7 +464,7 @@ class TestCli:
         def stalled(*args, **kwargs):
             raise ToleranceNotMetError("integral is not finite", 0.0, math.inf)
 
-        monkeypatch.setattr(ecsc.tables, "first_order_energy_numeric", stalled)
+        monkeypatch.setattr(ecsc.tables, "_density_sum", stalled)
         assert main(["scan", "--state", "1s", "--delta-start", "0.1", "--delta-end", "0.1",
                      "--steps", "1"]) == 2
         err = capsys.readouterr().err
@@ -444,8 +496,15 @@ class TestCli:
         # printed "analytic total -inf difference +inf" after the solver's line
         (["oracle", "--state", "1s", "--A", "1e62", "--units", "custom:1e30,1", "--delta", "50"],
          "A = 1e+62, hbar = 1e+30, m = 1 and delta = 50"),
+        # the coefficient A delta^3/3 of the E1 integrand overflows; this was the usage
+        # error "coef must be at most six finite numbers, got (0.0, 0.0, -inf)"
+        (["scan", "--state", "5s", "--A", "3.5008314013449314e+136",
+          "--units", "custom:0.0003680508856187514,9.292308794866246e-57",
+          "--delta-start", "2.811515072466696e+65", "--delta-end", "2.811515072466696e+65",
+          "--steps", "1"],
+         "A = 3.50083e+136, hbar = 0.000368051, m = 9.29231e-57 and delta from 2.81152e+65"),
     ], ids=["energy", "scan-quadrature", "scan-analytic", "wavefunction-exponent",
-            "wavefunction-psi", "oracle"])
+            "wavefunction-psi", "oracle", "scan-integrand"])
     def test_a_result_out_of_range_prints_nothing(self, capsys, argv, inputs):
         assert main(argv) == 2
         out, err = capsys.readouterr()
