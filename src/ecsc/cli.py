@@ -8,8 +8,6 @@ import sys
 from dataclasses import replace
 from math import isfinite
 
-import numpy as np
-
 from .core import (
     MAX_SAMPLES,
     ScreeningSpec,
@@ -145,6 +143,8 @@ def _check_rmax(rmax) -> None:
 
 
 def _cmd_wavefunction(args) -> int:
+    import numpy as np
+
     _check_rmax(args.rmax)
     units = make_unit_system(args.units)
     state = state_from_label(args.state)

@@ -8,8 +8,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from math import inf, isfinite
 from numbers import Integral
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 #: largest number of scan steps or wavefunction samples any command allocates
@@ -64,6 +66,8 @@ def make_unit_system(text: str) -> UnitSystem:
 def check_positive_radius(r) -> np.ndarray:
     """``r`` as a float array, or ValidationError if any entry is not positive
     and finite (nan fails both comparisons; an empty array passes)."""
+    import numpy as np
+
     arr = np.asarray(r, dtype=float)
     if not (arr.min(initial=inf) > 0.0 and arr.max(initial=0.0) < inf):
         raise ValidationError("radius must be positive and finite "
@@ -176,6 +180,16 @@ class SecondOrderVariant(Enum):
 
     TRUNCATED = "truncated"
     FULL = "full"
+
+
+def _variant(value) -> SecondOrderVariant:
+    """``value``, a SecondOrderVariant or the value of one, as the member;
+    ValidationError naming the valid values for anything else."""
+    try:
+        return SecondOrderVariant(value)
+    except ValueError:
+        valid = ", ".join(repr(member.value) for member in SecondOrderVariant)
+        raise ValidationError(f"variant must be one of {valid}, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,6 @@ from functools import lru_cache
 from math import comb, factorial, inf, sqrt
 from numbers import Integral
 
-import numpy as np
-
 from .core import (_NORMAL_MIN, QuantumState, ScreeningSpec, UnitSystem, ValidationError,
                    check_positive_radius, coulomb_scales)
 
@@ -38,6 +36,8 @@ def laguerre(n: int, k: int, x):
     """
     if not (isinstance(n, Integral) and isinstance(k, Integral)) or n < 0 or k < 0:
         raise ValidationError(f"need integers n >= 0 and k >= 0, got (n={n!r}, k={k!r})")
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     if n == 0:
         return np.ones_like(x)[()]
@@ -83,6 +83,8 @@ def coulomb_norm(state: QuantumState, spec: ScreeningSpec, units: UnitSystem) ->
 
 def coulomb_wavefunction(state: QuantumState, spec: ScreeningSpec, units: UnitSystem, r):
     """Normalized radial amplitude chi(r); accepts scalars or arrays."""
+    import numpy as np
+
     arr = check_positive_radius(r)
     beta = coulomb_beta(state, spec, units)
     norm = coulomb_norm(state, spec, units)

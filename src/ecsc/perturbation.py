@@ -40,9 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isfinite, sqrt
-
-import numpy as np
-from numpy.polynomial import Polynomial
+from typing import TYPE_CHECKING
 
 from .core import (
     EnergyBreakdown,
@@ -51,11 +49,15 @@ from .core import (
     SecondOrderVariant,
     UnitSystem,
     ValidationError,
+    _variant,
     check_positive_radius,
     coulomb_scales,
 )
 from .coulomb import coulomb_beta, coulomb_energy, coulomb_norm
 from .coulomb import radial_moment  # noqa: F401  perfbench/tracing.py traces it under this module
+
+if TYPE_CHECKING:
+    from numpy.polynomial import Polynomial
 
 
 def _require_expansion(spec: ScreeningSpec) -> None:
@@ -84,7 +86,7 @@ def second_order_coefficients(
     The variant only matters for n = 1; the ground and second excited levels
     each have a single closed form.
     """
-    return _second_order_coefficients(n, ell, SecondOrderVariant(variant))
+    return _second_order_coefficients(n, ell, _variant(variant))
 
 
 @lru_cache(maxsize=None)
@@ -195,11 +197,14 @@ class _Level:
         return EnergyBreakdown(e0, linear, e1, 0.0, self.variant, first_order_only=True)
 
     def w1_coefficients(self, delta: float, variant) -> tuple[float, float, float]:
-        # (c0, c1, c2) of W1; ``variant`` is read only for n = 1, after the rest
+        # (c0, c1, c2) of W1; ``variant`` is checked after W1's factors, whose
+        # Coulomb scales check A, and read only for n = 1
         w, lin = self.w1
+        if not isinstance(variant, SecondOrderVariant):  # a member skips the call
+            variant = _variant(variant)
         pref = w * delta**3 / 3.0
         const = (self.full_const if self.state.n == 1
-                 and SecondOrderVariant(variant) is SecondOrderVariant.FULL else 0.0)
+                 and variant is SecondOrderVariant.FULL else 0.0)
         return pref * const, pref * lin, pref
 
 
@@ -223,7 +228,7 @@ def second_order_terms(
 ) -> tuple[float, float]:
     """The (quartic, sextic) pieces of E2, each returned positive; E2 = quartic - sextic."""
     _require_expansion(spec)
-    return _level(state.n, state.ell, SecondOrderVariant(variant), units.hbar, units.mass,
+    return _level(state.n, state.ell, _variant(variant), units.hbar, units.mass,
                   spec.strength).e2_terms(spec.delta)
 
 
@@ -251,8 +256,8 @@ def total_energy(
     from the level's cached record (``_level``), so a call forms only the
     powers of delta and the sums.
     """
-    if not isinstance(variant, SecondOrderVariant):  # a member skips the Enum call
-        variant = SecondOrderVariant(variant)
+    if not isinstance(variant, SecondOrderVariant):  # a member skips the call
+        variant = _variant(variant)
     return _level(state.n, state.ell, variant, units.hbar, units.mass,
                   spec.strength).breakdown(spec)
 
@@ -324,8 +329,11 @@ def superpotential_first(state: QuantumState, spec: ScreeningSpec, units: UnitSy
 
     N = n + ell + 1.  Its constant belongs to the FULL second-order form of
     n = 1 only (see SecondOrderVariant); every other level and variant keeps
-    the r^2 and r terms alone, and ``variant`` is read only for n = 1.
+    the r^2 and r terms alone.  ``variant`` is checked at every n (after
+    the Coulomb scales) and read only for n = 1.
     """
+    from numpy.polynomial import Polynomial
+
     return Polynomial(_superpotential_first_coefficients(state, spec, units, variant))
 
 
@@ -349,6 +357,8 @@ def superpotential_second_ground(ell: int, spec: ScreeningSpec, units: UnitSyste
     The trailing constant adjusts the asymptotic decay rate for the
     second-order energy shift.  At delta = 0 every coefficient is zero.
     """
+    from numpy.polynomial import Polynomial
+
     state = QuantumState(0, ell)
     k = units.hbar / sqrt(2.0 * units.mass)
     gc = ground_coefficients(ell, spec, units)
@@ -365,6 +375,9 @@ def wavefunction_polynomial(ell: int, spec: ScreeningSpec, units: UnitSystem) ->
     P = -beta r - (sqrt(2m)/hbar) integral_0^r (W^(1) + W^(2)).  At delta = 0
     only p1 = -beta survives (pure Coulomb decay); OverflowError if a p_i is not finite.
     """
+    import numpy as np
+    from numpy.polynomial import Polynomial
+
     state = QuantumState(0, ell)
     with np.errstate(over="ignore", invalid="ignore"):
         w = (superpotential_first(state, spec, units)
@@ -380,6 +393,8 @@ def wavefunction_polynomial(ell: int, spec: ScreeningSpec, units: UnitSystem) ->
 def _norm_integral(ell: int, poly: Polynomial, r_stop: float, points: int) -> float:
     """Integral of (r^(ell+1) exp(P(r)))^2 over [0, r_stop] by the ``points``-point
     Gauss-Legendre rule; inf or nan, with no warning, where it leaves the floats."""
+    import numpy as np
+
     t, w = np.polynomial.legendre.leggauss(points)
     x = 0.5 * r_stop * (t + 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -413,6 +428,8 @@ def ground_wavefunction(
     from l = 42 at delta = 0.001) or is 0.  OverflowError: see
     :func:`wavefunction_polynomial`; psi raises it where its value is not finite.
     """
+    import numpy as np
+
     state = QuantumState(0, ell)
     poly = wavefunction_polynomial(ell, spec, units)
     beta = coulomb_beta(state, spec, units)

@@ -25,8 +25,6 @@ from functools import lru_cache
 from math import factorial
 from numbers import Integral
 
-import numpy as np
-
 from .core import ScreeningSpec, UnitSystem, ValidationError, check_positive_radius
 
 
@@ -49,6 +47,8 @@ def series_coefficient(i: int) -> Fraction:
 
 def evaluate_potential(r, spec: ScreeningSpec):
     """V(r) = -(A/r) exp(-delta r) cos(g delta r); accepts scalars or arrays."""
+    import numpy as np
+
     arr = check_positive_radius(r)
     out = -(spec.strength / arr) * np.exp(-spec.delta * arr) * np.cos(spec.g * spec.delta * arr)
     return out if out.ndim else float(out)
@@ -62,6 +62,8 @@ def effective_potential(r, spec: ScreeningSpec, ell: int, units: UnitSystem):
     screened = evaluate_potential(r, spec)
     if ell == 0:  # no barrier, and no 0/0 where r^2 underflows
         return screened
+    import numpy as np
+
     arr = np.asarray(r, dtype=float)
     out = screened + units.hbar**2 * ell * (ell + 1) / (2.0 * units.mass * arr**2)
     return out if out.ndim else float(out)

@@ -37,8 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import inf, isfinite
 
-from numpy.polynomial import Polynomial
-
 from .core import QuantumState, ScreeningSpec, UnitSystem, ValidationError
 from .coulomb import _moment_fraction, coulomb_beta
 from .coulomb import coulomb_norm, laguerre  # noqa: F401  traced here by perfbench/tracing.py
@@ -147,6 +145,8 @@ def second_order_energy_numeric(
     coefficients; any other ``w1`` raises ValidationError.
     ``qspec`` selects nothing: there is one rule.
     """
+    from numpy.polynomial import Polynomial
+
     if not (isinstance(w1, Polynomial) and w1.coef.size <= 3
             and w1.domain.tolist() == _DEFAULT_WINDOW == w1.window.tolist()):
         raise ValidationError(

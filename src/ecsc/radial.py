@@ -62,14 +62,15 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cache
-from math import exp, expm1, isfinite, log, log2, sqrt
-from typing import NamedTuple
-
-import numpy as np
+from math import exp, expm1, inf, isfinite, log, log2, sqrt
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import QuantumState, ScreeningSpec, UnitSystem, ValidationError, coulomb_scales
 
-_EPS = float(np.finfo(float).eps)
+if TYPE_CHECKING:
+    import numpy as np
+
+_EPS = sys.float_info.epsilon
 #: mesh orders N tried in turn
 _ORDERS = tuple(round(28 * 1.5**k) for k in range(9))
 #: grading a of the map from the Gauss-Lobatto points to the box
@@ -107,9 +108,9 @@ class SolverConfig:
     energy_abs_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.r_max < np.inf:
+        if not 0.0 < self.r_max < inf:
             raise ValidationError("r_max must be positive and finite")
-        if not 0.0 < self.energy_abs_tol < np.inf:
+        if not 0.0 < self.energy_abs_tol < inf:
             raise ValidationError("energy_abs_tol must be positive and finite")
 
 
@@ -129,7 +130,7 @@ def default_solver_config(
     """
     wavenumber, energy = coulomb_scales(spec.strength, units)
     r_max = 40.0 * state.principal * (state.principal / wavenumber)
-    if not r_max < np.inf:
+    if not r_max < inf:
         raise ValidationError(
             f"A = {spec.strength:g} with hbar = {units.hbar:g} and m = {units.mass:g} puts the "
             "solver's box 40 N^2 hbar^2/(m A) outside the finite floats")
@@ -181,6 +182,8 @@ def _mesh(order: int) -> _Mesh:
     """The graded Gauss-Lobatto mesh of order N = ``order``, one of
     ``_ORDERS``, with w the Gauss-Lobatto weights and J = ds/dx the Jacobian
     of the map."""
+    import numpy as np
+
     # the interior points are the zeros of P'_N, a Jacobi polynomial P^(1,1)_(N-1):
     # the eigenvalues of its Jacobi matrix (Golub and Welsch, Math. Comp. 23 (1969) 221)
     k = np.arange(1.0, order - 1)
@@ -227,6 +230,8 @@ def _mesh(order: int) -> _Mesh:
 
 
 def _count_interior_nodes(values: np.ndarray) -> int:
+    import numpy as np
+
     magnitude = np.abs(values)
     sig = values[magnitude > 1e-6 * magnitude.max()]
     return int(np.count_nonzero(np.signbit(sig[1:]) != np.signbit(sig[:-1])))
@@ -234,6 +239,8 @@ def _count_interior_nodes(values: np.ndarray) -> int:
 
 def _potential_on(potential, r: np.ndarray) -> np.ndarray:
     """The potential's values at the radii ``r``, refused unless finite and of r's shape."""
+    import numpy as np
+
     v = np.asarray(potential(r), dtype=float)
     if v.shape != r.shape:
         raise ValidationError(f"potential returned shape {v.shape} on a mesh of shape {r.shape}; "
@@ -245,6 +252,8 @@ def _potential_on(potential, r: np.ndarray) -> np.ndarray:
 
 def _solve(potential, state: QuantumState, units: UnitSystem, config: SolverConfig):
     """The level as a RadialFunction, or the reason why it is not bound."""
+    import numpy as np
+
     r_max, n = config.r_max, state.n
     orders = [order for order in _ORDERS if order - 1 > n]
     if len(orders) < 2:

@@ -42,6 +42,7 @@ from .core import (
     SecondOrderVariant,
     UnitSystem,
     ValidationError,
+    _variant,
     state_from_label,
 )
 from .perturbation import _level, total_energy
@@ -293,7 +294,7 @@ def reproduce_table(
     tid = table_id.upper()
     if tid not in TABLES:
         raise ValidationError(f"unknown table {table_id!r}; expected one of {sorted(TABLES)}")
-    definition = TABLES[tid]
+    definition, variant = TABLES[tid], _variant(variant)
     cells = []
     for row in definition.named_rows():
         state, spec = definition.parameters(row)
@@ -416,8 +417,7 @@ def scan_delta(
     for delta in deltas:
         spec = ScreeningSpec(delta, strength)
         if level is None:  # after the first spec has checked A: the variant, the records
-            if not isinstance(variant, SecondOrderVariant):
-                variant = SecondOrderVariant(variant)
+            variant = _variant(variant)
             level = _level(state.n, state.ell, variant, units.hbar, units.mass, strength)
             density = _density(state.n, state.ell, units.hbar, units.mass, strength)
         closed = level.breakdown(spec)

@@ -34,6 +34,7 @@ from ecsc import (
 )
 from ecsc.cli import main
 from ecsc.coulomb import _moment_fraction
+from ecsc.tables import reproduce_table
 from ecsc import perturbation, quadrature
 from ecsc.perturbation import first_order_coefficient
 
@@ -249,6 +250,27 @@ class TestLevelRecord:
         spec = ScreeningSpec(delta=0.1, strength=1e-320)
         with pytest.raises(ValidationError, match="puts the Coulomb wavenumber"):
             superpotential_first(QuantumState(1, 0), spec, ATOMIC, "bogus")
+
+    _VARIANT_READERS = {
+        "superpotential_first": lambda st, v: superpotential_first(
+            st, ScreeningSpec(delta=0.1), ATOMIC, v),
+        "second_order_coefficients": lambda st, v: second_order_coefficients(st.n, st.ell, v),
+        "second_order_terms": lambda st, v: second_order_terms(
+            st, ScreeningSpec(delta=0.1), ATOMIC, v),
+        "second_order_shift": lambda st, v: second_order_shift(
+            st, ScreeningSpec(delta=0.1), ATOMIC, v),
+        "total_energy": lambda st, v: total_energy(st, ScreeningSpec(delta=0.1), ATOMIC, v),
+        "scan_delta": lambda st, v: scan_delta(st, 1.0, ATOMIC, 0.1, 0.1, 1, variant=v),
+        "reproduce_table": lambda st, v: reproduce_table("T1", v),
+    }
+
+    @pytest.mark.parametrize("reader", sorted(_VARIANT_READERS))
+    def test_an_invalid_variant_is_a_validation_error_naming_the_valid_ones(self, reader):
+        # at every n, though the variant changes a value only for n = 1
+        for n in range(4):
+            with pytest.raises(ValidationError,
+                               match=r"^variant must be one of 'truncated', 'full', got 'bogus'$"):
+                self._VARIANT_READERS[reader](QuantumState(n, 1), "bogus")
 
     def test_unit_systems_with_one_strength_keep_their_own_values(self):
         st, spec = QuantumState(1, 1), ScreeningSpec(delta=0.05, strength=2.0)

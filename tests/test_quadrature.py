@@ -465,6 +465,19 @@ def _imported_modules(tree: ast.AST):
             yield from (f"{base}.{alias.name}" for alias in node.names)
 
 
+def _import_time_imports(nodes):
+    """The import statements among ``nodes`` and below them that run when the
+    module is imported: all but those in a function body or an
+    ``if TYPE_CHECKING:`` block."""
+    for node in nodes:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            yield from _import_time_imports(node.orelse)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _import_time_imports(ast.iter_child_nodes(node))
+
+
 class TestLayering:
     # the three routes stay independent: none imports another or the tables,
     # and the eigensolver does not even use the Coulomb basis; the quadrature
@@ -522,3 +535,30 @@ class TestLayering:
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert run.stdout.strip() == "[]"
+
+    # the closed forms are floats and Fractions: numpy loads on first use of
+    # the solver, the wavefunctions or an array potential, never at import
+    @pytest.mark.parametrize("path", sorted(Path(ecsc.__file__).parent.glob("*.py")),
+                             ids=lambda path: path.stem)
+    def test_module_imports_numpy_only_inside_functions(self, path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert [m for node in _import_time_imports(tree.body) for m in _imported_modules(node)
+                if m.split(".")[0] == "numpy"] == []
+
+    def test_closed_form_verbs_load_no_numpy(self):
+        src = str(Path(ecsc.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        code = ("import contextlib, io, sys, ecsc, ecsc.cli\n"
+                "def loaded(*argv):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert ecsc.cli.main(list(argv)) == 0, argv\n"
+                "    return 'numpy' in sys.modules\n"
+                "print(loaded('table', 'T1'), loaded('energy', '--state', '2p', '--delta', '0.05'),\n"
+                "      loaded('scan', '--state', '1s', '--delta-start', '0.01',\n"
+                "             '--delta-end', '0.05', '--steps', '3'),\n"
+                "      loaded('oracle', '--state', '1s', '--delta', '0.1'))\n")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        # the solver loads it, so the check can see it
+        assert run.stdout.split() == ["False", "False", "False", "True"]
