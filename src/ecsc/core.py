@@ -159,13 +159,27 @@ class ScreeningSpec:
     g: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("delta", "strength", "g"):
-            if not isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.delta < 0.0:
-            raise ValidationError(f"screening parameter must be >= 0, got {self.delta}")
-        if not self.strength > 0.0:
-            raise ValidationError(f"strength must be positive, got {self.strength}")
+        check_screening(self.strength, self.g, self.delta)
+
+
+def check_screening(strength: float, g: float, *deltas: float) -> None:
+    """The one check of screening parameters: each delta finite and >= 0, the
+    strength A finite and > 0, g finite.  ValidationError names the first
+    failure in this order: each delta not finite, A, g, each delta < 0, A <= 0.
+    A scan passes both ends of its grid, a ``ScreeningSpec`` its one delta."""
+    for delta in deltas:
+        if not 0.0 <= delta < inf:
+            break
+    else:
+        if 0.0 < strength < inf and -inf < g < inf:
+            return
+    for name, value in [("delta", d) for d in deltas] + [("strength", strength), ("g", g)]:
+        if not isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
+    for delta in deltas:
+        if delta < 0.0:
+            raise ValidationError(f"screening parameter must be >= 0, got {delta}")
+    raise ValidationError(f"strength must be positive, got {strength}")
 
 
 class SecondOrderVariant(Enum):
@@ -180,6 +194,11 @@ class SecondOrderVariant(Enum):
 
     TRUNCATED = "truncated"
     FULL = "full"
+
+    # members are singletons compared by identity, so the identity hash
+    # serves, in C; Enum's own hashes the name in a Python call, once per
+    # lookup of every cache keyed on a variant
+    __hash__ = object.__hash__
 
 
 def _variant(value) -> SecondOrderVariant:
@@ -210,8 +229,16 @@ class EnergyBreakdown:
     total: float = field(init=False)
 
     def __post_init__(self) -> None:
-        total = self.e0 + self.linear_shift + self.e1 + self.e2
-        if not isfinite(total):
-            raise OverflowError(f"the total energy E0 + A delta + E1 + E2 is {total}")
-        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "total", energy_total(self.e0, self.linear_shift, self.e1,
+                                                       self.e2))
+
+
+def energy_total(e0: float, linear_shift: float, e1: float, e2: float) -> float:
+    """E0 + A delta + E1 + E2, summed in that order; OverflowError when it is not
+    finite.  The one refusal of a total, for ``EnergyBreakdown`` and the level
+    records of ``ecsc.perturbation``."""
+    total = e0 + linear_shift + e1 + e2
+    if not isfinite(total):
+        raise OverflowError(f"the total energy E0 + A delta + E1 + E2 is {total}")
+    return total
 

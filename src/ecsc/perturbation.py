@@ -52,6 +52,7 @@ from .core import (
     _variant,
     check_positive_radius,
     coulomb_scales,
+    energy_total,
 )
 from .coulomb import coulomb_beta, coulomb_energy, coulomb_norm
 from .coulomb import radial_moment  # noqa: F401  perfbench/tracing.py traces it under this module
@@ -184,17 +185,29 @@ class _Level:
         num, den = self.sextic
         return quartic, num * delta**6 / den
 
-    def breakdown(self, spec: ScreeningSpec) -> EnergyBreakdown:
+    def energies(self, delta: float) -> tuple[float, float, float, float, float]:
+        """(E0, A delta, E1, E2, total) at ``delta`` as plain floats: the one
+        assembly of the closed forms.  E2 is 0.0 for n > 2, and at delta = 0
+        every correction is 0.0; OverflowError when the total is not finite."""
         e0 = self.e0
-        if spec.delta == 0.0:
-            return EnergyBreakdown(e0, 0.0, 0.0, 0.0, self.variant)
-        _require_expansion(spec)
-        linear = spec.strength * spec.delta
-        e1 = self.e1(spec.delta)
+        if delta == 0.0:
+            return e0, 0.0, 0.0, 0.0, energy_total(e0, 0.0, 0.0, 0.0)
+        linear = self.spec.strength * delta
+        e1 = self.e1(delta)
+        e2 = 0.0
         if self.state.n <= 2:
-            quartic, sextic = self.e2_terms(spec.delta)
-            return EnergyBreakdown(e0, linear, e1, quartic - sextic, self.variant)
-        return EnergyBreakdown(e0, linear, e1, 0.0, self.variant, first_order_only=True)
+            quartic, sextic = self.e2_terms(delta)
+            e2 = quartic - sextic
+        return e0, linear, e1, e2, energy_total(e0, linear, e1, e2)
+
+    def breakdown(self, spec: ScreeningSpec) -> EnergyBreakdown:
+        # ``energies`` as a record
+        if spec.g != 1.0 and spec.delta != 0.0:
+            self.e0  # formed first: out-of-range Coulomb scales are reported before g
+            _require_expansion(spec)
+        e0, linear, e1, e2, _ = self.energies(spec.delta)
+        return EnergyBreakdown(e0, linear, e1, e2, self.variant,
+                               self.state.n > 2 and spec.delta != 0.0)
 
     def w1_coefficients(self, delta: float, variant) -> tuple[float, float, float]:
         # (c0, c1, c2) of W1; ``variant`` is checked after W1's factors, whose

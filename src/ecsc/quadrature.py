@@ -112,9 +112,9 @@ def integrate_density(state: QuantumState, spec: ScreeningSpec, units: UnitSyste
                                        spec.strength))
 
 
-def _first_order_coef(spec: ScreeningSpec) -> tuple[float, float, float]:
+def _first_order_coef(strength: float, delta: float) -> tuple[float, float, float]:
     # the integrand -(A delta^3/3) r^2 of E1
-    a_d3 = spec.strength * spec.delta**3 / 3.0
+    a_d3 = strength * delta**3 / 3.0
     return 0.0, 0.0, -a_d3
 
 
@@ -125,8 +125,8 @@ def first_order_energy_numeric(
 ) -> float:
     """E1 as the density integral of -(A delta^3/3) r^2; ToleranceNotMetError
     when it, or the integrand's coefficient, leaves the floats."""
-    return _density_sum(_first_order_coef(spec), _density(state.n, state.ell, units.hbar,
-                                                          units.mass, spec.strength))
+    return _density_sum(_first_order_coef(spec.strength, spec.delta),
+                        _density(state.n, state.ell, units.hbar, units.mass, spec.strength))
 
 
 def second_order_energy_numeric(
@@ -153,14 +153,14 @@ def second_order_energy_numeric(
             "w1 must be a Polynomial of degree <= 2 with the default domain and window, "
             f"got {w1!r}")
     c0, c1, c2 = w1.coef.tolist() + [0.0] * (3 - w1.coef.size)
-    return _density_sum(_second_order_coef(spec, c0, c1, c2),
+    return _density_sum(_second_order_coef(spec.strength, spec.delta, c0, c1, c2),
                         _density(state.n, state.ell, units.hbar, units.mass, spec.strength))
 
 
-def _second_order_coef(spec: ScreeningSpec, c0: float, c1: float,
+def _second_order_coef(strength: float, delta: float, c0: float, c1: float,
                        c2: float) -> tuple[float, ...]:
     # the integrand A delta^4/6 r^3 - W1^2 of E2 for W1 = c0 + c1 r + c2 r^2,
     # the one expansion of the square
-    sixth = spec.strength * spec.delta**4 / 6.0
+    sixth = strength * delta**4 / 6.0
     return (-c0 * c0, -2.0 * c0 * c1, -(c1 * c1 + 2.0 * c0 * c2), sixth - 2.0 * c1 * c2,
             -c2 * c2)

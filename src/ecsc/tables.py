@@ -32,6 +32,8 @@ import math
 import re
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from .core import (
     ATOMIC,
@@ -43,6 +45,7 @@ from .core import (
     UnitSystem,
     ValidationError,
     _variant,
+    check_screening,
     state_from_label,
 )
 from .perturbation import _level, total_energy
@@ -333,26 +336,46 @@ class ComparisonRow:
         return None if self.oracle is None else self.oracle - self.analytic
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    rows: tuple[ComparisonRow, ...]
+class ScanResult(NamedTuple):
+    """A delta scan as columns, one entry per grid point: the screening values,
+    the analytic and quadrature energies, the solver's energy (None where it
+    did not run or found no bound level), its status ("" where it did not run),
+    and the bundled table value (None where there is none).  It compares equal
+    by value, and renders CSV and Markdown from the columns; ``rows`` builds
+    one ``ComparisonRow`` per point on demand."""
+
+    state_label: str
+    deltas: tuple[float, ...]
+    analytic: tuple[float, ...]
+    quadrature: tuple[float, ...]
+    oracle: tuple[float | None, ...]
+    oracle_status: tuple[str, ...]
+    reference: tuple[float | None, ...]
+
+    def _points(self):
+        return zip(self.deltas, self.analytic, self.quadrature, self.oracle,
+                   self.oracle_status, self.reference)
+
+    @property
+    def rows(self) -> tuple[ComparisonRow, ...]:
+        return tuple(ComparisonRow(self.state_label, *point) for point in self._points())
 
     def to_csv_text(self) -> str:
         header = ("state,delta,E_analytic,E_quadrature,E_oracle,oracle_status,E_ref,"
                   "quad_minus_analytic,oracle_minus_analytic").split(",")
         rows = [
-            (r.state_label, r.delta, r.analytic, r.quadrature, r.oracle, r.oracle_status,
-             r.reference, r.quad_minus_analytic, r.oracle_minus_analytic)
-            for r in self.rows
+            (self.state_label, delta, analytic, quadrature, oracle, status, reference,
+             quadrature - analytic, None if oracle is None else oracle - analytic)
+            for delta, analytic, quadrature, oracle, status, reference in self._points()
         ]
         return render_text("csv", header, rows)
 
     def to_markdown_text(self) -> str:
         header = ("state", "delta", "analytic", "quadrature", "oracle", "reference")
         rows = [
-            (r.state_label, r.delta, r.analytic, r.quadrature,
-             r.oracle_status if r.oracle is None else r.oracle, r.reference)
-            for r in self.rows
+            (self.state_label, delta, analytic, quadrature,
+             status if oracle is None else oracle, reference)
+            for delta, analytic, quadrature, oracle, status, reference in self._points()
         ]
         return render_text("md", header, rows, rule=("---",) + ("---:",) * 5)
 
@@ -365,19 +388,24 @@ _SCAN_REFERENCES = {
 }
 
 
-def _references_for(state: QuantumState, strength: float, units: UnitSystem):
-    """The (delta, E) pairs a scan of ``state`` is compared with: those of the
-    bundled atomic tables, which hold only for hbar = m = A = 1."""
-    if units.hbar != 1.0 or units.mass != 1.0 or strength != 1.0:
-        return ()
-    return _SCAN_REFERENCES.get((state.n, state.ell), ())
-
-
 def _reference_at(references, delta: float):
     for row_delta, energy in references:
         if abs(row_delta - delta) < 1e-12:
             return energy
     return None
+
+
+@lru_cache(maxsize=256, typed=True)
+def _records(n: int, ell: int, variant: SecondOrderVariant, hbar: float, mass: float,
+             strength: float):
+    # what a scan reads of its level, in one lookup: the closed-form record,
+    # the density pairs, the label and the (delta, E) pairs of the bundled
+    # atomic tables, which hold only for hbar = m = A = 1; bounded and typed
+    # as the two caches it reads
+    atomic = hbar == 1.0 and mass == 1.0 and strength == 1.0
+    return (_level(n, ell, variant, hbar, mass, strength),
+            _density(n, ell, hbar, mass, strength), QuantumState(n, ell).label,
+            _SCAN_REFERENCES.get((n, ell), ()) if atomic else ())
 
 
 def scan_delta(
@@ -390,55 +418,65 @@ def scan_delta(
     with_oracle: bool = False,
     variant: SecondOrderVariant = SecondOrderVariant.TRUNCATED,
 ) -> ScanResult:
-    """One ComparisonRow per screening value on a uniform grid of ``steps``
-    points from ``delta_start`` to ``delta_end``; one step needs equal ends.
+    """The energies of ``state`` on a uniform grid of ``steps`` screening values
+    from ``delta_start`` to ``delta_end``, as the columns of a ScanResult; one
+    step needs equal ends.
 
-    The analytic column equals ``total_energy``.  The quadrature
-    column takes E0 and A delta from the same breakdown, and E1 and E2 as
-    density sums, E2 of W1's three coefficients.  Both read the level's
-    cached delta-free records once per scan, so a point forms only its
-    ScreeningSpec, its breakdown, the two density sums and its row.
+    The grid is checked once before it is formed: the step count, the order of
+    the ends, then both ends and A by ``check_screening``, then the variant.
+    The analytic column equals ``total_energy``.  The quadrature column takes
+    E0 and A delta from the same closed-form floats, and E1 and E2 as density
+    sums, E2 of W1's three coefficients.  Both read the level's cached records
+    through one lookup, so a point forms only its floats and the two density
+    sums; only ``with_oracle`` builds a ScreeningSpec per point, for the solver.
     """
     if not 1 <= steps <= MAX_SAMPLES:
         raise ValidationError(f"steps must be between 1 and {MAX_SAMPLES}, got {steps}")
     if delta_start < 0.0 or delta_end < delta_start:
         raise ValidationError("need 0 <= delta_start <= delta_end")
-    if steps == 1 and delta_end != delta_start:
+    # past the order check, > is != for ends that are numbers; a nan end is
+    # left to check_screening, which names it
+    if steps == 1 and delta_end > delta_start:
         raise ValidationError(
             f"one step samples one delta: need delta_end == delta_start, got {delta_start!r} "
             f"and {delta_end!r}")
+    check_screening(strength, 1.0, delta_start, delta_end)
+    if not isinstance(variant, SecondOrderVariant):  # a member skips the call
+        variant = _variant(variant)
+    level, density, label, references = _records(state.n, state.ell, variant, units.hbar,
+                                                  units.mass, strength)
     if steps == 1:
         deltas = [delta_start]
     else:
         span = delta_end - delta_start
         deltas = [delta_start + span * i / (steps - 1) for i in range(steps)]
-    label, references = state.label, _references_for(state, strength, units)
-    rows, level = [], None
+    analytic, quadrature, oracle, status = [], [], [], []
     for delta in deltas:
-        spec = ScreeningSpec(delta, strength)
-        if level is None:  # after the first spec has checked A: the variant, the records
-            variant = _variant(variant)
-            level = _level(state.n, state.ell, variant, units.hbar, units.mass, strength)
-            density = _density(state.n, state.ell, units.hbar, units.mass, strength)
-        closed = level.breakdown(spec)
-        quadrature = closed.e0
+        e0, linear, _, _, total = level.energies(delta)
+        analytic.append(total)
+        numeric = e0
         if delta != 0.0:
-            e1 = _density_sum(_first_order_coef(spec), density)
+            e1 = _density_sum(_first_order_coef(strength, delta), density)
             w1 = level.w1_coefficients(delta, variant)
-            e2 = _density_sum(_second_order_coef(spec, *w1), density)
-            quadrature = closed.e0 + closed.linear_shift + e1 + e2
-        oracle_val, status = None, ""
+            e2 = _density_sum(_second_order_coef(strength, delta, *w1), density)
+            numeric = e0 + linear + e1 + e2
+        quadrature.append(numeric)
         if with_oracle:
+            spec = ScreeningSpec(delta, strength)
             pot = lambda r: effective_potential(r, spec, state.ell, units)
             try:
                 rf = solve_bound_state(pot, state, units, default_solver_config(state, spec, units))
-                oracle_val = rf.energy
-                status = "ok" if rf.converged else "not-converged"
+                oracle.append(rf.energy)
+                status.append("ok" if rf.converged else "not-converged")
             except NoBoundStateError:
-                status = "no-bound-state"
-        rows.append(ComparisonRow(label, delta, closed.total, quadrature, oracle_val, status,
-                                  _reference_at(references, delta)))
-    return ScanResult(tuple(rows))
+                oracle.append(None)
+                status.append("no-bound-state")
+    if not with_oracle:
+        oracle, status = (None,) * len(deltas), ("",) * len(deltas)
+    reference = (tuple(_reference_at(references, delta) for delta in deltas) if references
+                 else (None,) * len(deltas))
+    return ScanResult(label, tuple(deltas), tuple(analytic), tuple(quadrature),
+                      tuple(oracle), tuple(status), reference)
 
 
 # --- rendering ---------------------------------------------------------------

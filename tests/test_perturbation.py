@@ -35,7 +35,7 @@ from ecsc import (
 from ecsc.cli import main
 from ecsc.coulomb import _moment_fraction
 from ecsc.tables import reproduce_table
-from ecsc import perturbation, quadrature
+from ecsc import perturbation, quadrature, tables
 from ecsc.perturbation import first_order_coefficient
 
 SQ2 = math.sqrt(2.0)
@@ -298,7 +298,8 @@ class TestLevelRecord:
             spec = ScreeningSpec(delta=0.05, strength=1.0 + i / 1000)
             total_energy(st, spec, ATOMIC)
             first_order_energy_numeric(st, spec, ATOMIC)
-        for cache in (perturbation._level, quadrature._density):
+            scan_delta(st, spec.strength, ATOMIC, spec.delta, spec.delta, 1)
+        for cache in (perturbation._level, quadrature._density, tables._records):
             info = cache.cache_info()
             assert info.maxsize is not None and info.currsize == info.maxsize < 10_000
 

@@ -11,6 +11,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 import ecsc
+import ecsc.coulomb
 import ecsc.quadrature
 from ecsc import (
     ATOMIC,
@@ -151,8 +152,8 @@ class TestDensityCache:
         # and an E2 under either spec, reads them alone
         st, spec = state_from_label("3d"), ScreeningSpec(delta=0.1)
         calls = []
-        real, real_eigh = ecsc.quadrature.laguerre, np.linalg.eigh
-        monkeypatch.setattr(ecsc.quadrature, "laguerre", lambda *a: calls.append(a) or real(*a))
+        real, real_eigh = ecsc.coulomb.laguerre, np.linalg.eigh
+        monkeypatch.setattr(ecsc.coulomb, "laguerre", lambda *a: calls.append(a) or real(*a))
         monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(a) or real_eigh(*a))
         ecsc.quadrature._moments.cache_clear()
         integrate_density(st, spec, ATOMIC, (0.0, 0.0, 1.0))
@@ -522,7 +523,7 @@ class TestLayering:
                              text=True, check=True)
         found, filled = run.stdout.splitlines()
         for cache in ("quadrature._moments", "quadrature._density", "perturbation._level",
-                      "radial._mesh"):
+                      "tables._records", "radial._mesh"):
             assert f"'ecsc.{cache}'" in found
         assert filled == "[]"
 

@@ -17,6 +17,8 @@ import ecsc
 from ecsc import (
     ATOMIC,
     HBAR2M,
+    ComparisonRow,
+    EnergyBreakdown,
     QuantumState,
     ScreeningSpec,
     SecondOrderVariant,
@@ -170,6 +172,23 @@ class TestEmission:
             "87edacdd86bf769c0eb834c881d0f89d610f7ca58ca025de7b77e6e53dd4ba1d"
         )
 
+    def test_scan_hash(self):
+        # pins the bytes of scans over 1s .. 3d, csv then markdown; the atomic
+        # A = 1 grids of 1s and 2s fill the reference column
+        digest = hashlib.sha256()
+        for label in ("1s", "2s", "2p", "3s", "3p", "3d"):
+            for variant in SecondOrderVariant:
+                for units in (ATOMIC, HBAR2M):
+                    for strength in (1.0, 8.0):
+                        for start, end, steps in ((0.05, 0.05, 1), (0.0, 0.1, 11)):
+                            result = scan_delta(state_from_label(label), strength, units,
+                                                start, end, steps, variant=variant)
+                            digest.update(result.to_csv_text().encode())
+                            digest.update(result.to_markdown_text().encode())
+        assert digest.hexdigest() == (
+            "c8c2f3d8fd15ced1efe71508f9feb1f12b387dc22068b500e7aaf8822ed9bc2b"
+        )
+
     def test_wavefunction_hash(self, capsys, tmp_path):
         # pins the bytes of three sampled moderated wavefunctions
         digest = hashlib.sha256()
@@ -318,6 +337,36 @@ class TestScanDelta:
             scan_delta(state_from_label("1s"), 1.0, ATOMIC, 0.01, 0.02, 1)
         (row,) = scan_delta(state_from_label("1s"), 1.0, ATOMIC, 0.02, 0.02, 1).rows
         assert row.delta == 0.02
+
+    @pytest.mark.parametrize("start, end, steps, given", [
+        # read "one step samples one delta: ... got nan and nan"
+        ("nan", "nan", "1", "nan"),
+        # read "delta must be finite, got nan", the first grid point 0 + inf * 0
+        ("0", "inf", "3", "inf"),
+    ], ids=["nan-one-step", "inf-end"])
+    def test_a_non_finite_end_is_named_as_given(self, capsys, start, end, steps, given):
+        assert main(["scan", "--state", "1s", "--delta-start", start, "--delta-end", end,
+                     "--steps", steps]) == 2
+        assert capsys.readouterr().err == f"error: delta must be finite, got {given}\n"
+
+    def test_a_scan_builds_no_record_per_point(self, monkeypatch):
+        # one pass over the grid forms floats; the rows are built only when read
+        st = state_from_label("2s")
+        scan_delta(st, 1.0, ATOMIC, 0.0, 0.1, 101)  # the level's records, once
+        built = []
+        for cls in (ComparisonRow, EnergyBreakdown, ScreeningSpec):
+            def counted(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                built.append(_cls.__name__)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        result = scan_delta(st, 1.0, ATOMIC, 0.0, 0.1, 101)
+        assert built == []
+        rows = result.rows
+        assert built == ["ComparisonRow"] * 101
+        # the rows of the scan that built one ComparisonRow per point
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "1e7e808893dde5c0f3f13d6507b561849438125a2bb3b9748fdf66598c219abe"
+        )
 
 
 def _composed_quadrature(state, spec, units, variant):
